@@ -31,8 +31,6 @@ from .cubature import (
 from .empirical import (
     EmpiricalBetaCopula,
     RankedSample,
-    beta_copula_cdf,
-    beta_copula_mean,
     empirical_cce,
     empirical_ccigf,
     empirical_copula_cdf,
@@ -103,8 +101,6 @@ __all__ = [
     "closed_form_cckl",
     "rank_with_random_ties",
     "empirical_copula_cdf",
-    "beta_copula_cdf",
-    "beta_copula_mean",
     "empirical_cce",
     "empirical_fcce",
     "empirical_ccigf",

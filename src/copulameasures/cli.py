@@ -25,6 +25,7 @@ import logging
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -85,18 +86,35 @@ def _parse_params(text: str | None) -> tuple:
     return tuple(float(tok) for tok in text.replace(" ", "").split(",") if tok)
 
 
-def _parse_stat(text: str) -> tuple[str, float | None]:
-    """'cce' | 'fcce:R' | 'ccigf:S' | 'rho' | 'bk' -> (name, order)."""
+@dataclass(frozen=True)
+class _Stat:
+    measure: Callable               # (model, *order, cfg) -> MeasureEstimate
+    closed_form: Callable | None    # (model, *order) -> float
+    takes_order: bool
+
+
+# The formula-note key of a stat is its name.
+_STATS = {
+    "cce": _Stat(measures.cce, closed_forms.closed_form_cce, False),
+    "fcce": _Stat(measures.fcce, closed_forms.closed_form_fcce, True),
+    "ccigf": _Stat(measures.ccigf, closed_forms.closed_form_ccigf, True),
+    "rho": _Stat(measures.spearman_rho_minus, None, False),
+    "bk": _Stat(measures.b_k, closed_forms.closed_form_bk, False),
+}
+
+
+def _parse_stat(text: str) -> tuple[str, tuple]:
+    """'cce' | 'fcce:R' | 'ccigf:S' | 'rho' | 'bk' -> (name, order args)."""
     name, _, arg = text.partition(":")
-    if name not in ("cce", "fcce", "ccigf", "rho", "bk"):
+    if name not in _STATS:
         raise ValueError(f"unknown stat {text!r}")
-    if name in ("fcce", "ccigf"):
+    if _STATS[name].takes_order:
         if not arg:
             raise ValueError(f"{name} needs an order, e.g. {name}:0.5")
-        return name, float(arg)
+        return name, (float(arg),)
     if arg:
         raise ValueError(f"stat {name} takes no order")
-    return name, None
+    return name, ()
 
 
 def _integration_cfg(args) -> IntegrationConfig:
@@ -121,43 +139,26 @@ def _emit(report: dict, exit_code: int) -> int:
     return exit_code
 
 
-def _measure_value(model, stat, order, cfg):
-    if stat == "cce":
-        est = measures.cce(model, cfg)
-    elif stat == "fcce":
-        est = measures.fcce(model, order, cfg)
-    elif stat == "ccigf":
-        est = measures.ccigf(model, order, cfg)
-    elif stat == "rho":
-        est = measures.spearman_rho_minus(model, cfg)
-    else:
-        est = measures.b_k(model, cfg)
-    return est
-
-
-def _notes_for(stat: str, model) -> list:
-    key = {"cce": "cce", "fcce": "fcce", "ccigf": "ccigf", "bk": "bk"}.get(stat)
-    note = closed_forms.FORMULA_NOTES.get((key, model.family)) if key else None
-    return [note] if note else []
+def _gof_cfg(args, param_mode: str = "estimate_each_rep") -> gof.GofConfig:
+    """Bootstrap settings from the shared flags; ``param_mode`` applies
+    to commands without a ``--param-mode`` flag."""
+    return gof.GofConfig(reps=args.reps, alpha=args.alpha, seed=args.seed,
+                         param_mode=getattr(args, "param_mode", param_mode),
+                         workers=_workers(args))
 
 
 def cmd_measure(args, argv) -> int:
     model = _model_from_args(args.family, args.dim, args.params)
     stat, order = _parse_stat(args.stat)
-    cfg = _integration_cfg(args)
-    est = _measure_value(model, stat, order, cfg)
+    spec = _STATS[stat]
+    est = spec.measure(model, *order, _integration_cfg(args))
     closed = None
-    try:
-        if stat == "cce":
-            closed = closed_forms.closed_form_cce(model)
-        elif stat == "fcce":
-            closed = closed_forms.closed_form_fcce(model, order)
-        elif stat == "ccigf":
-            closed = closed_forms.closed_form_ccigf(model, order)
-        elif stat == "bk":
-            closed = closed_forms.closed_form_bk(model)
-    except NoClosedForm:
-        pass
+    if spec.closed_form is not None:
+        try:
+            closed = spec.closed_form(model, *order)
+        except NoClosedForm:
+            pass
+    note = closed_forms.FORMULA_NOTES.get((stat, model.family))
     report = {
         "command": "measure",
         "argv": argv,
@@ -165,7 +166,7 @@ def cmd_measure(args, argv) -> int:
                    "params": list(model.params), "stat": args.stat},
         "outputs": {"value": est.value, "error": est.error,
                     "method": est.method, "closed_form": closed},
-        "formula_notes": _notes_for(stat, model),
+        "formula_notes": [note] if note else [],
     }
     return _emit(report, EXIT_OK)
 
@@ -197,9 +198,9 @@ def cmd_empirical(args, argv) -> int:
     ds = load_csv(args.data, args.cols.split(","))
     rs = empirical.rank_with_random_ties(ds.values, args.tie_seed)
     stat, order = _parse_stat(args.stat)
-    cfg = _integration_cfg(args)
-    beta = empirical.EmpiricalBetaCopula(rs)
-    est = _measure_value(beta, stat, order, cfg)
+    measure = _STATS[stat].measure
+    cfg = empirical._cfg_for_empirical(rs.k, _integration_cfg(args))
+    est = measure(empirical.EmpiricalBetaCopula(rs), *order, cfg)
     outputs = {"value": est.value, "error": est.error, "n": rs.n, "k": rs.k}
     if args.dump_curve:
         sizes = [int(s) for s in args.dump_curve.split(",")]
@@ -208,8 +209,7 @@ def cmd_empirical(args, argv) -> int:
             if m > rs.n:
                 raise ValueError(f"curve size {m} exceeds N={rs.n}")
             sub = empirical.rank_with_random_ties(ds.values[:m], args.tie_seed)
-            sub_est = _measure_value(empirical.EmpiricalBetaCopula(sub),
-                                     stat, order, cfg)
+            sub_est = measure(empirical.EmpiricalBetaCopula(sub), *order, cfg)
             curve.append([m, sub_est.value])
         outputs["curve"] = curve
     report = {
@@ -226,8 +226,7 @@ def cmd_empirical(args, argv) -> int:
 
 def cmd_gof(args, argv) -> int:
     ds = load_csv(args.data, args.cols.split(","))
-    cfg = gof.GofConfig(reps=args.reps, alpha=args.alpha, seed=args.seed,
-                        param_mode=args.param_mode, workers=_workers(args))
+    cfg = _gof_cfg(args)
     report_obj = gof.bootstrap_test(ds.values, args.family, cfg,
                                     params=_parse_params(args.params) or None)
     report = {
@@ -253,8 +252,7 @@ def cmd_gof(args, argv) -> int:
 
 def cmd_calibrate(args, argv) -> int:
     model = _model_from_args(args.family, args.dim, args.params)
-    cfg = gof.GofConfig(reps=args.reps, alpha=args.alpha, seed=args.seed,
-                        param_mode="known_params", workers=_workers(args))
+    cfg = _gof_cfg(args, param_mode="known_params")
     pct = gof.calibrate_percentile(model, args.n, cfg)
     report = {
         "command": "calibrate",
@@ -272,8 +270,7 @@ def cmd_calibrate(args, argv) -> int:
 def cmd_power(args, argv) -> int:
     null_model = _model_from_args(args.null_family, args.dim, args.null_params)
     true_model = _model_from_args(args.true_family, args.dim, args.true_params)
-    cfg = gof.GofConfig(reps=args.reps, alpha=args.alpha, seed=args.seed,
-                        param_mode=args.param_mode, workers=_workers(args))
+    cfg = _gof_cfg(args)
     pct = gof.power_study(null_model, true_model, args.n, cfg)
     report = {
         "command": "power",
@@ -293,8 +290,7 @@ def cmd_power(args, argv) -> int:
 
 def cmd_select(args, argv) -> int:
     ds = load_csv(args.data, args.cols.split(","))
-    cfg = gof.GofConfig(reps=args.reps, alpha=args.alpha, seed=args.seed,
-                        workers=_workers(args))
+    cfg = _gof_cfg(args)
     entries = gof.select_copula(ds.values, args.families.split(","), cfg)
     ranking = []
     for e in entries:
@@ -331,6 +327,21 @@ def build_parser() -> argparse.ArgumentParser:
                         default="auto")
         sp.add_argument("--qmc-seed", type=int, default=0, dest="qmc_seed")
 
+    def add_data(sp):
+        sp.add_argument("--data", required=True)
+        sp.add_argument("--cols", required=True, help="comma-separated names")
+
+    def add_bootstrap(sp, reps):
+        sp.add_argument("--reps", type=int, default=reps)
+        sp.add_argument("--alpha", type=float, default=0.05)
+        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        sp.add_argument("--workers", type=int, default=None)
+
+    def add_param_mode(sp, default):
+        sp.add_argument("--param-mode", dest="param_mode",
+                        choices=("estimate_each_rep", "known_params"),
+                        default=default)
+
     sp = sub.add_parser("measure", help="measure of a parametric copula")
     sp.add_argument("--family", required=True, choices=FAMILIES)
     sp.add_argument("--dim", type=int, required=True)
@@ -351,8 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_cckl)
 
     sp = sub.add_parser("empirical", help="plug-in measures of a dataset")
-    sp.add_argument("--data", required=True)
-    sp.add_argument("--cols", required=True, help="comma-separated names")
+    add_data(sp)
     sp.add_argument("--stat", required=True)
     sp.add_argument("--tie-seed", type=int, default=DEFAULT_TIE_SEED,
                     dest="tie_seed")
@@ -362,18 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_empirical)
 
     sp = sub.add_parser("gof", help="bootstrap goodness-of-fit test")
-    sp.add_argument("--data", required=True)
-    sp.add_argument("--cols", required=True)
+    add_data(sp)
     sp.add_argument("--family", required=True, choices=fit.FITTABLE_FAMILIES)
     sp.add_argument("--params", default=None,
                     help="required in known_params mode")
-    sp.add_argument("--reps", type=int, default=1000)
-    sp.add_argument("--alpha", type=float, default=0.05)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--param-mode", dest="param_mode",
-                    choices=("estimate_each_rep", "known_params"),
-                    default="estimate_each_rep")
-    sp.add_argument("--workers", type=int, default=None)
+    add_bootstrap(sp, reps=1000)
+    add_param_mode(sp, default="estimate_each_rep")
     sp.set_defaults(func=cmd_gof)
 
     sp = sub.add_parser("calibrate", help="null percentile of the statistic")
@@ -381,10 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--params", default=None)
     sp.add_argument("--dim", type=int, default=2)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--reps", type=int, default=10000)
-    sp.add_argument("--alpha", type=float, default=0.05)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--workers", type=int, default=None)
+    add_bootstrap(sp, reps=10000)
     sp.set_defaults(func=cmd_calibrate)
 
     sp = sub.add_parser("power", help="rejection percentage under a true model")
@@ -396,24 +397,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--true-params", default=None, dest="true_params")
     sp.add_argument("--dim", type=int, default=2)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--reps", type=int, default=10000)
-    sp.add_argument("--alpha", type=float, default=0.05)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--param-mode", dest="param_mode",
-                    choices=("estimate_each_rep", "known_params"),
-                    default="known_params")
-    sp.add_argument("--workers", type=int, default=None)
+    add_bootstrap(sp, reps=10000)
+    add_param_mode(sp, default="known_params")
     sp.set_defaults(func=cmd_power)
 
     sp = sub.add_parser("select", help="rank candidate families")
-    sp.add_argument("--data", required=True)
-    sp.add_argument("--cols", required=True)
+    add_data(sp)
     sp.add_argument("--families", required=True,
                     help="comma-separated candidates")
-    sp.add_argument("--reps", type=int, default=1000)
-    sp.add_argument("--alpha", type=float, default=0.05)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--workers", type=int, default=None)
+    add_bootstrap(sp, reps=1000)
     sp.set_defaults(func=cmd_select)
 
     return p

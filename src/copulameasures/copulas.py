@@ -28,6 +28,7 @@ nelsen_4212        theta >= 1  (dimension 2 only)
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -74,8 +75,34 @@ def corr_from_upper_triangle(dim: int, entries) -> np.ndarray:
     return corr
 
 
+class Copula(ABC):
+    """Interface of every copula in the package: ``dim``,
+    ``has_zero_region`` and the vectorized ``cdf_many``, which treats
+    coordinates outside [0, 1] its own way.  ``cdf`` is defined here."""
+
+    dim: int
+    has_zero_region: bool
+
+    @abstractmethod
+    def cdf_many(self, U: np.ndarray) -> np.ndarray:
+        """C(u) over the rows of an (m, dim) array."""
+
+    def cdf(self, point) -> float:
+        """C(u) at a single point of the closed unit cube."""
+        u = np.asarray(point, dtype=float).ravel()
+        return float(self.cdf_many(u[None, :])[0])
+
+    def _points(self, U) -> np.ndarray:
+        """U as an (m, dim) float array; raises DimensionMismatch."""
+        U = np.atleast_2d(np.asarray(U, dtype=float))
+        if U.shape[1] != self.dim:
+            raise DimensionMismatch(
+                f"points have dimension {U.shape[1]}, copula has {self.dim}")
+        return U
+
+
 @dataclass(frozen=True, eq=True)
-class CopulaModel:
+class CopulaModel(Copula):
     """Validated copula model; raises on construction if invalid."""
 
     family: str
@@ -175,20 +202,9 @@ class CopulaModel:
         return self.family == "lower_bound_w" or (
             self.family == "clayton" and self.params[0] < 0.0)
 
-    def cdf(self, point) -> float:
-        """C(u) at a single point of the closed unit cube."""
-        u = np.asarray(point, dtype=float).ravel()
-        if len(u) != self.dim:
-            raise DimensionMismatch(
-                f"point has dimension {len(u)}, model has {self.dim}")
-        return float(self.cdf_many(u[None, :])[0])
-
     def cdf_many(self, U: np.ndarray) -> np.ndarray:
         """Vectorized C(u) over the rows of U, clamped into [0, 1]."""
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        if U.shape[1] != self.dim:
-            raise DimensionMismatch(
-                f"points have dimension {U.shape[1]}, model has {self.dim}")
+        U = self._points(U)
         if np.any(U < -1e-12) or np.any(U > 1.0 + 1e-12):
             raise ValueError("coordinates must lie in [0, 1]")
         U = np.clip(U, 0.0, 1.0)
@@ -395,7 +411,7 @@ def _sample_sibuya(alpha: float, rng, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MixtureCopula:
+class MixtureCopula(Copula):
     """Convex combination of same-dimension copulas (itself a copula)."""
 
     components: tuple
@@ -418,11 +434,9 @@ class MixtureCopula:
     def has_zero_region(self) -> bool:
         return all(c.has_zero_region for c in self.components)
 
-    def cdf(self, point) -> float:
-        return float(self.cdf_many(np.asarray(point, dtype=float)[None, :])[0])
-
     def cdf_many(self, U: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(np.atleast_2d(U)))
+        U = self._points(U)
+        out = np.zeros(len(U))
         for w, c in zip(self.weights, self.components):
             out = out + w * c.cdf_many(U)
         return np.clip(out, 0.0, 1.0)

@@ -247,16 +247,18 @@ def _integrate_adaptive(f, k, abs_tol, rel_tol, max_evals):
         splits = np.concatenate([splits[keep], ns])
 
 
-def _integrate_qmc(f, k, abs_tol, rel_tol, max_evals, qmc_seed):
+def _integrate_qmc(f, k, seed, first_batch, abs_tol, rel_tol, max_evals):
+    """Doubling Sobol loop, error 3 standard errors across randomizations;
+    also runs the MVN CDF at k >= 4."""
     engines = [
         qmc.Sobol(d=k, scramble=True,
-                  seed=np.random.default_rng(np.random.SeedSequence((qmc_seed, rep))))
+                  seed=np.random.default_rng(np.random.SeedSequence((seed, rep))))
         for rep in range(_QMC_RANDOMIZATIONS)
     ]
     sums = np.zeros(_QMC_RANDOMIZATIONS)
     counts = 0
     evals = 0
-    n_next = _QMC_FIRST_BATCH
+    n_next = first_batch
     while True:
         for i, eng in enumerate(engines):
             pts = eng.random(n_next)
@@ -295,4 +297,5 @@ def integrate_unit_cube(f: Callable[[np.ndarray], np.ndarray], k: int,
     method, abs_tol = cfg.resolved(k)
     if method == "adaptive":
         return _integrate_adaptive(f, k, abs_tol, cfg.rel_tol, cfg.max_evals)
-    return _integrate_qmc(f, k, abs_tol, cfg.rel_tol, cfg.max_evals, cfg.qmc_seed)
+    return _integrate_qmc(f, k, cfg.qmc_seed, _QMC_FIRST_BATCH, abs_tol,
+                          cfg.rel_tol, cfg.max_evals)

@@ -9,12 +9,13 @@ permutations.  Plug-in measure estimates reuse the cubature backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import betainc
 
+from .copulas import Copula
 from .cubature import IntegrationConfig
 from .errors import DimensionMismatch, NonFiniteData
 from . import measures
@@ -94,7 +95,7 @@ def _pseudo_obs_basis(n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EmpiricalBetaCopula:
+class EmpiricalBetaCopula(Copula):
     """Smooth copula built from rank-binomial survival functions.
 
     S(u; N, R) is evaluated as the regularized incomplete beta function
@@ -115,17 +116,8 @@ class EmpiricalBetaCopula:
     def has_zero_region(self) -> bool:
         return False
 
-    def cdf(self, point) -> float:
-        u = np.asarray(point, dtype=float).ravel()
-        if len(u) != self.dim:
-            raise DimensionMismatch(f"point dimension {len(u)} != {self.dim}")
-        return float(self.cdf_many(u[None, :])[0])
-
     def cdf_many(self, U: np.ndarray) -> np.ndarray:
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        if U.shape[1] != self.dim:
-            raise DimensionMismatch(f"points dimension {U.shape[1]} != {self.dim}")
-        U = np.clip(U, 0.0, 1.0)
+        U = np.clip(self._points(U), 0.0, 1.0)
         n, k = self.rs.n, self.rs.k
         r = np.arange(1, n + 1, dtype=float)
         out = np.empty(len(U))
@@ -133,9 +125,13 @@ class EmpiricalBetaCopula:
             block = U[lo:lo + _CHUNK]                       # (m, k)
             prod = np.ones((len(block), n))
             for j in range(k):
+                # cubature points share coordinates (a Genz-Malik box has
+                # 7 distinct values per axis in 17 points), so the betainc
+                # rows are computed once per distinct value
+                u, inv = np.unique(block[:, j], return_inverse=True)
                 s_all = betainc(r[None, :], n - r[None, :] + 1.0,
-                                block[:, j][:, None])       # (m, n) over ranks
-                prod *= s_all[:, self.rs.ranks[:, j] - 1]
+                                u[:, None])                 # (distinct u, n)
+                prod *= s_all[:, self.rs.ranks[:, j] - 1][inv]
             out[lo:lo + _CHUNK] = prod.mean(axis=1)
         return np.clip(out, 0.0, 1.0)
 
@@ -159,21 +155,12 @@ class EmpiricalBetaCopula:
         return float(w.prod(axis=1).mean())
 
 
-def beta_copula_cdf(rs: RankedSample, point) -> float:
-    return EmpiricalBetaCopula(rs).cdf(point)
-
-
-def beta_copula_mean(rs: RankedSample) -> float:
-    return EmpiricalBetaCopula(rs).mean_integral()
-
-
 def _cfg_for_empirical(k: int, cfg: IntegrationConfig | None) -> IntegrationConfig:
+    """The integration settings every empirical-copula measure runs with."""
     cfg = cfg or IntegrationConfig()
     if cfg.method == "auto" and k >= 4:
         # subdivision cost times N per point is prohibitive here
-        return IntegrationConfig(method="qmc", abs_tol=cfg.abs_tol,
-                                 rel_tol=cfg.rel_tol, max_evals=cfg.max_evals,
-                                 qmc_seed=cfg.qmc_seed)
+        return replace(cfg, method="qmc")
     return cfg
 
 

@@ -141,7 +141,7 @@ def nearest_pd_correlation(corr: np.ndarray, floor: float = 1e-6) -> np.ndarray:
     return fixed / np.outer(d, d)
 
 
-def estimate(family: str, data: np.ndarray, tie_seed: int = 0) -> FitResult:
+def estimate(family: str, data: np.ndarray) -> FitResult:
     """Fit one family to raw data columns by tau inversion."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
     n, k = data.shape

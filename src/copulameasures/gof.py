@@ -52,7 +52,6 @@ class GofConfig:
     alpha: float = 0.05
     seed: int = 0
     param_mode: str = "estimate_each_rep"
-    statistic_points: int | None = None   # uniform-MC statistic variant
     workers: int = 1
 
     def __post_init__(self):
@@ -86,7 +85,7 @@ class GofReport:
 
 def t_statistic(rs: RankedSample, model) -> float:
     """Sample-mean divergence statistic at the pseudo-observations."""
-    if getattr(model, "dim") != rs.k:
+    if model.dim != rs.k:
         raise DimensionMismatch(
             f"model dimension {model.dim} != sample dimension {rs.k}")
     beta = EmpiricalBetaCopula(rs)
@@ -100,7 +99,7 @@ def t_statistic_uniform(rs: RankedSample, model, n_points: int,
     """Uniform Monte Carlo variant of the statistic, for comparison only:
     the same integrand averaged over n_points uniform draws instead of
     the pseudo-observations."""
-    if getattr(model, "dim") != rs.k:
+    if model.dim != rs.k:
         raise DimensionMismatch(
             f"model dimension {model.dim} != sample dimension {rs.k}")
     rng = np.random.default_rng(int(seed))
@@ -119,20 +118,13 @@ def percentile_index(m: int, alpha: float) -> int:
     return max(idx, 1)
 
 
-def _statistic(rs: RankedSample, model, cfg: GofConfig, seed: int) -> float:
-    if cfg.statistic_points is None:
-        return t_statistic(rs, model)
-    return t_statistic_uniform(rs, model, cfg.statistic_points,
-                               substream_seed(seed, 0xFEED))
-
-
 def _replicate_task(args):
     sample_model, eval_model, family, n, seed_r, cfg = args
     data = sample_model.sample(n, seed=seed_r)
     rs = rank_with_random_ties(data, tie_seed=substream_seed(seed_r, _PHASE_TIE))
     if cfg.param_mode == "estimate_each_rep":
         eval_model = fit.estimate(family, data).model
-    return _statistic(rs, eval_model, cfg, seed_r)
+    return t_statistic(rs, eval_model)
 
 
 def _run_replicates(tasks, workers: int):
@@ -163,7 +155,7 @@ def bootstrap_test(data: np.ndarray, family: str, cfg: GofConfig,
 
     tie_seed = substream_seed(cfg.seed, _PHASE_TIE)
     rs = rank_with_random_ties(data, tie_seed=tie_seed)
-    observed = _statistic(rs, fitted.model, cfg, cfg.seed)
+    observed = t_statistic(rs, fitted.model)
 
     rep_base = substream_seed(cfg.seed, _PHASE_REPLICATES)
     tasks = [(fitted.model, fitted.model, family, n,

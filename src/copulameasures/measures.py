@@ -1,8 +1,8 @@
 """Information measures of a copula, computed by cubature.
 
-Every operation accepts any object exposing ``dim`` and ``cdf_many``
-(parametric models, mixtures, and the empirical beta copula all do) and
-returns a :class:`MeasureEstimate` carrying the integration error.
+Every operation accepts any :class:`~copulameasures.copulas.Copula`
+(parametric models, mixtures and the empirical beta copula) and returns
+a :class:`MeasureEstimate` carrying the integration error.
 
 Measures:
 
@@ -40,10 +40,15 @@ def spearman_n(k: int) -> float:
     return (k + 1.0) / (2.0 ** k - k - 1.0)
 
 
+def _integrate_cdf(model, transform, cfg) -> MeasureEstimate:
+    """Cubature of transform(C) over the unit cube."""
+    est = integrate_unit_cube(lambda U: transform(model.cdf_many(U)), model.dim, cfg)
+    return MeasureEstimate(est.value, est.error)
+
+
 def cce(model, cfg: IntegrationConfig | None = None) -> MeasureEstimate:
     """Cumulative copula entropy, bounded in [0, 1/e]."""
-    est = integrate_unit_cube(lambda U: xlogx(model.cdf_many(U)), model.dim, cfg)
-    return MeasureEstimate(est.value, est.error)
+    return _integrate_cdf(model, xlogx, cfg)
 
 
 def fcce(model, r: float, cfg: IntegrationConfig | None = None) -> MeasureEstimate:
@@ -53,30 +58,26 @@ def fcce(model, r: float, cfg: IntegrationConfig | None = None) -> MeasureEstima
     if r == 0.0:
         return b_k(model, cfg)
 
-    def integrand(U):
-        c = model.cdf_many(U)
+    def transform(c):
         out = np.zeros_like(c)
         pos = c > 0.0
         with np.errstate(divide="ignore"):
             out[pos] = c[pos] * np.maximum(-np.log(c[pos]), 0.0) ** r
         return out
 
-    est = integrate_unit_cube(integrand, model.dim, cfg)
-    return MeasureEstimate(est.value, est.error)
+    return _integrate_cdf(model, transform, cfg)
 
 
 def ccigf(model, s: float, cfg: IntegrationConfig | None = None) -> MeasureEstimate:
     """Information generating function, the integral of C^s for s > 0."""
     if s <= 0.0:
         raise ValueError("generating-function order s must be positive")
-    est = integrate_unit_cube(lambda U: model.cdf_many(U) ** s, model.dim, cfg)
-    return MeasureEstimate(est.value, est.error)
+    return _integrate_cdf(model, lambda c: c ** s, cfg)
 
 
 def b_k(model, cfg: IntegrationConfig | None = None) -> MeasureEstimate:
     """Integral of C over the cube (the concordance building block)."""
-    est = integrate_unit_cube(lambda U: model.cdf_many(U), model.dim, cfg)
-    return MeasureEstimate(est.value, est.error)
+    return _integrate_cdf(model, lambda c: c, cfg)
 
 
 def spearman_rho_minus(model, cfg: IntegrationConfig | None = None) -> MeasureEstimate:
@@ -99,7 +100,7 @@ def cckl(model1, model2, cfg: IntegrationConfig | None = None) -> MeasureEstimat
     """
     if model1.dim != model2.dim:
         raise DimensionMismatch("divergence needs copulas of equal dimension")
-    absolutely_continuous = not getattr(model2, "has_zero_region", False)
+    absolutely_continuous = not model2.has_zero_region
 
     def integrand(U):
         c1 = model1.cdf_many(U)

@@ -16,14 +16,15 @@ through the Cholesky factorization.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 from scipy.special import ndtr, ndtri, owens_t
 
-from .cubature import Estimate
-from .errors import CorrelationNotPD, ToleranceNotReached
+from .cubature import Estimate, _integrate_qmc
+from .errors import CorrelationNotPD
 
 _INTERNAL_QMC_SEED = 0x6D764E
-_QMC_RANDOMIZATIONS = 16
 _X_CLIP = 38.0  # ndtr saturates to 0/1 beyond this
 
 
@@ -121,8 +122,6 @@ def tvn_cdf(x: np.ndarray, corr: np.ndarray) -> np.ndarray:
 def _mvn_qmc(x: np.ndarray, chol: np.ndarray, abs_tol: float,
              max_evals: int) -> Estimate:
     """Separation-of-variables QMC estimate of P(Z <= x), k >= 3."""
-    from scipy.stats import qmc
-
     k = len(x)
     order = np.argsort(x)
     corr = (chol @ chol.T)[np.ix_(order, order)]
@@ -141,32 +140,10 @@ def _mvn_qmc(x: np.ndarray, chol: np.ndarray, abs_tol: float,
             f *= e_prev
         return f
 
-    engines = [
-        qmc.Sobol(d=k - 1, scramble=True,
-                  seed=np.random.default_rng(
-                      np.random.SeedSequence((_INTERNAL_QMC_SEED, rep))))
-        for rep in range(_QMC_RANDOMIZATIONS)
-    ]
-    sums = np.zeros(_QMC_RANDOMIZATIONS)
-    counts = 0
-    evals = 0
-    n_next = 2048
-    while True:
-        for i, eng in enumerate(engines):
-            sums[i] += integrand(eng.random(n_next)).sum()
-        counts += n_next
-        evals += n_next * _QMC_RANDOMIZATIONS
-        means = sums / counts
-        value = float(np.clip(means.mean(), 0.0, 1.0))
-        err = 3.0 * float(means.std(ddof=1) / np.sqrt(_QMC_RANDOMIZATIONS))
-        if err <= abs_tol:
-            return Estimate(value, err, evals)
-        if evals + n_next * _QMC_RANDOMIZATIONS > max_evals:
-            raise ToleranceNotReached(
-                f"MVN CDF error {err:.3e} > {abs_tol:.3e} after {evals} points",
-                estimate=Estimate(value, err, evals),
-            )
-        n_next = counts
+    # rel_tol 0: the tolerance is absolute, as documented on mvn_cdf
+    est = _integrate_qmc(integrand, k - 1, _INTERNAL_QMC_SEED, 2048, abs_tol,
+                         0.0, max_evals)
+    return replace(est, value=float(np.clip(est.value, 0.0, 1.0)))
 
 
 def mvn_cdf(corr: np.ndarray, x, abs_tol: float = 1e-8,

@@ -8,8 +8,6 @@ result of a run does not depend on scheduling order.
 
 from __future__ import annotations
 
-import numpy as np
-
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -27,7 +25,3 @@ def substream_seed(seed: int, index: int) -> int:
     """64-bit mix of an outer seed and a replicate index."""
     return splitmix64((splitmix64(seed & _MASK64) ^ (index & _MASK64)))
 
-
-def rng_for(seed: int, index: int = 0) -> np.random.Generator:
-    """Generator for replicate ``index`` of outer ``seed``."""
-    return np.random.default_rng(np.random.PCG64(substream_seed(seed, index)))

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from copulameasures import CopulaModel
+from copulameasures import CopulaModel, Estimate, measures, mvn_cdf
 from copulameasures.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECT, load_csv, main
 from copulameasures.errors import ColumnMissing, NoCompleteRows
 
@@ -143,3 +143,112 @@ class TestDeterminism:
         monkeypatch.setenv("COPULAMEASURES_THREADS", "2")
         _, third = run_cli(argv, capsys)
         assert first == third
+
+
+def _measure(family, dim, stat, params=None):
+    argv = ["measure", "--family", family, "--dim", str(dim), "--stat", stat]
+    return argv + (["--params", params] if params else [])
+
+
+# Pinned reports: a change to the stat dispatch, the copula classes or
+# the Sobol loop must leave them unchanged.  The measure cases reach
+# every stat, with and without a closed form and a formula note;
+# product k5 runs the Sobol engine.
+GOLDEN = [
+    (_measure("product", 2, "cce"),
+     {"value": 0.24999999908089127, "error": 1.749866721374192e-07,
+      "method": "cubature", "closed_form": 0.25}, []),
+    (_measure("min", 3, "fcce:0.5"),
+     {"value": 0.24899400959938, "error": 2.2587751458207264e-07,
+      "method": "cubature", "closed_form": 0.24899399208492085},
+     ["min-copula fractional entropy uses exponent (x+2)^(r+1), forced by "
+      "the r = 1 limit"]),
+    (_measure("fgm", 2, "ccigf:0.7", "0.5"),
+     {"value": 0.36229778300564636, "error": 2.66877957263896e-07,
+      "method": "cubature", "closed_form": 0.36229778161044823},
+     ["fgm generating function: series coefficient is the generalized "
+      "binomial binom(s, x); the binom(s+x-1, x) variant fails the "
+      "integral cross-check"]),
+    (_measure("marshall_olkin", 2, "ccigf:1.5", "0.3,0.6"),
+     {"value": 0.18181819012583922, "error": 1.79069018749831e-07,
+      "method": "cubature", "closed_form": 0.18181818181818185},
+     ["marshall_olkin generating function re-derived for the standard cdf "
+      "u^(1-a1) v^(1-a2) min(u^a1, v^a2); simpler circulating denominators "
+      "fail at a1 = a2 = 1"]),
+    (_measure("gaussian", 3, "rho", "0.5,0.3,0.4"),
+     {"value": 0.3849044027159727, "error": 1.3592865192169918e-06,
+      "method": "cubature", "closed_form": None}, []),
+    (_measure("cuadras_auge", 3, "bk", "0.3,0.5,0.7"),
+     {"value": 0.16717751088797372, "error": 1.6428503531068977e-07,
+      "method": "cubature", "closed_form": 0.16717748676511562}, []),
+    (_measure("clayton", 2, "fcce:0", "1.5"),
+     {"value": 0.2999162662827259, "error": 2.998873862886333e-07,
+      "method": "cubature", "closed_form": None}, []),
+    (_measure("product", 5, "cce"),
+     {"value": 0.07812792705441413, "error": 9.238446574481033e-05,
+      "method": "cubature", "closed_form": 0.078125}, []),
+    (["cckl", "--family-a", "lower_bound_w", "--family-b", "product",
+      "--dim", "2"],
+     {"value": 0.05555556562346573, "error": 9.043594100634662e-08,
+      "closed_form": 0.05555555555555555},
+     ["divergence of the lower bound copula from the product is 1/18: the "
+      "cross integral is -1/36 (the circulated +1/36 makes the total 1/9 "
+      "and fails quadrature)"]),
+    (["empirical", "--data", "CSV", "--cols", "x,y", "--stat", "cce"],
+     {"value": 0.2743449244949438, "error": 2.3701851390112626e-07,
+      "n": 150, "k": 2}, []),
+]
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("argv,outputs,notes", GOLDEN,
+                             ids=[" ".join(g[0][:6]) for g in GOLDEN])
+    def test_report_unchanged(self, argv, outputs, notes, gauss_csv, capsys):
+        argv = [gauss_csv if a == "CSV" else a for a in argv]
+        code, out = run_cli(argv, capsys)
+        assert code == EXIT_OK
+        rep = json.loads(out)
+        assert rep["formula_notes"] == notes
+        got = rep["outputs"]
+        assert got.keys() == outputs.keys()
+        for key, want in outputs.items():
+            if key in ("value", "error"):
+                assert got[key] == pytest.approx(want, rel=1e-12, abs=0.0)
+            else:
+                assert got[key] == want
+
+    def test_k4_mvn_cdf_unchanged(self):
+        corr = np.eye(4)
+        ij = np.triu_indices(4, 1)
+        corr[ij] = [0.3, 0.1, 0.2, 0.25, 0.15, 0.05]
+        corr.T[ij] = corr[ij]
+        est = mvn_cdf(corr, np.array([0.2, 0.5, -0.3, 0.8]), abs_tol=5e-7)
+        assert est.value == pytest.approx(0.1665856142928139, rel=1e-12, abs=0.0)
+        assert est.error == pytest.approx(4.5253807050539993e-07, rel=1e-12,
+                                          abs=0.0)
+        assert est.evals == 131072
+
+
+class TestEmpiricalEngine:
+    def test_cli_uses_the_api_engine_rule(self, tmp_path, capsys, monkeypatch):
+        """From k = 4 the CLI, like empirical_cce, integrates by Sobol
+        under ``auto``, the dumped curve included; below it stays
+        adaptive."""
+        path = tmp_path / "normal4.csv"
+        X = np.random.default_rng(5).normal(size=(30, 4))
+        path.write_text("a,b,c,d\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in X))
+        seen = []
+
+        def record(f, k, cfg=None):
+            seen.append(cfg.resolved(k)[0])
+            return Estimate(0.1, 0.0, 1)
+
+        monkeypatch.setattr(measures, "integrate_unit_cube", record)
+        for cols, engine in (("a,b,c,d", "qmc"), ("a,b,c", "adaptive")):
+            seen.clear()
+            code, _ = run_cli(["empirical", "--data", str(path), "--cols",
+                               cols, "--stat", "cce", "--dump-curve", "20"],
+                              capsys)
+            assert code == EXIT_OK
+            assert seen == [engine, engine]

@@ -7,8 +7,6 @@ from copulameasures import (
     IntegrationConfig,
     RankedSample,
     b_k,
-    beta_copula_cdf,
-    beta_copula_mean,
     cce,
     empirical_cce,
     empirical_copula_cdf,
@@ -85,9 +83,10 @@ class TestBetaCopula:
 
     def test_two_point_example(self):
         rs = _ranked([[0.1, 0.2], [0.9, 0.8]])
-        assert beta_copula_cdf(rs, [0.5, 0.5]) == pytest.approx(0.3125)
-        assert beta_copula_cdf(rs, [1.0, 1.0]) == 1.0
-        assert beta_copula_mean(rs) == pytest.approx(5.0 / 18.0, rel=1e-14)
+        assert EmpiricalBetaCopula(rs).cdf([0.5, 0.5]) == pytest.approx(0.3125)
+        assert EmpiricalBetaCopula(rs).cdf([1.0, 1.0]) == 1.0
+        assert EmpiricalBetaCopula(rs).mean_integral() == \
+            pytest.approx(5.0 / 18.0, rel=1e-14)
 
     def test_comonotone_two_point_mean(self):
         rs = RankedSample(np.array([[1, 1], [2, 2]]), 0, (0, 0))
