@@ -13,14 +13,16 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc
+from scipy.special import gammaln
 
 from .copulas import Copula
 from .cubature import IntegrationConfig
 from .errors import DimensionMismatch, NonFiniteData
 from . import measures
 
-_CHUNK = 4096  # cap on points per betainc block, keeps memory ~ N * chunk
+# cap on points per cdf_many block; the block's survival rows and
+# products take a few (chunk, N) float arrays
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -87,19 +89,47 @@ def empirical_copula_cdf_many(rs: RankedSample, U: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
+def _log_binomial_coefficients(n: int) -> np.ndarray:
+    """log C(n, m) for m = 0..n."""
+    m = np.arange(n + 1, dtype=float)
+    return gammaln(n + 1.0) - gammaln(m + 1.0) - gammaln(n - m + 1.0)
+
+
+def _binomial_survival(u: np.ndarray, n: int) -> np.ndarray:
+    """S[a, r-1] = P(Bin(n, u[a]) >= r) for r = 1..n.
+
+    The binomial pmf is exponentiated from its logarithm and summed from
+    the top down, so every tail is a sum of positive terms and keeps its
+    relative accuracy far out; dividing by the total removes the common
+    rounding of the pmf.  Rows with u <= 0 are exactly 0, with u >= 1
+    exactly 1.
+    """
+    ui = np.where((u > 0.0) & (u < 1.0), u, 0.5)  # edge rows are set below
+    j = np.arange(n + 1, dtype=float)
+    pmf = np.multiply.outer(np.log1p(-ui), j)     # column j holds m = n - j
+    pmf += np.multiply.outer(np.log(ui), n - j)
+    pmf += _log_binomial_coefficients(n)          # C(n, n - j) = C(n, j)
+    np.exp(pmf, out=pmf)
+    np.cumsum(pmf, axis=1, out=pmf)               # column j: P(X >= n - j)
+    out = pmf[:, n - 1::-1] / pmf[:, n:]
+    out[u <= 0.0] = 0.0
+    out[u >= 1.0] = 1.0
+    return out
+
+
+@lru_cache(maxsize=8)
 def _pseudo_obs_basis(n: int) -> np.ndarray:
-    """B[r-1, q-1] = S(q/(N+1); N, r), shared by all rank matrices of size N."""
-    r = np.arange(1, n + 1, dtype=float)
-    q = np.arange(1, n + 1, dtype=float) / (n + 1.0)
-    return betainc(r[:, None], n - r[:, None] + 1.0, q[None, :])
+    """B[q-1, r-1] = S(q/(N+1); N, r), shared by all rank matrices of size N."""
+    return _binomial_survival(np.arange(1, n + 1) / (n + 1.0), n)
 
 
 @dataclass(frozen=True)
 class EmpiricalBetaCopula(Copula):
     """Smooth copula built from rank-binomial survival functions.
 
-    S(u; N, R) is evaluated as the regularized incomplete beta function
-    I_u(R, N-R+1), which is exact and O(1) per point.
+    C(u) = (1/N) sum_i prod_j S(u_j; N, R_ij) with S(u; N, r) =
+    P(Bin(N, u) >= r).  One point costs O(N k): each coordinate needs the
+    whole survival row over r = 1..N, computed by one binomial-pmf pass.
     """
 
     rs: RankedSample
@@ -119,30 +149,28 @@ class EmpiricalBetaCopula(Copula):
     def cdf_many(self, U: np.ndarray) -> np.ndarray:
         U = np.clip(self._points(U), 0.0, 1.0)
         n, k = self.rs.n, self.rs.k
-        r = np.arange(1, n + 1, dtype=float)
         out = np.empty(len(U))
         for lo in range(0, len(U), _CHUNK):
             block = U[lo:lo + _CHUNK]                       # (m, k)
             prod = np.ones((len(block), n))
             for j in range(k):
                 # cubature points share coordinates (a Genz-Malik box has
-                # 7 distinct values per axis in 17 points), so the betainc
+                # 7 distinct values per axis in 17 points), so the survival
                 # rows are computed once per distinct value
                 u, inv = np.unique(block[:, j], return_inverse=True)
-                s_all = betainc(r[None, :], n - r[None, :] + 1.0,
-                                u[:, None])                 # (distinct u, n)
+                s_all = _binomial_survival(u, n)            # (distinct u, n)
                 prod *= s_all[:, self.rs.ranks[:, j] - 1][inv]
             out[lo:lo + _CHUNK] = prod.mean(axis=1)
         return np.clip(out, 0.0, 1.0)
 
     def cdf_at_pseudo_observations(self) -> np.ndarray:
         """Values at the sample's own pseudo-observations, via the shared
-        N x N basis (no incomplete-beta evaluations per call)."""
+        N x N basis (no survival rows computed per call)."""
         n = self.rs.n
         prod = np.ones((n, n))
         for j in range(self.rs.k):
             col = self.rs.ranks[:, j] - 1
-            prod *= self._basis[np.ix_(col, col)].T  # row: eval point, col: obs
+            prod *= self._basis[np.ix_(col, col)]  # row: eval point, col: obs
         return prod.mean(axis=1)
 
     def mean_integral(self) -> float:

@@ -13,7 +13,8 @@ from copulameasures import (
     empirical_fcce,
     rank_with_random_ties,
 )
-from copulameasures.empirical import empirical_copula_cdf_many
+from copulameasures.empirical import (_binomial_survival,
+                                      empirical_copula_cdf_many)
 from copulameasures.errors import DimensionMismatch, NonFiniteData
 
 from conftest import FULL
@@ -138,6 +139,52 @@ class TestBetaCopula:
             c = EmpiricalBetaCopula(rs)
             est = b_k(c)
             assert c.mean_integral() == pytest.approx(est.value, abs=1e-6)
+
+
+def _ranks_to_check(n, u):
+    """Every r for small N; otherwise both ends, a geometric sweep and the
+    bulk and upper tail around the binomial mean."""
+    if n <= 25:
+        return np.arange(1, n + 1)
+    sd = np.sqrt(n * u * (1.0 - u))
+    r = np.concatenate([[1, 2, 3, n - 1, n], np.geomspace(1, n, 12),
+                        n * u + sd * np.array([-8, -4, -2, -1, 0, 1, 2, 4,
+                                               8, 16, 32])])
+    return np.unique(np.clip(np.round(r), 1, n)).astype(int)
+
+
+class TestBinomialSurvival:
+    @pytest.mark.parametrize("n", [1, 2, 25, 250, 724, 2000])
+    def test_matches_regularized_incomplete_beta(self, n):
+        """S(u; N, r) = I_u(r, N - r + 1), referenced at 40 digits."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(n)
+        us = np.concatenate([rng.random(3), [0.0, 1.0, 1e-9, 1.0 - 1e-9,
+                                             1.0 / (n + 1), n / (n + 1.0)]])
+        S = _binomial_survival(us, n)
+        assert S.shape == (len(us), n)
+        assert np.all((S >= 0.0) & (S <= 1.0))
+        assert np.all(np.diff(S, axis=1) <= 0.0)
+        assert np.all(S[us == 0.0] == 0.0) and np.all(S[us == 1.0] == 1.0)
+        abs_tol = 1e-12 if n <= 1000 else 1e-11
+        for a, u in enumerate(us):
+            r = _ranks_to_check(n, u)
+            with mpmath.workdps(40):
+                ref = np.array([float(mpmath.betainc(
+                    int(ri), n - int(ri) + 1, 0, mpmath.mpf(float(u)),
+                    regularized=True)) for ri in r])
+            err = np.abs(S[a, r - 1] - ref)
+            assert err.max() <= abs_tol, (u, r[err.argmax()])
+            big = ref >= 1e-200
+            assert np.all(err[big] <= 1e-10 * ref[big]), u
+
+    def test_basis_path_equals_kernel_path(self):
+        rs = rank_with_random_ties(
+            CopulaModel("frank", 3, (5.0,)).sample(724, seed=8), 2)
+        c = EmpiricalBetaCopula(rs)
+        assert np.allclose(c.cdf_at_pseudo_observations(),
+                           c.cdf_many(rs.pseudo_observations()),
+                           rtol=0.0, atol=1e-12)
 
 
 class TestPluginMeasures:

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -84,7 +86,8 @@ class TestEstimate:
     @pytest.mark.parametrize("family,param", sorted(_PILOT_SE))
     def test_round_trip_within_pilot_band(self, family, param):
         model = CopulaModel(family, 2, (param,))
-        data = model.sample(5000, seed=hash((family, param)) % 2 ** 32)
+        seed = zlib.crc32(f"{family}:{param!r}".encode())
+        data = model.sample(5000, seed=seed)
         got = estimate(family, data).model.params[0]
         assert abs(got - param) <= 3.0 * _PILOT_SE[(family, param)]
 
