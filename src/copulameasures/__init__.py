@@ -51,7 +51,6 @@ from .gof import (
     t_statistic_uniform,
 )
 from .measures import (
-    MeasureEstimate,
     b_k,
     cce,
     ccigf,
@@ -72,7 +71,6 @@ __all__ = [
     "MixtureCopula",
     "Estimate",
     "IntegrationConfig",
-    "MeasureEstimate",
     "GofConfig",
     "GofReport",
     "SelectionEntry",

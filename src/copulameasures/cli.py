@@ -51,10 +51,8 @@ class Dataset:
     rows_dropped: int
 
 
-def load_csv(path: str, columns, na_policy: str = "drop_row") -> Dataset:
+def load_csv(path: str, columns) -> Dataset:
     """Read named numeric columns; rows with any bad cell are dropped."""
-    if na_policy != "drop_row":
-        raise ValueError(f"unsupported na_policy {na_policy!r}")
     if not os.path.exists(path):
         raise FileNotFoundError(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -88,7 +86,7 @@ def _parse_params(text: str | None) -> tuple:
 
 @dataclass(frozen=True)
 class _Stat:
-    measure: Callable               # (model, *order, cfg) -> MeasureEstimate
+    measure: Callable               # (model, *order, cfg) -> Estimate
     closed_form: Callable | None    # (model, *order) -> float
     takes_order: bool
 
@@ -134,9 +132,29 @@ def _workers(args) -> int:
     return max(1, int(env)) if env else 1
 
 
-def _emit(report: dict, exit_code: int) -> int:
+def _emit(args, argv, inputs: dict, outputs: dict, seeds: dict | None = None,
+          notes=(), exit_code: int = EXIT_OK) -> int:
+    """Print the JSON report of a subcommand; ``seeds`` only when given."""
+    report = {"command": args.subcommand, "argv": argv, "inputs": inputs}
+    if seeds is not None:
+        report["seeds"] = seeds
+    report["outputs"] = outputs
+    report["formula_notes"] = list(notes)
     print(json.dumps(report, indent=2))
     return exit_code
+
+
+def _closed_form(fn, *args):
+    """fn(*args), or None when there is no closed form."""
+    try:
+        return fn(*args) if fn else None
+    except NoClosedForm:
+        return None
+
+
+def _notes(key) -> list:
+    note = closed_forms.FORMULA_NOTES.get(key)
+    return [note] if note else []
 
 
 def _gof_cfg(args, param_mode: str = "estimate_each_rep") -> gof.GofConfig:
@@ -152,46 +170,27 @@ def cmd_measure(args, argv) -> int:
     stat, order = _parse_stat(args.stat)
     spec = _STATS[stat]
     est = spec.measure(model, *order, _integration_cfg(args))
-    closed = None
-    if spec.closed_form is not None:
-        try:
-            closed = spec.closed_form(model, *order)
-        except NoClosedForm:
-            pass
-    note = closed_forms.FORMULA_NOTES.get((stat, model.family))
-    report = {
-        "command": "measure",
-        "argv": argv,
-        "inputs": {"family": model.family, "dim": model.dim,
-                   "params": list(model.params), "stat": args.stat},
-        "outputs": {"value": est.value, "error": est.error,
-                    "method": est.method, "closed_form": closed},
-        "formula_notes": [note] if note else [],
-    }
-    return _emit(report, EXIT_OK)
+    return _emit(args, argv,
+                 {"family": model.family, "dim": model.dim,
+                  "params": list(model.params), "stat": args.stat},
+                 {"value": est.value, "error": est.error,
+                  "method": "cubature",
+                  "closed_form": _closed_form(spec.closed_form, model, *order)},
+                 notes=_notes((stat, model.family)))
 
 
 def cmd_cckl(args, argv) -> int:
     a = _model_from_args(args.family_a, args.dim, args.params_a)
     b = _model_from_args(args.family_b, args.dim, args.params_b)
     est = measures.cckl(a, b, _integration_cfg(args))
-    closed = None
-    try:
-        closed = closed_forms.closed_form_cckl(a, b)
-    except NoClosedForm:
-        pass
-    note = closed_forms.FORMULA_NOTES.get(("cckl", f"{a.family}:{b.family}"))
-    report = {
-        "command": "cckl",
-        "argv": argv,
-        "inputs": {"family_a": a.family, "params_a": list(a.params),
-                   "family_b": b.family, "params_b": list(b.params),
-                   "dim": args.dim},
-        "outputs": {"value": est.value, "error": est.error,
-                    "closed_form": closed},
-        "formula_notes": [note] if note else [],
-    }
-    return _emit(report, EXIT_OK)
+    return _emit(args, argv,
+                 {"family_a": a.family, "params_a": list(a.params),
+                  "family_b": b.family, "params_b": list(b.params),
+                  "dim": args.dim},
+                 {"value": est.value, "error": est.error,
+                  "closed_form": _closed_form(closed_forms.closed_form_cckl,
+                                              a, b)},
+                 notes=_notes(("cckl", f"{a.family}:{b.family}")))
 
 
 def cmd_empirical(args, argv) -> int:
@@ -212,59 +211,39 @@ def cmd_empirical(args, argv) -> int:
             sub_est = measure(empirical.EmpiricalBetaCopula(sub), *order, cfg)
             curve.append([m, sub_est.value])
         outputs["curve"] = curve
-    report = {
-        "command": "empirical",
-        "argv": argv,
-        "inputs": {"data": args.data, "columns": list(ds.columns),
-                   "stat": args.stat, "rows_dropped": ds.rows_dropped},
-        "seeds": {"tie_seed": rs.tie_seed},
-        "outputs": outputs,
-        "formula_notes": [],
-    }
-    return _emit(report, EXIT_OK)
+    return _emit(args, argv,
+                 {"data": args.data, "columns": list(ds.columns),
+                  "stat": args.stat, "rows_dropped": ds.rows_dropped},
+                 outputs, seeds={"tie_seed": rs.tie_seed})
 
 
 def cmd_gof(args, argv) -> int:
     ds = load_csv(args.data, args.cols.split(","))
     cfg = _gof_cfg(args)
-    report_obj = gof.bootstrap_test(ds.values, args.family, cfg,
-                                    params=_parse_params(args.params) or None)
-    report = {
-        "command": "gof",
-        "argv": argv,
-        "inputs": {"data": args.data, "columns": list(ds.columns),
-                   "family": args.family, "reps": cfg.reps,
-                   "alpha": cfg.alpha, "param_mode": cfg.param_mode,
-                   "rows_dropped": ds.rows_dropped},
-        "seeds": {"seed": cfg.seed, "tie_seed": report_obj.tie_seed,
-                  "replicate_base": "substream(seed, 1)"},
-        "outputs": {
-            "fitted_params": list(report_obj.fitted.model.params),
-            "observed_t": report_obj.observed_t,
-            "percentile": report_obj.percentile,
-            "p_value": report_obj.p_value,
-            "reject": report_obj.reject,
-        },
-        "formula_notes": [],
-    }
-    return _emit(report, EXIT_REJECT if report_obj.reject else EXIT_OK)
+    rep = gof.bootstrap_test(ds.values, args.family, cfg,
+                             params=_parse_params(args.params) or None)
+    return _emit(args, argv,
+                 {"data": args.data, "columns": list(ds.columns),
+                  "family": args.family, "reps": cfg.reps, "alpha": cfg.alpha,
+                  "param_mode": cfg.param_mode,
+                  "rows_dropped": ds.rows_dropped},
+                 {"fitted_params": list(rep.fitted.model.params),
+                  "observed_t": rep.observed_t, "percentile": rep.percentile,
+                  "p_value": rep.p_value, "reject": rep.reject},
+                 seeds={"seed": cfg.seed, "tie_seed": rep.tie_seed,
+                        "replicate_base": "substream(seed, 1)"},
+                 exit_code=EXIT_REJECT if rep.reject else EXIT_OK)
 
 
 def cmd_calibrate(args, argv) -> int:
     model = _model_from_args(args.family, args.dim, args.params)
     cfg = _gof_cfg(args, param_mode="known_params")
     pct = gof.calibrate_percentile(model, args.n, cfg)
-    report = {
-        "command": "calibrate",
-        "argv": argv,
-        "inputs": {"family": model.family, "dim": model.dim,
-                   "params": list(model.params), "n": args.n,
-                   "reps": cfg.reps, "alpha": cfg.alpha},
-        "seeds": {"seed": cfg.seed},
-        "outputs": {"percentile": pct},
-        "formula_notes": [],
-    }
-    return _emit(report, EXIT_OK)
+    return _emit(args, argv,
+                 {"family": model.family, "dim": model.dim,
+                  "params": list(model.params), "n": args.n,
+                  "reps": cfg.reps, "alpha": cfg.alpha},
+                 {"percentile": pct}, seeds={"seed": cfg.seed})
 
 
 def cmd_power(args, argv) -> int:
@@ -272,47 +251,31 @@ def cmd_power(args, argv) -> int:
     true_model = _model_from_args(args.true_family, args.dim, args.true_params)
     cfg = _gof_cfg(args)
     pct = gof.power_study(null_model, true_model, args.n, cfg)
-    report = {
-        "command": "power",
-        "argv": argv,
-        "inputs": {"null_family": null_model.family,
-                   "null_params": list(null_model.params),
-                   "true_family": true_model.family,
-                   "true_params": list(true_model.params),
-                   "dim": args.dim, "n": args.n, "reps": cfg.reps,
-                   "alpha": cfg.alpha, "param_mode": cfg.param_mode},
-        "seeds": {"seed": cfg.seed},
-        "outputs": {"rejection_percent": pct},
-        "formula_notes": [],
-    }
-    return _emit(report, EXIT_OK)
+    return _emit(args, argv,
+                 {"null_family": null_model.family,
+                  "null_params": list(null_model.params),
+                  "true_family": true_model.family,
+                  "true_params": list(true_model.params),
+                  "dim": args.dim, "n": args.n, "reps": cfg.reps,
+                  "alpha": cfg.alpha, "param_mode": cfg.param_mode},
+                 {"rejection_percent": pct}, seeds={"seed": cfg.seed})
 
 
 def cmd_select(args, argv) -> int:
     ds = load_csv(args.data, args.cols.split(","))
     cfg = _gof_cfg(args)
     entries = gof.select_copula(ds.values, args.families.split(","), cfg)
-    ranking = []
-    for e in entries:
-        ranking.append({
-            "family": e.family,
-            "params": list(e.fitted.model.params) if e.fitted else None,
-            "cckl_to_empirical": e.cckl_to_empirical,
-            "p_value": e.p_value,
-            "error": e.error,
-        })
-    report = {
-        "command": "select",
-        "argv": argv,
-        "inputs": {"data": args.data, "columns": list(ds.columns),
-                   "families": args.families.split(","), "reps": cfg.reps,
-                   "alpha": cfg.alpha, "rows_dropped": ds.rows_dropped},
-        "seeds": {"seed": cfg.seed},
-        "outputs": {"ranking": ranking,
-                    "recommended": ranking[0]["family"] if ranking else None},
-        "formula_notes": [],
-    }
-    return _emit(report, EXIT_OK)
+    ranking = [{"family": e.family,
+                "params": list(e.fitted.model.params) if e.fitted else None,
+                "cckl_to_empirical": e.cckl_to_empirical,
+                "p_value": e.p_value, "error": e.error} for e in entries]
+    return _emit(args, argv,
+                 {"data": args.data, "columns": list(ds.columns),
+                  "families": args.families.split(","), "reps": cfg.reps,
+                  "alpha": cfg.alpha, "rows_dropped": ds.rows_dropped},
+                 {"ranking": ranking,
+                  "recommended": ranking[0]["family"] if ranking else None},
+                 seeds={"seed": cfg.seed})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 from scipy.special import beta as beta_fn
-from scipy.special import expi, gammaln
+from scipy.special import expi
 
 from .copulas import CopulaModel
 from .errors import NoClosedForm
@@ -59,6 +59,15 @@ def _ca_recursion(thetas: np.ndarray, s: float) -> np.ndarray:
     for i in range(1, len(thetas)):
         q[i] = thetas[i] * s + 1.0 + q[i - 1]
     return q
+
+
+def _ca_terms(thetas: np.ndarray) -> tuple[float, np.ndarray]:
+    """prod_i p(i) and I(j) = sum_{i=j..k} 1/p(i) / prod_i p(i), with p
+    the s = 1 recursion."""
+    p = _ca_recursion(thetas, 1.0)
+    prod_p = np.prod(p)
+    inv_tail = np.cumsum((1.0 / p)[::-1])[::-1]  # sum_{i=j..k} 1/p(i)
+    return prod_p, inv_tail / prod_p
 
 
 def _gen_binom(s: float, x: int) -> float:
@@ -119,10 +128,7 @@ def closed_form_cce(model: CopulaModel) -> float:
         return 1.0 / 4.0 - 1.0 / 9.0
     if fam == "cuadras_auge":
         thetas = model._ca_thetas
-        p = _ca_recursion(thetas, 1.0)
-        prod_p = np.prod(p)
-        inv_tail = np.cumsum((1.0 / p)[::-1])[::-1]  # sum_{i=j..k} 1/p(i)
-        i_vals = inv_tail / prod_p
+        _, i_vals = _ca_terms(thetas)
         return math.factorial(k) * float(np.sum(thetas * i_vals))
     raise NoClosedForm(f"no closed-form entropy for {fam}")
 
@@ -177,10 +183,7 @@ def closed_form_cckl(model1: CopulaModel, model2: CopulaModel) -> float:
         return float(np.sum(js)) + k * beta_fn(2.0, k) - 2.0 ** -k
     if f1 == "cuadras_auge" and f2 == "min":
         thetas = model1._ca_thetas
-        p = _ca_recursion(thetas, 1.0)
-        prod_p = np.prod(p)
-        inv_tail = np.cumsum((1.0 / p)[::-1])[::-1]
-        i_vals = inv_tail / prod_p
+        prod_p, i_vals = _ca_terms(thetas)
         kfac = math.factorial(k)
         cross = -kfac * float(np.sum(thetas[1:] * i_vals[1:]))
         return cross - kfac / prod_p + k * beta_fn(2.0, k)

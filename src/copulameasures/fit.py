@@ -163,8 +163,7 @@ def estimate(family: str, data: np.ndarray) -> FitResult:
                          tuple(taus))
 
     tau_bar = float(np.mean(taus))
-    if k >= 3 and tau_bar <= 0.0 and family in ("clayton", "frank",
-                                                "gumbel_hougaard", "joe"):
+    if k >= 3 and tau_bar <= 0.0:
         raise TauOutOfRange(
             f"{family} at k={k} needs positive dependence, got tau={tau_bar:.4f}")
     param = tau_to_param(family, tau_bar)

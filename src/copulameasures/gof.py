@@ -119,20 +119,31 @@ def percentile_index(m: int, alpha: float) -> int:
 
 
 def _replicate_task(args):
-    sample_model, eval_model, family, n, seed_r, cfg = args
+    sample_model, eval_model, n, seed_r, refit = args
     data = sample_model.sample(n, seed=seed_r)
     rs = rank_with_random_ties(data, tie_seed=substream_seed(seed_r, _PHASE_TIE))
-    if cfg.param_mode == "estimate_each_rep":
-        eval_model = fit.estimate(family, data).model
+    if refit:
+        eval_model = fit.estimate(eval_model.family, data).model
     return t_statistic(rs, eval_model)
 
 
-def _run_replicates(tasks, workers: int):
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+def _statistics(sample_model: CopulaModel, eval_model: CopulaModel, n: int,
+                base: int, cfg: GofConfig, refit: bool) -> np.ndarray:
+    """T_N of cfg.reps size-n samples of sample_model, replicate r drawn
+    from ``substream(base, r)`` and scored against eval_model, or against
+    its family re-fitted to the replicate when ``refit``."""
+    tasks = [(sample_model, eval_model, n, substream_seed(base, r), refit)
+             for r in range(cfg.reps)]
+    if cfg.workers > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             return np.array(list(pool.map(_replicate_task, tasks,
                                           chunksize=32)))
     return np.array([_replicate_task(t) for t in tasks])
+
+
+def _percentile(stats: np.ndarray, cfg: GofConfig) -> float:
+    """The floor((1 - alpha) reps)-th smallest statistic."""
+    return float(np.sort(stats)[percentile_index(cfg.reps, cfg.alpha) - 1])
 
 
 def bootstrap_test(data: np.ndarray, family: str, cfg: GofConfig,
@@ -157,35 +168,22 @@ def bootstrap_test(data: np.ndarray, family: str, cfg: GofConfig,
     rs = rank_with_random_ties(data, tie_seed=tie_seed)
     observed = t_statistic(rs, fitted.model)
 
-    rep_base = substream_seed(cfg.seed, _PHASE_REPLICATES)
-    tasks = [(fitted.model, fitted.model, family, n,
-              substream_seed(rep_base, r), cfg)
-             for r in range(cfg.reps)]
-    stats = _run_replicates(tasks, cfg.workers)
-
-    ordered = np.sort(stats)
-    pct = float(ordered[percentile_index(cfg.reps, cfg.alpha) - 1])
+    stats = _statistics(fitted.model, fitted.model, n,
+                        substream_seed(cfg.seed, _PHASE_REPLICATES), cfg,
+                        refit=cfg.param_mode == "estimate_each_rep")
     p_value = float(np.count_nonzero(stats >= observed) / cfg.reps)
-    return GofReport(observed_t=observed, percentile=pct, p_value=p_value,
-                     reps=cfg.reps, alpha=cfg.alpha, seed=cfg.seed,
-                     tie_seed=tie_seed, param_mode=cfg.param_mode,
-                     fitted=fitted, replicates=stats)
-
-
-def _null_statistics(model: CopulaModel, n: int, cfg: GofConfig,
-                     phase: int) -> np.ndarray:
-    """Statistics of cfg.reps size-n datasets drawn from a known model."""
-    base = substream_seed(cfg.seed, phase)
-    known = replace(cfg, param_mode="known_params")
-    tasks = [(model, model, model.family, n, substream_seed(base, r), known)
-             for r in range(cfg.reps)]
-    return _run_replicates(tasks, cfg.workers)
+    return GofReport(observed_t=observed, percentile=_percentile(stats, cfg),
+                     p_value=p_value, reps=cfg.reps, alpha=cfg.alpha,
+                     seed=cfg.seed, tie_seed=tie_seed,
+                     param_mode=cfg.param_mode, fitted=fitted,
+                     replicates=stats)
 
 
 def calibrate_percentile(model: CopulaModel, n: int, cfg: GofConfig) -> float:
     """(1 - alpha) empirical quantile of T_N under a known-parameter null."""
-    stats = np.sort(_null_statistics(model, n, cfg, _PHASE_CALIBRATE))
-    return float(stats[percentile_index(cfg.reps, cfg.alpha) - 1])
+    base = substream_seed(cfg.seed, _PHASE_CALIBRATE)
+    return _percentile(_statistics(model, model, n, base, cfg, refit=False),
+                       cfg)
 
 
 def power_study(null_model: CopulaModel, true_model: CopulaModel, n: int,
@@ -201,11 +199,8 @@ def power_study(null_model: CopulaModel, true_model: CopulaModel, n: int,
     data_base = substream_seed(cfg.seed, _PHASE_POWER_DATA)
     if cfg.param_mode == "known_params":
         pct = calibrate_percentile(null_model, n, cfg)
-        known = replace(cfg, param_mode="known_params")
-        tasks = [(true_model, null_model, null_model.family, n,
-                  substream_seed(data_base, r), known)
-                 for r in range(cfg.reps)]
-        stats = _run_replicates(tasks, cfg.workers)
+        stats = _statistics(true_model, null_model, n, data_base, cfg,
+                            refit=False)
         return 100.0 * float(np.mean(stats >= pct))
     rejections = 0
     for r in range(cfg.reps):

@@ -2,7 +2,8 @@
 
 Every operation accepts any :class:`~copulameasures.copulas.Copula`
 (parametric models, mixtures and the empirical beta copula) and returns
-a :class:`MeasureEstimate` carrying the integration error.
+the cubature :class:`~copulameasures.cubature.Estimate`: the value, its
+error bound and the number of integrand evaluations.
 
 Measures:
 
@@ -16,23 +17,13 @@ Measures:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .cubature import IntegrationConfig, integrate_unit_cube, xlog_ratio, xlogx
+from .cubature import (Estimate, IntegrationConfig, integrate_unit_cube,
+                       xlog_ratio, xlogx)
 from .errors import DimensionMismatch, DivergenceInfinite
 
 _CCKL_FLOOR = 1e-300
-
-
-@dataclass(frozen=True)
-class MeasureEstimate:
-    """Measure value with error bound; method is closed_form or cubature."""
-
-    value: float
-    error: float
-    method: str = "cubature"
 
 
 def spearman_n(k: int) -> float:
@@ -40,18 +31,18 @@ def spearman_n(k: int) -> float:
     return (k + 1.0) / (2.0 ** k - k - 1.0)
 
 
-def _integrate_cdf(model, transform, cfg) -> MeasureEstimate:
+def _integrate_cdf(model, transform, cfg) -> Estimate:
     """Cubature of transform(C) over the unit cube."""
-    est = integrate_unit_cube(lambda U: transform(model.cdf_many(U)), model.dim, cfg)
-    return MeasureEstimate(est.value, est.error)
+    return integrate_unit_cube(lambda U: transform(model.cdf_many(U)),
+                               model.dim, cfg)
 
 
-def cce(model, cfg: IntegrationConfig | None = None) -> MeasureEstimate:
+def cce(model, cfg: IntegrationConfig | None = None) -> Estimate:
     """Cumulative copula entropy, bounded in [0, 1/e]."""
     return _integrate_cdf(model, xlogx, cfg)
 
 
-def fcce(model, r: float, cfg: IntegrationConfig | None = None) -> MeasureEstimate:
+def fcce(model, r: float, cfg: IntegrationConfig | None = None) -> Estimate:
     """Fractional cumulative copula entropy of order r in [0, 1]."""
     if not 0.0 <= r <= 1.0:
         raise ValueError("fractional order r must lie in [0, 1]")
@@ -68,28 +59,28 @@ def fcce(model, r: float, cfg: IntegrationConfig | None = None) -> MeasureEstima
     return _integrate_cdf(model, transform, cfg)
 
 
-def ccigf(model, s: float, cfg: IntegrationConfig | None = None) -> MeasureEstimate:
+def ccigf(model, s: float, cfg: IntegrationConfig | None = None) -> Estimate:
     """Information generating function, the integral of C^s for s > 0."""
     if s <= 0.0:
         raise ValueError("generating-function order s must be positive")
     return _integrate_cdf(model, lambda c: c ** s, cfg)
 
 
-def b_k(model, cfg: IntegrationConfig | None = None) -> MeasureEstimate:
+def b_k(model, cfg: IntegrationConfig | None = None) -> Estimate:
     """Integral of C over the cube (the concordance building block)."""
     return _integrate_cdf(model, lambda c: c, cfg)
 
 
-def spearman_rho_minus(model, cfg: IntegrationConfig | None = None) -> MeasureEstimate:
+def spearman_rho_minus(model, cfg: IntegrationConfig | None = None) -> Estimate:
     """Multivariate Spearman concordance n(k) [2^k int C - 1]."""
     k = model.dim
     base = b_k(model, cfg)
     scale = spearman_n(k) * 2.0 ** k
-    return MeasureEstimate(spearman_n(k) * (2.0 ** k * base.value - 1.0),
-                           scale * base.error)
+    return Estimate(spearman_n(k) * (2.0 ** k * base.value - 1.0),
+                    scale * base.error, base.evals)
 
 
-def cckl(model1, model2, cfg: IntegrationConfig | None = None) -> MeasureEstimate:
+def cckl(model1, model2, cfg: IntegrationConfig | None = None) -> Estimate:
     """Divergence of model1 from model2, integral of c1 ln(c1/c2) - c1 + c2.
 
     The single nonnegative integrand avoids the cancellation of the
@@ -113,8 +104,7 @@ def cckl(model1, model2, cfg: IntegrationConfig | None = None) -> MeasureEstimat
                 "first copula puts mass where the second vanishes")
         return vals
 
-    est = integrate_unit_cube(integrand, model1.dim, cfg)
-    return MeasureEstimate(est.value, est.error)
+    return integrate_unit_cube(integrand, model1.dim, cfg)
 
 
 def concordance_leq_on_grid(model1, model2, grid_pts: int = 17,

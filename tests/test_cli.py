@@ -150,75 +150,166 @@ def _measure(family, dim, stat, params=None):
     return argv + (["--params", params] if params else [])
 
 
-# Pinned reports: a change to the stat dispatch, the copula classes or
-# the Sobol loop must leave them unchanged.  The measure cases reach
-# every stat, with and without a closed form and a formula note;
-# product k5 runs the Sobol engine.  The empirical entry's error was
+def _measured(family, dim, params, stat, outputs, notes=()):
+    """A measure report: its inputs echo the model and the stat."""
+    return _report({"family": family, "dim": dim, "params": params,
+                    "stat": stat}, outputs, notes)
+
+
+def _report(inputs, outputs, notes=(), seeds=None):
+    """Expected report after ``command`` and ``argv``, in key order."""
+    head = {"inputs": inputs} if seeds is None else {"inputs": inputs,
+                                                     "seeds": seeds}
+    return {**head, "outputs": outputs, "formula_notes": list(notes)}
+
+
+def _same(got, want, approx=False):
+    """Dicts match in key order; floats under ``outputs`` (closed forms
+    excepted) agree to 1e-12 relative; everything else is equal."""
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for key, value in want.items():
+            _same(got[key], value,
+                  (approx or key == "outputs") and key != "closed_form")
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _same(g, w, approx)
+    elif approx and isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    else:
+        assert type(got) is type(want) and got == want
+
+
+_GOF_ARGS = ["--data", "CSV", "--cols", "x,y", "--reps", "100"]
+_CSV_INPUTS = {"data": "CSV", "columns": ["x", "y"]}
+_GOF_SEEDS = {"seed": 3, "tie_seed": 10968187914866821265,
+              "replicate_base": "substream(seed, 1)"}
+
+# Pinned reports (exit code, key order, inputs, seeds, outputs and
+# notes): a change to the stat dispatch, the copula classes, the Sobol
+# loop, the report builder or the bootstrap must leave them unchanged.
+# The measure cases reach every stat, with and without a closed form and
+# a formula note; product k5 runs the Sobol engine.  The bootstrap cases
+# cover gof in both parameter modes (known_params rejecting), calibrate,
+# power and select at 100 replicates.  The empirical entry's error was
 # re-recorded for the binomial-pmf survival kernel of the beta copula: a
 # cubature error estimate is ~1e6 times smaller than the value it
 # bounds, so at 1e-12 relative it pins the kernel's last bits.
 GOLDEN = [
-    (_measure("product", 2, "cce"),
-     {"value": 0.24999999908089127, "error": 1.749866721374192e-07,
-      "method": "cubature", "closed_form": 0.25}, []),
-    (_measure("min", 3, "fcce:0.5"),
-     {"value": 0.24899400959938, "error": 2.2587751458207264e-07,
-      "method": "cubature", "closed_form": 0.24899399208492085},
-     ["min-copula fractional entropy uses exponent (x+2)^(r+1), forced by "
-      "the r = 1 limit"]),
-    (_measure("fgm", 2, "ccigf:0.7", "0.5"),
-     {"value": 0.36229778300564636, "error": 2.66877957263896e-07,
-      "method": "cubature", "closed_form": 0.36229778161044823},
-     ["fgm generating function: series coefficient is the generalized "
-      "binomial binom(s, x); the binom(s+x-1, x) variant fails the "
-      "integral cross-check"]),
-    (_measure("marshall_olkin", 2, "ccigf:1.5", "0.3,0.6"),
-     {"value": 0.18181819012583922, "error": 1.79069018749831e-07,
-      "method": "cubature", "closed_form": 0.18181818181818185},
-     ["marshall_olkin generating function re-derived for the standard cdf "
-      "u^(1-a1) v^(1-a2) min(u^a1, v^a2); simpler circulating denominators "
-      "fail at a1 = a2 = 1"]),
-    (_measure("gaussian", 3, "rho", "0.5,0.3,0.4"),
-     {"value": 0.3849044027159727, "error": 1.3592865192169918e-06,
-      "method": "cubature", "closed_form": None}, []),
-    (_measure("cuadras_auge", 3, "bk", "0.3,0.5,0.7"),
-     {"value": 0.16717751088797372, "error": 1.6428503531068977e-07,
-      "method": "cubature", "closed_form": 0.16717748676511562}, []),
-    (_measure("clayton", 2, "fcce:0", "1.5"),
-     {"value": 0.2999162662827259, "error": 2.998873862886333e-07,
-      "method": "cubature", "closed_form": None}, []),
-    (_measure("product", 5, "cce"),
-     {"value": 0.07812792705441413, "error": 9.238446574481033e-05,
-      "method": "cubature", "closed_form": 0.078125}, []),
+    (_measure("product", 2, "cce"), EXIT_OK,
+     _measured("product", 2, [], "cce",
+               {"value": 0.24999999908089127, "error": 1.749866721374192e-07,
+                "method": "cubature", "closed_form": 0.25})),
+    (_measure("min", 3, "fcce:0.5"), EXIT_OK,
+     _measured("min", 3, [], "fcce:0.5",
+               {"value": 0.24899400959938, "error": 2.2587751458207264e-07,
+                "method": "cubature", "closed_form": 0.24899399208492085},
+               ["min-copula fractional entropy uses exponent (x+2)^(r+1), "
+                "forced by the r = 1 limit"])),
+    (_measure("fgm", 2, "ccigf:0.7", "0.5"), EXIT_OK,
+     _measured("fgm", 2, [0.5], "ccigf:0.7",
+               {"value": 0.36229778300564636, "error": 2.66877957263896e-07,
+                "method": "cubature", "closed_form": 0.36229778161044823},
+               ["fgm generating function: series coefficient is the "
+                "generalized binomial binom(s, x); the binom(s+x-1, x) "
+                "variant fails the integral cross-check"])),
+    (_measure("marshall_olkin", 2, "ccigf:1.5", "0.3,0.6"), EXIT_OK,
+     _measured("marshall_olkin", 2, [0.3, 0.6], "ccigf:1.5",
+               {"value": 0.18181819012583922, "error": 1.79069018749831e-07,
+                "method": "cubature", "closed_form": 0.18181818181818185},
+               ["marshall_olkin generating function re-derived for the "
+                "standard cdf u^(1-a1) v^(1-a2) min(u^a1, v^a2); simpler "
+                "circulating denominators fail at a1 = a2 = 1"])),
+    (_measure("gaussian", 3, "rho", "0.5,0.3,0.4"), EXIT_OK,
+     _measured("gaussian", 3, [0.5, 0.3, 0.4], "rho",
+               {"value": 0.3849044027159727, "error": 1.3592865192169918e-06,
+                "method": "cubature", "closed_form": None})),
+    (_measure("cuadras_auge", 3, "bk", "0.3,0.5,0.7"), EXIT_OK,
+     _measured("cuadras_auge", 3, [0.3, 0.5, 0.7], "bk",
+               {"value": 0.16717751088797372, "error": 1.6428503531068977e-07,
+                "method": "cubature", "closed_form": 0.16717748676511562})),
+    (_measure("clayton", 2, "fcce:0", "1.5"), EXIT_OK,
+     _measured("clayton", 2, [1.5], "fcce:0",
+               {"value": 0.2999162662827259, "error": 2.998873862886333e-07,
+                "method": "cubature", "closed_form": None})),
+    (_measure("product", 5, "cce"), EXIT_OK,
+     _measured("product", 5, [], "cce",
+               {"value": 0.07812792705441413, "error": 9.238446574481033e-05,
+                "method": "cubature", "closed_form": 0.078125})),
     (["cckl", "--family-a", "lower_bound_w", "--family-b", "product",
-      "--dim", "2"],
-     {"value": 0.05555556562346573, "error": 9.043594100634662e-08,
-      "closed_form": 0.05555555555555555},
-     ["divergence of the lower bound copula from the product is 1/18: the "
-      "cross integral is -1/36 (the circulated +1/36 makes the total 1/9 "
-      "and fails quadrature)"]),
-    (["empirical", "--data", "CSV", "--cols", "x,y", "--stat", "cce"],
-     {"value": 0.2743449244949438, "error": 2.370185139041155e-07,
-      "n": 150, "k": 2}, []),
+      "--dim", "2"], EXIT_OK,
+     _report({"family_a": "lower_bound_w", "params_a": [],
+              "family_b": "product", "params_b": [], "dim": 2},
+             {"value": 0.05555556562346573, "error": 9.043594100634662e-08,
+              "closed_form": 0.05555555555555555},
+             ["divergence of the lower bound copula from the product is "
+              "1/18: the cross integral is -1/36 (the circulated +1/36 makes "
+              "the total 1/9 and fails quadrature)"])),
+    (["empirical", "--data", "CSV", "--cols", "x,y", "--stat", "cce"], EXIT_OK,
+     _report({**_CSV_INPUTS, "stat": "cce", "rows_dropped": 0},
+             {"value": 0.2743449244949438, "error": 2.370185139041155e-07,
+              "n": 150, "k": 2},
+             seeds={"tie_seed": 20241})),
+    (["gof", "--family", "gaussian", "--param-mode", "estimate_each_rep",
+      *_GOF_ARGS, "--seed", "3"], EXIT_OK,
+     _report({**_CSV_INPUTS, "family": "gaussian", "reps": 100, "alpha": 0.05,
+              "param_mode": "estimate_each_rep", "rows_dropped": 0},
+             {"fitted_params": [0.6630498151671278],
+              "observed_t": 0.00019606578212716706,
+              "percentile": 0.0005195976017017456, "p_value": 0.47,
+              "reject": False},
+             seeds=_GOF_SEEDS)),
+    (["gof", "--family", "clayton", "--param-mode", "known_params",
+      "--params", "0.2", *_GOF_ARGS, "--seed", "3"], EXIT_REJECT,
+     _report({**_CSV_INPUTS, "family": "clayton", "reps": 100, "alpha": 0.05,
+              "param_mode": "known_params", "rows_dropped": 0},
+             {"fitted_params": [0.2], "observed_t": 0.00716584070929296,
+              "percentile": 0.0010809288395817326, "p_value": 0.0,
+              "reject": True},
+             seeds=_GOF_SEEDS)),
+    (["calibrate", "--family", "frank", "--params", "3", "--n", "40",
+      "--reps", "100", "--seed", "7"], EXIT_OK,
+     _report({"family": "frank", "dim": 2, "params": [3.0], "n": 40,
+              "reps": 100, "alpha": 0.05},
+             {"percentile": 0.0029439268920355656}, seeds={"seed": 7})),
+    (["power", "--null-family", "product", "--true-family", "gaussian",
+      "--true-params", "0.5", "--param-mode", "known_params", "--n", "40",
+      "--reps", "100", "--seed", "7"], EXIT_OK,
+     _report({"null_family": "product", "null_params": [],
+              "true_family": "gaussian", "true_params": [0.5], "dim": 2,
+              "n": 40, "reps": 100, "alpha": 0.05,
+              "param_mode": "known_params"},
+             {"rejection_percent": 76.0}, seeds={"seed": 7})),
+    (["select", "--data", "CSV", "--cols", "x,y", "--families",
+      "gaussian,product,clayton", "--reps", "100", "--seed", "9"], EXIT_OK,
+     _report({**_CSV_INPUTS, "families": ["gaussian", "product", "clayton"],
+              "reps": 100, "alpha": 0.05, "rows_dropped": 0},
+             {"ranking": [
+                 {"family": "gaussian", "params": [0.6630498151671278],
+                  "cckl_to_empirical": 9.523153864917784e-05, "p_value": 0.5,
+                  "error": None},
+                 {"family": "clayton", "params": [1.7138584247258224],
+                  "cckl_to_empirical": 0.0005109232937867879,
+                  "p_value": 0.0, "error": None},
+                 {"family": "product", "params": [],
+                  "cckl_to_empirical": 0.011200647930481566, "p_value": 0.0,
+                  "error": None}],
+              "recommended": "gaussian"},
+             seeds={"seed": 9})),
 ]
 
 
 class TestGoldenReports:
-    @pytest.mark.parametrize("argv,outputs,notes", GOLDEN,
+    @pytest.mark.parametrize("argv,code,report", GOLDEN,
                              ids=[" ".join(g[0][:6]) for g in GOLDEN])
-    def test_report_unchanged(self, argv, outputs, notes, gauss_csv, capsys):
+    def test_report_unchanged(self, argv, code, report, gauss_csv, capsys):
         argv = [gauss_csv if a == "CSV" else a for a in argv]
-        code, out = run_cli(argv, capsys)
-        assert code == EXIT_OK
-        rep = json.loads(out)
-        assert rep["formula_notes"] == notes
-        got = rep["outputs"]
-        assert got.keys() == outputs.keys()
-        for key, want in outputs.items():
-            if key in ("value", "error"):
-                assert got[key] == pytest.approx(want, rel=1e-12, abs=0.0)
-            else:
-                assert got[key] == want
+        got_code, out = run_cli(argv, capsys)
+        assert got_code == code
+        want = json.loads(json.dumps(report).replace('"CSV"',
+                                                     json.dumps(gauss_csv)))
+        _same(json.loads(out), {"command": argv[0], "argv": argv, **want})
 
     def test_k4_mvn_cdf_unchanged(self):
         corr = np.eye(4)

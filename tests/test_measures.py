@@ -5,6 +5,7 @@ import pytest
 
 from copulameasures import (
     CopulaModel,
+    Estimate,
     IntegrationConfig,
     b_k,
     cce,
@@ -17,7 +18,10 @@ from copulameasures import (
     closed_form_fcce,
     concordance_leq_on_grid,
     fcce,
+    integrate_unit_cube,
     spearman_rho_minus,
+    xlog_ratio,
+    xlogx,
 )
 from copulameasures.errors import (
     DimensionMismatch,
@@ -202,3 +206,41 @@ class TestMeasuresOfEmpirical:
     def test_min_copula_trivariate_entropy(self):
         got = cce(M3, IntegrationConfig(abs_tol=1e-6))
         assert got.value == pytest.approx(closed_form_cce(M3), abs=1e-5)
+
+
+class TestEvaluationCounts:
+    """Every measure returns the cubature Estimate, evaluation count
+    included, for the same integrand and configuration."""
+
+    MODEL = CopulaModel("clayton", 2, (1.5,))
+    CFG = IntegrationConfig(abs_tol=1e-6)
+
+    @pytest.mark.parametrize("measure,order,transform", [
+        (cce, (), xlogx),
+        (fcce, (0.5,),
+         lambda c: c * np.maximum(-np.log(np.maximum(c, 1e-300)), 0.0) ** 0.5),
+        (ccigf, (1.5,), lambda c: c ** 1.5),
+        (b_k, (), lambda c: c),
+    ], ids=["cce", "fcce", "ccigf", "b_k"])
+    def test_cdf_measures(self, measure, order, transform):
+        est = measure(self.MODEL, *order, self.CFG)
+        direct = integrate_unit_cube(
+            lambda U: transform(self.MODEL.cdf_many(U)), 2, self.CFG)
+        assert isinstance(est, Estimate)
+        assert est.evals == direct.evals > 0
+        assert est.value == pytest.approx(direct.value, rel=1e-12)
+
+    def test_cckl(self):
+        other = CopulaModel("gaussian", 2, (0.4,))
+        est = cckl(self.MODEL, other, self.CFG)
+        direct = integrate_unit_cube(
+            lambda U: xlog_ratio(self.MODEL.cdf_many(U),
+                                 np.maximum(other.cdf_many(U), 1e-300)),
+            2, self.CFG)
+        assert isinstance(est, Estimate)
+        assert est.evals == direct.evals > 0
+        assert est.value == pytest.approx(direct.value, rel=1e-12)
+
+    def test_spearman_carries_b_k_evals(self):
+        model = CopulaModel("gaussian", 3, (0.5, 0.3, 0.4))
+        assert spearman_rho_minus(model).evals == b_k(model).evals > 0
