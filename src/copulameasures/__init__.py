@@ -31,10 +31,7 @@ from .cubature import (
 from .empirical import (
     EmpiricalBetaCopula,
     RankedSample,
-    empirical_cce,
-    empirical_ccigf,
     empirical_copula_cdf,
-    empirical_fcce,
     rank_with_random_ties,
 )
 from .fit import FitResult, estimate, kendall_tau, tau_to_param
@@ -99,9 +96,6 @@ __all__ = [
     "closed_form_cckl",
     "rank_with_random_ties",
     "empirical_copula_cdf",
-    "empirical_cce",
-    "empirical_fcce",
-    "empirical_ccigf",
     "kendall_tau",
     "tau_to_param",
     "estimate",

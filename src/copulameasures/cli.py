@@ -198,7 +198,7 @@ def cmd_empirical(args, argv) -> int:
     rs = empirical.rank_with_random_ties(ds.values, args.tie_seed)
     stat, order = _parse_stat(args.stat)
     measure = _STATS[stat].measure
-    cfg = empirical._cfg_for_empirical(rs.k, _integration_cfg(args))
+    cfg = _integration_cfg(args)
     est = measure(empirical.EmpiricalBetaCopula(rs), *order, cfg)
     outputs = {"value": est.value, "error": est.error, "n": rs.n, "k": rs.k}
     if args.dump_curve:

@@ -37,6 +37,7 @@ from scipy.special import logsumexp, ndtr, ndtri
 from scipy.stats import logser
 
 from . import mvnorm
+from .cubature import AUTO_SOBOL_DIM
 from .errors import (
     CorrelationNotPD,
     DimensionMismatch,
@@ -78,10 +79,12 @@ def corr_from_upper_triangle(dim: int, entries) -> np.ndarray:
 class Copula(ABC):
     """Interface of every copula in the package: ``dim``,
     ``has_zero_region`` and the vectorized ``cdf_many``, which treats
-    coordinates outside [0, 1] its own way.  ``cdf`` is defined here."""
+    coordinates outside [0, 1] its own way.  ``cdf`` is defined here.
+    Measures under ``method="auto"`` use Sobol from ``auto_sobol_dim`` on."""
 
     dim: int
     has_zero_region: bool
+    auto_sobol_dim: int = AUTO_SOBOL_DIM
 
     @abstractmethod
     def cdf_many(self, U: np.ndarray) -> np.ndarray:

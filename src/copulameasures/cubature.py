@@ -7,9 +7,10 @@ Two engines sit behind one entry point, :func:`integrate_unit_cube`:
 * scrambled Sobol sampling with an error band taken across independent
   randomizations.
 
-``method="auto"`` picks subdivision for k <= 4 and Sobol above that,
-where the region count of subdivision explodes.  Integrands must be
-vectorized: they receive an (m, k) array of points and return m values.
+``method="auto"`` picks subdivision below k = AUTO_SOBOL_DIM and Sobol
+from there on, where the region count of subdivision explodes.
+Integrands must be vectorized: they receive an (m, k) array of points
+and return m values.
 
 Also hosts the two bounded integrand transforms used by every measure:
 :func:`xlogx` and :func:`xlog_ratio`.
@@ -27,6 +28,8 @@ from .errors import NonFiniteIntegrand, ToleranceNotReached
 
 _QMC_RANDOMIZATIONS = 16
 _QMC_FIRST_BATCH = 1024
+# first dimension that method="auto" integrates by Sobol
+AUTO_SOBOL_DIM = 5
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,7 @@ class IntegrationConfig:
     def resolved(self, k: int) -> tuple[str, float]:
         method = self.method
         if method == "auto":
-            method = "adaptive" if k <= 4 else "qmc"
+            method = "adaptive" if k < AUTO_SOBOL_DIM else "qmc"
         abs_tol = self.abs_tol
         if abs_tol is None:
             abs_tol = 1e-7 if method == "adaptive" else 1e-4

@@ -4,21 +4,20 @@ Raw data turns into a :class:`RankedSample` (column ranks with random
 tie-breaking and an audit trail).  From it, :func:`empirical_copula_cdf`
 evaluates the step-function estimator and :class:`EmpiricalBetaCopula`
 the smooth rank-binomial one, which is a genuine copula when ranks are
-permutations.  Plug-in measure estimates reuse the cubature backend.
+permutations.  Plug-in estimates are the measures of that copula, e.g.
+``cce(EmpiricalBetaCopula(rs))``; it sets ``auto_sobol_dim`` to 4.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
 
 from .copulas import Copula
-from .cubature import IntegrationConfig
 from .errors import DimensionMismatch, NonFiniteData
-from . import measures
 
 # cap on points per cdf_many block; the block's survival rows and
 # products take a few (chunk, N) float arrays
@@ -69,10 +68,7 @@ def rank_with_random_ties(data: np.ndarray, tie_seed: int) -> RankedSample:
 
 def empirical_copula_cdf(rs: RankedSample, point) -> float:
     """Step-function estimator: mean of the joint pseudo-obs indicators."""
-    u = np.asarray(point, dtype=float).ravel()
-    if len(u) != rs.k:
-        raise DimensionMismatch(f"point dimension {len(u)} != {rs.k}")
-    return float((rs.pseudo_observations() <= u).all(axis=1).mean())
+    return float(empirical_copula_cdf_many(rs, np.ravel(point)[None, :])[0])
 
 
 def empirical_copula_cdf_many(rs: RankedSample, U: np.ndarray) -> np.ndarray:
@@ -117,7 +113,7 @@ def _binomial_survival(u: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=2)
 def _pseudo_obs_basis(n: int) -> np.ndarray:
     """B[q-1, r-1] = S(q/(N+1); N, r), shared by all rank matrices of size N."""
     return _binomial_survival(np.arange(1, n + 1) / (n + 1.0), n)
@@ -129,14 +125,12 @@ class EmpiricalBetaCopula(Copula):
 
     C(u) = (1/N) sum_i prod_j S(u_j; N, R_ij) with S(u; N, r) =
     P(Bin(N, u) >= r).  One point costs O(N k): each coordinate needs the
-    whole survival row over r = 1..N, computed by one binomial-pmf pass.
+    whole survival row over r = 1..N, computed by one binomial-pmf pass,
+    so the measures switch to Sobol one dimension early.
     """
 
     rs: RankedSample
-    _basis: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_basis", _pseudo_obs_basis(self.rs.n))
+    auto_sobol_dim = 4
 
     @property
     def dim(self) -> int:
@@ -165,12 +159,13 @@ class EmpiricalBetaCopula(Copula):
 
     def cdf_at_pseudo_observations(self) -> np.ndarray:
         """Values at the sample's own pseudo-observations, via the shared
-        N x N basis (no survival rows computed per call)."""
+        N x N basis, built on the first call for this N."""
         n = self.rs.n
+        basis = _pseudo_obs_basis(n)
         prod = np.ones((n, n))
         for j in range(self.rs.k):
             col = self.rs.ranks[:, j] - 1
-            prod *= self._basis[np.ix_(col, col)]  # row: eval point, col: obs
+            prod *= basis[np.ix_(col, col)]  # row: eval point, col: obs
         return prod.mean(axis=1)
 
     def mean_integral(self) -> float:
@@ -181,30 +176,3 @@ class EmpiricalBetaCopula(Copula):
         n = self.rs.n
         w = (n + 1.0 - self.rs.ranks) / (n + 1.0)
         return float(w.prod(axis=1).mean())
-
-
-def _cfg_for_empirical(k: int, cfg: IntegrationConfig | None) -> IntegrationConfig:
-    """The integration settings every empirical-copula measure runs with."""
-    cfg = cfg or IntegrationConfig()
-    if cfg.method == "auto" and k >= 4:
-        # subdivision cost times N per point is prohibitive here
-        return replace(cfg, method="qmc")
-    return cfg
-
-
-def empirical_cce(rs: RankedSample, cfg: IntegrationConfig | None = None):
-    """Plug-in entropy of the empirical beta copula."""
-    c = EmpiricalBetaCopula(rs)
-    return measures.cce(c, _cfg_for_empirical(c.dim, cfg))
-
-
-def empirical_fcce(rs: RankedSample, r: float,
-                   cfg: IntegrationConfig | None = None):
-    c = EmpiricalBetaCopula(rs)
-    return measures.fcce(c, r, _cfg_for_empirical(c.dim, cfg))
-
-
-def empirical_ccigf(rs: RankedSample, s: float,
-                    cfg: IntegrationConfig | None = None):
-    c = EmpiricalBetaCopula(rs)
-    return measures.ccigf(c, s, _cfg_for_empirical(c.dim, cfg))

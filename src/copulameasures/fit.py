@@ -28,8 +28,6 @@ from .errors import (
 FITTABLE_FAMILIES = ("clayton", "frank", "gumbel_hougaard", "joe", "gaussian",
                      "product")
 
-_TAU_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class FitResult:

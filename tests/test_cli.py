@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from copulameasures import CopulaModel, Estimate, measures, mvn_cdf
+from copulameasures import (CopulaModel, EmpiricalBetaCopula, Estimate,
+                            IntegrationConfig, b_k, cce, ccigf, cckl, fcce,
+                            measures, mvn_cdf, rank_with_random_ties)
 from copulameasures.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECT, load_csv, main
 from copulameasures.errors import ColumnMissing, NoCompleteRows
 
@@ -323,26 +325,52 @@ class TestGoldenReports:
         assert est.evals == 131072
 
 
+@pytest.fixture
+def engines(monkeypatch):
+    """The engine each integration resolves to, with the integration
+    itself stubbed out."""
+    seen = []
+
+    def record(f, k, cfg=None):
+        seen.append((cfg or IntegrationConfig()).resolved(k)[0])
+        return Estimate(0.1, 0.0, 1)
+
+    monkeypatch.setattr(measures, "integrate_unit_cube", record)
+    return seen
+
+
+def _beta(k):
+    X = np.random.default_rng(5).normal(size=(30, k))
+    return EmpiricalBetaCopula(rank_with_random_ties(X, 0))
+
+
 class TestEmpiricalEngine:
-    def test_cli_uses_the_api_engine_rule(self, tmp_path, capsys, monkeypatch):
-        """From k = 4 the CLI, like empirical_cce, integrates by Sobol
-        under ``auto``, the dumped curve included; below it stays
-        adaptive."""
+    """The empirical beta copula sets ``auto_sobol_dim`` to 4, so under
+    ``auto`` every measure of it but ``cckl`` integrates by Sobol from
+    k = 4, whether called from the API or the CLI; parametric models keep
+    cubature's own switch at k = 5."""
+
+    def test_cli_uses_the_api_engine_rule(self, tmp_path, capsys, engines):
+        """The dumped curve included; below k = 4 it stays adaptive."""
         path = tmp_path / "normal4.csv"
         X = np.random.default_rng(5).normal(size=(30, 4))
         path.write_text("a,b,c,d\n" + "".join(
             ",".join(repr(float(v)) for v in row) + "\n" for row in X))
-        seen = []
-
-        def record(f, k, cfg=None):
-            seen.append(cfg.resolved(k)[0])
-            return Estimate(0.1, 0.0, 1)
-
-        monkeypatch.setattr(measures, "integrate_unit_cube", record)
         for cols, engine in (("a,b,c,d", "qmc"), ("a,b,c", "adaptive")):
-            seen.clear()
+            engines.clear()
             code, _ = run_cli(["empirical", "--data", str(path), "--cols",
                                cols, "--stat", "cce", "--dump-curve", "20"],
                               capsys)
             assert code == EXIT_OK
-            assert seen == [engine, engine]
+            assert engines == [engine, engine]
+
+    @pytest.mark.parametrize("k,engine", [(4, "qmc"), (3, "adaptive")])
+    def test_api_measures_use_the_copula_rule(self, k, engine, engines):
+        beta = _beta(k)
+        cce(beta), fcce(beta, 0.5), ccigf(beta, 2.0), b_k(beta)
+        assert engines == [engine] * 4
+
+    def test_cckl_and_parametric_models_stay_adaptive_at_k4(self, engines):
+        cckl(_beta(4), CopulaModel("product", 4))
+        cce(CopulaModel("clayton", 4, (1.0,)))
+        assert engines == ["adaptive", "adaptive"]

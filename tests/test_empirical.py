@@ -8,12 +8,12 @@ from copulameasures import (
     RankedSample,
     b_k,
     cce,
-    empirical_cce,
     empirical_copula_cdf,
-    empirical_fcce,
+    fcce,
     rank_with_random_ties,
+    t_statistic,
 )
-from copulameasures.empirical import (_binomial_survival,
+from copulameasures.empirical import (_binomial_survival, _pseudo_obs_basis,
                                       empirical_copula_cdf_many)
 from copulameasures.errors import DimensionMismatch, NonFiniteData
 
@@ -131,6 +131,20 @@ class TestBetaCopula:
         bound = 2.0 * (np.sqrt(np.log(n) / n) + n ** -0.5 + 1.0 / n)
         assert gap <= bound
 
+    def test_basis_built_only_for_t_statistic(self):
+        """Construction, cdf_many and the measures leave the N x N basis
+        cache alone; the T_N statistic asks it once."""
+        data = np.random.default_rng(8).normal(size=(37, 2))
+        rs = rank_with_random_ties(data, 0)
+        before = _pseudo_obs_basis.cache_info()
+        c = EmpiricalBetaCopula(rs)
+        c.cdf_many(rs.pseudo_observations())
+        cce(c, IntegrationConfig(abs_tol=1e-4))
+        assert _pseudo_obs_basis.cache_info() == before
+        t_statistic(rs, CopulaModel("product", 2))
+        after = _pseudo_obs_basis.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses + 1
+
     def test_mean_matches_cubature_random_ranks(self):
         rng = np.random.default_rng(4)
         for n, k in ((7, 2), (23, 2), (50, 3), (14, 3)):
@@ -190,19 +204,20 @@ class TestBinomialSurvival:
 class TestPluginMeasures:
     def test_single_observation_entropy(self):
         rs1 = RankedSample(np.array([[1, 1]]), 0, (0, 0))
-        assert empirical_cce(rs1).value == pytest.approx(0.25, abs=1e-6)
+        est = cce(EmpiricalBetaCopula(rs1))
+        assert est.value == pytest.approx(0.25, abs=1e-6)
 
     def test_fcce_at_one_matches_cce(self):
         rng = np.random.default_rng(6)
         rs = rank_with_random_ties(rng.normal(size=(30, 2)), 3)
-        a = empirical_fcce(rs, 1.0)
-        b = empirical_cce(rs)
+        a = fcce(EmpiricalBetaCopula(rs), 1.0)
+        b = cce(EmpiricalBetaCopula(rs))
         assert a.value == pytest.approx(b.value, abs=a.error + b.error + 1e-9)
 
     def test_thousand_product_samples_close(self):
         data = CopulaModel("product", 2).sample(1000, seed=123)
         rs = rank_with_random_ties(data, 9)
-        est = empirical_cce(rs, IntegrationConfig(abs_tol=1e-6))
+        est = cce(EmpiricalBetaCopula(rs), IntegrationConfig(abs_tol=1e-6))
         assert abs(est.value - 0.25) < 0.01
 
 
@@ -225,6 +240,6 @@ def test_consistency_median_decreasing():
         for s in seeds:
             data = model.sample(1000, seed=9000 + s)[:n]
             rs = rank_with_random_ties(data, s)
-            errs.append(abs(empirical_cce(rs, cfg).value - truth))
+            errs.append(abs(cce(EmpiricalBetaCopula(rs), cfg).value - truth))
         medians.append(float(np.median(errs)))
     assert medians[0] >= medians[1] >= medians[2]
