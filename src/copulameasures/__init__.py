@@ -45,7 +45,6 @@ from .gof import (
     power_study,
     select_copula,
     t_statistic,
-    t_statistic_uniform,
 )
 from .measures import (
     b_k,
@@ -100,7 +99,6 @@ __all__ = [
     "tau_to_param",
     "estimate",
     "t_statistic",
-    "t_statistic_uniform",
     "percentile_index",
     "bootstrap_test",
     "calibrate_percentile",

@@ -46,9 +46,6 @@ FORMULA_NOTES = {
         "divergence of the lower bound copula from the product is 1/18: "
         "the cross integral is -1/36 (the circulated +1/36 makes the "
         "total 1/9 and fails quadrature)",
-    ("bk", "empirical_beta"):
-        "mean of the empirical beta copula is the closed form "
-        "mean_i prod_j (N+1-R_ij)/(N+1)",
 }
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp, ndtr, ndtri
+from scipy.special import gammaln, logsumexp, ndtr, ndtri
 from scipy.stats import logser
 
 from . import mvnorm
@@ -281,117 +281,84 @@ class CopulaModel(Copula):
     # -- sampling ------------------------------------------------------
 
     def sample(self, n: int, seed: int) -> np.ndarray:
-        """n exact i.i.d. draws, reproducible for a fixed seed."""
+        """n exact i.i.d. draws, reproducible for a fixed seed: the
+        Marshall-Olkin frailty construction U = psi(E / V) for Archimedean
+        families, conditional inversion for FGM and negative dependence."""
         if n < 1:
             raise ValueError("need n >= 1")
         rng = np.random.default_rng(int(seed))
         fam, k = self.family, self.dim
-        if fam == "product":
+        th = self.params[0] if self.params else None
+        if fam == "product" or (fam in ("gumbel_hougaard", "joe") and th == 1.0):
             out = rng.random((n, k))
         elif fam == "min":
             out = np.repeat(rng.random((n, 1)), k, axis=1)
-        elif fam == "lower_bound_w":
+        elif fam == "lower_bound_w" or (fam == "clayton" and th == -1.0):
             u = rng.random(n)
             out = np.column_stack([u, 1.0 - u])
-        elif fam == "clayton":
-            out = self._sample_clayton(rng, n)
-        elif fam == "frank":
-            out = self._sample_frank(rng, n)
-        elif fam == "gumbel_hougaard":
-            out = self._sample_gumbel(rng, n)
-        elif fam == "joe":
-            out = self._sample_joe(rng, n)
         elif fam == "gaussian":
-            z = rng.standard_normal((n, k)) @ self._chol.T
-            out = ndtr(z)
-        elif fam == "fgm":
-            out = self._sample_fgm(rng, n)
+            out = ndtr(rng.standard_normal((n, k)) @ self._chol.T)
+        elif fam == "fgm" or (fam in ("clayton", "frank") and th < 0):
+            u = rng.random(n)
+            out = np.column_stack([u, self._conditional_inverse(u, rng.random(n))])
+        elif fam in ("clayton", "frank", "gumbel_hougaard", "joe"):
+            psi, _ = archimedean_generator(self)
+            v = _frailty(fam, th, rng, n)
+            # a frailty of 0 or inf maps to a boundary value, clipped below
+            with np.errstate(divide="ignore", over="ignore"):
+                out = psi(rng.exponential(1.0, size=(n, k)) / v[:, None])
         else:
             raise SamplerUnavailable(
                 f"no exact sampler implemented for {fam}")
         return np.clip(out, _SAMPLE_EPS, 1.0 - _SAMPLE_EPS)
 
-    def _sample_clayton(self, rng, n):
-        a = self.params[0]
-        k = self.dim
-        if a > 0:
-            # gamma frailty: psi(t) = (1+t)^(-1/alpha)
-            v = rng.gamma(1.0 / a, 1.0, size=n)
-            e = rng.exponential(1.0, size=(n, k))
-            return (1.0 + e / v[:, None]) ** (-1.0 / a)
-        u = rng.random(n)
-        if a == -1.0:
-            return np.column_stack([u, 1.0 - u])
-        p = rng.random(n)
-        v = (1.0 + u ** -a * (p ** (-a / (1.0 + a)) - 1.0)) ** (-1.0 / a)
-        return np.column_stack([u, v])
+    def _conditional_inverse(self, u, p):
+        """v with P(V <= v | U = u) = p, at k = 2."""
+        th = self.params[0]
+        if self.family == "clayton":
+            return (1.0 + u ** -th * (p ** (-th / (1.0 + th)) - 1.0)) ** (-1.0 / th)
+        if self.family == "frank":
+            d = p * np.expm1(-th) / (np.exp(-th * u) * (1.0 - p) + p)
+            return -np.log1p(d) / th
+        a = th * (1.0 - 2.0 * u)  # fgm: root of a v^2 - (1 + a) v + p = 0
+        b = 1.0 + a
+        return np.where(np.abs(a) < 1e-12, p,
+                        2.0 * p / (b + np.sqrt(np.maximum(b * b - 4.0 * a * p, 0.0))))
 
-    def _sample_frank(self, rng, n):
-        t = self.params[0]
-        k = self.dim
-        if t > 0:
-            # logarithmic-series frailty: psi is its Laplace transform
-            v = logser.rvs(-np.expm1(-t), size=n, random_state=rng).astype(float)
-            e = rng.exponential(1.0, size=(n, k))
-            x = e / v[:, None]
-            return -np.log(-np.expm1(-x) + np.exp(-t - x)) / t
-        # negative dependence exists only at k=2; conditional inversion
-        u = rng.random(n)
-        p = rng.random(n)
-        av = np.exp(-t * u)
-        d = np.expm1(-t)
-        v = -np.log1p(p * d / (av * (1.0 - p) + p)) / t
-        return np.column_stack([u, v])
 
-    def _sample_gumbel(self, rng, n):
-        phi = self.params[0]
-        k = self.dim
-        if phi == 1.0:
-            return rng.random((n, k))
-        # positive stable frailty via Kanter's representation:
+def _frailty(family: str, param: float, rng, n: int) -> np.ndarray:
+    """n draws of the frailty V whose Laplace transform is the generator
+    psi of an Archimedean family with positive dependence."""
+    if family == "clayton":
+        return rng.gamma(1.0 / param, 1.0, size=n)
+    if family == "frank":
+        p = -np.expm1(-param)
+        if p == 1.0:  # out of logser's domain from theta ~ 37.4 on
+            return _logseries_kemp(param, rng, n)
+        return logser.rvs(p, size=n, random_state=rng).astype(float)
+    if family == "gumbel_hougaard":
+        # positive stable, Kanter's representation:
         # V = sin(a T)/sin(T)^(1/a) * (sin((1-a)T)/W)^((1-a)/a),
         # T uniform on (0, pi), W unit exponential
-        al = 1.0 / phi
+        al = 1.0 / param
         th = np.pi * rng.random(n)
         w = rng.exponential(1.0, size=n)
-        v = (np.sin(al * th) / np.sin(th) ** (1.0 / al)
-             * (np.sin((1.0 - al) * th) / w) ** ((1.0 - al) / al))
-        e = rng.exponential(1.0, size=(n, k))
-        return np.exp(-(e / v[:, None]) ** al)
-
-    def _sample_joe(self, rng, n):
-        thp = self.params[0]
-        k = self.dim
-        if thp == 1.0:
-            return rng.random((n, k))
-        v = _sample_sibuya(1.0 / thp, rng, n)
-        e = rng.exponential(1.0, size=(n, k))
-        x = e / v[:, None]
-        # psi(t) = 1 - (1 - e^{-t})^{1/theta}
-        return 1.0 - np.exp(np.log(-np.expm1(-x)) / thp)
-
-    def _sample_fgm(self, rng, n):
-        th = self.params[0]
-        u = rng.random(n)
-        p = rng.random(n)
-        a = th * (1.0 - 2.0 * u)
-        b = 1.0 + a
-        v = np.where(np.abs(a) < 1e-12, p,
-                     2.0 * p / (b + np.sqrt(np.maximum(b * b - 4.0 * a * p, 0.0))))
-        return np.column_stack([u, v])
-
-
-def _sample_sibuya(alpha: float, rng, n: int) -> np.ndarray:
-    """Sibuya(alpha) draws by bisection on the survival function.
-
-    The survival function S(m) = Gamma(m+1-alpha) / (Gamma(1-alpha) m!)
-    obeys S(m) = S(m-1) (m-alpha)/m, so log S is cheap at any m via
-    log-gamma; bisection over 1..2^62 inverts it exactly in doubles.
-    """
-    from scipy.special import gammaln
-
-    u = rng.random(n)
-    tail = np.log1p(-u)  # want smallest m with log S(m) <= log(1-u)
+        with np.errstate(over="ignore", under="ignore", divide="ignore",
+                         invalid="ignore"):
+            v = (np.sin(al * th) / np.sin(th) ** (1.0 / al)
+                 * (np.sin((1.0 - al) * th) / w) ** ((1.0 - al) / al))
+            # at large phi one factor overflows where the other underflows;
+            # in logs such draws settle at 0 or inf
+            bad = np.isnan(v)
+            tb, wb = th[bad], w[bad]
+            v[bad] = np.exp(np.log(np.sin(al * tb)) - np.log(np.sin(tb)) / al
+                            + (1.0 - al) / al * np.log(np.sin((1.0 - al) * tb) / wb))
+        return v
+    # Sibuya(alpha), alpha = 1/theta, by bisection on the survival function
+    # S(m) = Gamma(m+1-alpha) / (Gamma(1-alpha) m!), cheap at any m via
+    # log-gamma; bisection over 1..2^60 inverts it exactly in doubles
+    alpha = 1.0 / param
+    tail = np.log1p(-rng.random(n))  # smallest m with log S(m) <= tail
     lg1a = gammaln(1.0 - alpha)
 
     def log_s(m):
@@ -411,6 +378,15 @@ def _sample_sibuya(alpha: float, rng, n: int) -> np.ndarray:
         if np.all(hi - lo <= 1.0):
             break
     return hi
+
+
+def _logseries_kemp(theta: float, rng, n: int) -> np.ndarray:
+    """Logarithmic-series draws with p = 1 - e^-theta by Kemp's LK
+    algorithm (Kemp 1981, Appl. Stat. 30:249): geometric with success
+    probability e^(-theta U1), exact in theta where p rounds to 1."""
+    u1 = rng.random(n)
+    u2 = rng.random(n)
+    return np.floor(1.0 + np.log(u2) / np.log1p(-np.exp(-theta * u1)))
 
 
 @dataclass(frozen=True)
@@ -463,7 +439,7 @@ def archimedean_generator(model: CopulaModel) -> tuple[Callable, Callable]:
         t0 = model.params[0]
         def psi(t):
             t = np.asarray(t, dtype=float)
-            return -np.log1p(np.expm1(-t0) * np.exp(-t)) / t0
+            return -np.log(-np.expm1(-t) + np.exp(-t0 - t)) / t0
         def psi_inv(u):
             u = np.asarray(u, dtype=float)
             return -(np.log(-np.expm1(-t0 * u)) - np.log(-np.expm1(-t0))) \
@@ -475,8 +451,10 @@ def archimedean_generator(model: CopulaModel) -> tuple[Callable, Callable]:
                 lambda u: (-np.log(np.asarray(u, dtype=float))) ** phi)
     if fam == "joe":
         th = model.params[0]
-        return (lambda t: 1.0 - (-np.expm1(-np.asarray(t, dtype=float))) ** (1.0 / th),
-                lambda u: -np.log1p(-(1.0 - np.asarray(u, dtype=float)) ** th))
+        def psi(t):
+            with np.errstate(divide="ignore"):  # log(0) at t = 0 gives psi = 1
+                return 1.0 - np.exp(np.log(-np.expm1(-np.asarray(t, dtype=float))) / th)
+        return psi, lambda u: -np.log1p(-(1.0 - np.asarray(u, dtype=float)) ** th)
     if fam == "nelsen_4212":
         th = model.params[0]
         return (lambda t: 1.0 / (1.0 + np.asarray(t, dtype=float) ** (1.0 / th)),

@@ -94,22 +94,6 @@ def t_statistic(rs: RankedSample, model) -> float:
     return float(np.mean(xlog_ratio(chat, ctheta)))
 
 
-def t_statistic_uniform(rs: RankedSample, model, n_points: int,
-                        seed: int) -> float:
-    """Uniform Monte Carlo variant of the statistic, for comparison only:
-    the same integrand averaged over n_points uniform draws instead of
-    the pseudo-observations."""
-    if model.dim != rs.k:
-        raise DimensionMismatch(
-            f"model dimension {model.dim} != sample dimension {rs.k}")
-    rng = np.random.default_rng(int(seed))
-    U = rng.random((n_points, rs.k))
-    beta = EmpiricalBetaCopula(rs)
-    chat = beta.cdf_many(U)
-    ctheta = np.maximum(model.cdf_many(U), _CTHETA_FLOOR)
-    return float(np.mean(xlog_ratio(chat, ctheta)))
-
-
 def percentile_index(m: int, alpha: float) -> int:
     """1-based index floor((1-alpha) m) into the ascending order statistics."""
     if m < 1:
@@ -127,6 +111,14 @@ def _replicate_task(args):
     return t_statistic(rs, eval_model)
 
 
+def _run(task, args: list, workers: int, chunksize: int) -> list:
+    """[task(a) for a in args], in one process pool when workers > 1."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(task, args, chunksize=chunksize))
+    return [task(a) for a in args]
+
+
 def _statistics(sample_model: CopulaModel, eval_model: CopulaModel, n: int,
                 base: int, cfg: GofConfig, refit: bool) -> np.ndarray:
     """T_N of cfg.reps size-n samples of sample_model, replicate r drawn
@@ -134,11 +126,7 @@ def _statistics(sample_model: CopulaModel, eval_model: CopulaModel, n: int,
     its family re-fitted to the replicate when ``refit``."""
     tasks = [(sample_model, eval_model, n, substream_seed(base, r), refit)
              for r in range(cfg.reps)]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            return np.array(list(pool.map(_replicate_task, tasks,
-                                          chunksize=32)))
-    return np.array([_replicate_task(t) for t in tasks])
+    return np.array(_run(_replicate_task, tasks, cfg.workers, chunksize=32))
 
 
 def _percentile(stats: np.ndarray, cfg: GofConfig) -> float:
@@ -202,12 +190,18 @@ def power_study(null_model: CopulaModel, true_model: CopulaModel, n: int,
         stats = _statistics(true_model, null_model, n, data_base, cfg,
                             refit=False)
         return 100.0 * float(np.mean(stats >= pct))
-    rejections = 0
-    for r in range(cfg.reps):
-        data = true_model.sample(n, seed=substream_seed(data_base, r))
-        inner = replace(cfg, seed=substream_seed(data_base, r))
-        rejections += bootstrap_test(data, null_model.family, inner).reject
-    return 100.0 * rejections / cfg.reps
+    # one pool over the datasets; each nested bootstrap runs serially
+    tasks = [(true_model, null_model.family, n,
+              replace(cfg, seed=substream_seed(data_base, r), workers=1))
+             for r in range(cfg.reps)]
+    rejections = _run(_power_task, tasks, cfg.workers, chunksize=1)
+    return 100.0 * sum(rejections) / cfg.reps
+
+
+def _power_task(args) -> bool:
+    true_model, family, n, inner = args
+    data = true_model.sample(n, seed=inner.seed)
+    return bootstrap_test(data, family, inner).reject
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.stats import kstest, logser
 
 from copulameasures import CopulaModel, MixtureCopula, archimedean_generator
+from copulameasures.copulas import FAMILIES, _logseries_kemp
 from copulameasures.errors import (
     CorrelationNotPD,
     DimensionMismatch,
@@ -11,6 +14,7 @@ from copulameasures.errors import (
     ParamOutOfRange,
     SamplerUnavailable,
 )
+from copulameasures.fit import frank_tau, kendall_tau
 
 
 class TestValidate:
@@ -234,6 +238,142 @@ class TestSampling:
                        ("gumbel_barnett", (0.5,)), ("nelsen_4212", (2.0,))]:
             with pytest.raises(SamplerUnavailable):
                 CopulaModel(fam, 2, p).sample(10, seed=0)
+
+
+# SHA-256 of sample(257, seed).tobytes() (numpy 2.4, scipy 1.17, x86-64
+# Linux); every branch of sample() appears at least once.  A new libm or
+# numpy bit generator may move these; a refactor of the samplers must not.
+SAMPLE_PINS = [
+    ("product", 2, (), 1,
+     "57415dd9d571dc79614c0175ad508ca476a499c2552930ce190ad89724dbdd93"),
+    ("product", 3, (), 2,
+     "3dcf3de75dec1a935bb9f328fb444dc13221305e3d1e474a61620b99aff99260"),
+    ("min", 3, (), 3,
+     "ac8738734363f0946c151ba23000bbb4b6c5486787ddc2baaef578f9137c5111"),
+    ("lower_bound_w", 2, (), 4,
+     "aa153b757b053599b8bc68282732d914f552db43ac7a0440194c765fe4862397"),
+    ("clayton", 2, (-1.0,), 5,
+     "674b62d89803b021f7fc4cd47e31f1280fd5e38201a0e3db22422ffec7d4f3d5"),
+    ("clayton", 2, (-0.5,), 6,
+     "aba53d4de8670a900c20ccd21b7a4bc24d5018680a7d049fffb63b812e1775d9"),
+    ("clayton", 2, (2.0,), 7,
+     "6eb2b4704a5e88cd8a8972ca805f1d7308971505b961811a564c9ae362e215c1"),
+    ("clayton", 3, (1.5,), 8,
+     "dddc47af0c92c1c082093122c66311d33e0c49941a5f925395a4b015f954d3e6"),
+    ("frank", 2, (-4.0,), 9,
+     "a655ed078da24ebce588e69813851ba62f2956ff8bb8d1d0a373b4ae16215943"),
+    ("frank", 2, (5.0,), 10,
+     "1ddd7f7bc6080c5e2b981a68c3f6958efa58382a1de107452a6b3de1754de352"),
+    ("frank", 3, (3.0,), 11,
+     "cdbf1e648d2de1fa698f1fe0a970c2a88c444460d7709da0685bc95f9a2c2df1"),
+    ("frank", 2, (30.0,), 12,
+     "af479032dde99fa93d8311239fc2101a073d0e03208035a596cfc976ebfd02d0"),
+    ("gumbel_hougaard", 2, (1.0,), 13,
+     "d7b1b8f6b99d569bc229398ca3e3622e32987327a001c91ecd4f6adf068f3cb6"),
+    ("gumbel_hougaard", 2, (2.0,), 14,
+     "c18ada5ab9f6630b43277295f13c17edb1dbc9dacefcec8175fe003ca9373484"),
+    ("gumbel_hougaard", 3, (1.5,), 15,
+     "56595f774e69f027d14d433fd39f9fc2aa76ec99b322d9ef8f6386d2521c509e"),
+    ("joe", 2, (1.0,), 16,
+     "d019a685164d0d98e2e570bac6ca911baf77d62ada7bbe48813e198aaf6b71c9"),
+    ("joe", 2, (2.5,), 17,
+     "be21f282a787c3df5328f3f5540296831f43fd2fa1e786541d986561a4e240c3"),
+    ("joe", 3, (3.0,), 18,
+     "ae44c4d2d56347732cbdb8df26ac9debcb9bce6b2870387d761addaba05c6f0b"),
+    ("fgm", 2, (0.0,), 19,
+     "390baee7e8b778e3f04a50fd471b1575c32d9da8fb57f90d4aa9cd520374e5dc"),
+    ("fgm", 2, (-1.0,), 20,
+     "e8232aa8929deb8ad641f455daddda63ef36008f7f465697bf95bc84a135da51"),
+    ("fgm", 2, (0.7,), 21,
+     "6c85eb37c572862a534ad745297c80d9ce5065f7e4d7e2b01ed3bef4ad7e54fc"),
+    ("gaussian", 2, (0.5,), 22,
+     "296ddda4bf69078c8b655cc0ce4bbd9444de673b612ad768e68605d75e417b23"),
+    ("gaussian", 3, (0.3, 0.2, 0.5), 23,
+     "713d2fbb7c6db1f6c425c76a41257de0a8b2b7b89362cf97966cdefccaddfd45"),
+    ("frank", 2, (37.0,), 24,
+     "c37b09d0318819c6e3b3338eae98d09631dab75ff428a4d79e539b12bc95249d"),
+    ("frank", 3, (37.0,), 25,
+     "82aa84deec431a76cb71fa0547030f5efdeee78cca902d429ef33ff4b54d46aa"),
+]
+
+
+class TestSamplePins:
+    @pytest.mark.parametrize("fam,dim,params,seed,digest", SAMPLE_PINS)
+    def test_sample_bits(self, fam, dim, params, seed, digest):
+        X = CopulaModel(fam, dim, params).sample(257, seed)
+        assert hashlib.sha256(X.tobytes()).hexdigest() == digest
+
+
+# Parameters spanning each family's validated range; the unbounded ones
+# run to 1e4.  Each tuple is tried at k = 2 and k = 3 and kept wherever
+# validation accepts it.
+_PARAM_RANGE = {
+    "product": [()], "min": [()], "lower_bound_w": [()],
+    "clayton": [(-1.0,), (-0.999,), (-0.5,), (-1e-9,), (1e-9,), (0.5,),
+                (5.0,), (50.0,), (1e3,), (1e4,)],
+    "frank": [(-700.0,), (-100.0,), (-38.0,), (-1e-9,), (1e-9,), (5.0,),
+              (37.0,), (38.0,), (50.0,), (100.0,), (700.0,)],
+    "gumbel_hougaard": [(1.0,), (1.0 + 1e-9,), (1.5,), (10.0,), (100.0,),
+                        (1e3,), (1e4,)],
+    "joe": [(1.0,), (1.0 + 1e-9,), (1.5,), (10.0,), (100.0,), (1e3,),
+            (1e4,)],
+    "gaussian": [(-0.999999,), (0.999999,), (0.9, 0.9, 0.9),
+                 (-0.45, -0.45, -0.45)],
+    "fgm": [(-1.0,), (0.0,), (1.0,)],
+    "marshall_olkin": [(0.0, 1.0), (0.3, 0.7)],
+    "cuadras_auge": [(0.0,), (1.0,), (0.2, 0.5, 1.0)],
+    "gumbel_barnett": [(1e-9,), (1.0,)],
+    "nelsen_4212": [(1.0,), (1e4,)],
+}
+
+
+def _range_models():
+    models = []
+    for fam in FAMILIES:
+        for params in _PARAM_RANGE[fam]:
+            for dim in (2, 3):
+                try:
+                    models.append(CopulaModel(fam, dim, params))
+                except (ParamOutOfRange, DimensionUnsupported):
+                    pass
+    return models
+
+
+class TestSamplerRange:
+    def test_every_family_covered(self):
+        assert {m.family for m in _range_models()} == set(FAMILIES)
+
+    @pytest.mark.parametrize("model", _range_models(), ids=repr)
+    def test_draws_inside_open_cube_or_unavailable(self, model):
+        for seed in range(5):
+            try:
+                X = model.sample(64, seed)
+            except SamplerUnavailable:
+                return
+            assert X.shape == (64, model.dim)
+            assert np.all(np.isfinite(X)), seed
+            assert X.min() > 0.0 and X.max() < 1.0, seed
+
+    def test_kemp_logseries_pmf(self):
+        theta = 3.0
+        v = _logseries_kemp(theta, np.random.default_rng(8), 200_000)
+        p = -np.expm1(-theta)
+        for m in range(1, 9):
+            pmf = logser.pmf(m, p)
+            se = np.sqrt(pmf * (1.0 - pmf) / len(v))
+            assert abs(np.mean(v == m) - pmf) <= 4.0 * se, m
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_frank_tau_beyond_logser_range(self, dim):
+        # -expm1(-50) rounds to 1, so the frailty comes from Kemp's LK
+        model = CopulaModel("frank", dim, (50.0,))
+        taus = []
+        for seed in range(20):
+            X = model.sample(500, seed)
+            taus.append(np.mean([kendall_tau(X[:, i], X[:, j])
+                                 for i in range(dim) for j in range(i)]))
+        se = np.std(taus, ddof=1) / np.sqrt(len(taus))
+        assert abs(np.mean(taus) - frank_tau(50.0)) <= 3.0 * se
 
 
 class TestMixture:

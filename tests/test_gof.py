@@ -13,7 +13,7 @@ from copulameasures import (
     rank_with_random_ties,
     select_copula,
     t_statistic,
-    t_statistic_uniform,
+    xlog_ratio,
 )
 from copulameasures.errors import DimensionMismatch, NotFittable
 
@@ -69,7 +69,12 @@ class TestStatistic:
         model = CopulaModel("frank", 2, (3.0,))
         rs = rank_with_random_ties(model.sample(400, seed=9), 0)
         t_pseudo = t_statistic(rs, model)
-        t_unif = t_statistic_uniform(rs, model, 40000, seed=1)
+        # the same integrand averaged over uniform draws instead of the
+        # pseudo-observations
+        U = np.random.default_rng(1).random((40000, 2))
+        chat = EmpiricalBetaCopula(rs).cdf_many(U)
+        ctheta = np.maximum(model.cdf_many(U), 1e-300)
+        t_unif = np.mean(xlog_ratio(chat, ctheta))
         assert abs(t_pseudo - t_unif) < 5e-4
 
 
@@ -169,6 +174,15 @@ class TestPower:
         powers = [power_study(null, true, n, cfg) for n in (100, 150, 200, 250)]
         for lo, hi in zip(powers, powers[1:]):
             assert hi >= lo - 1.5
+
+    def test_estimate_each_rep_worker_invariant(self):
+        # one nested bootstrap per dataset, spread over one pool
+        null = CopulaModel("clayton", 2, (1.0,))
+        true = CopulaModel("gaussian", 2, (0.5,))
+        a, b = (power_study(null, true, 30, GofConfig(reps=100, seed=7,
+                                                      workers=w))
+                for w in (1, 2))
+        assert a == b
 
 
 class TestSelect:
