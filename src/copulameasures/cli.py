@@ -247,13 +247,14 @@ def cmd_calibrate(args, argv) -> int:
 
 
 def cmd_power(args, argv) -> int:
-    null_model = _model_from_args(args.null_family, args.dim, args.null_params)
+    null_params = _parse_params(args.null_params)
     true_model = _model_from_args(args.true_family, args.dim, args.true_params)
     cfg = _gof_cfg(args)
-    pct = gof.power_study(null_model, true_model, args.n, cfg)
+    pct = gof.power_study(args.null_family, true_model, args.n, cfg,
+                          null_params or None)
     return _emit(args, argv,
-                 {"null_family": null_model.family,
-                  "null_params": list(null_model.params),
+                 {"null_family": args.null_family,
+                  "null_params": list(null_params),
                   "true_family": true_model.family,
                   "true_params": list(true_model.params),
                   "dim": args.dim, "n": args.n, "reps": cfg.reps,
@@ -354,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("power", help="rejection percentage under a true model")
     sp.add_argument("--null-family", required=True, dest="null_family",
                     choices=FAMILIES)
-    sp.add_argument("--null-params", default=None, dest="null_params")
+    sp.add_argument("--null-params", default=None, dest="null_params",
+                    help="required in known_params mode")
     sp.add_argument("--true-family", required=True, dest="true_family",
                     choices=FAMILIES)
     sp.add_argument("--true-params", default=None, dest="true_params")

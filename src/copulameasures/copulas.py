@@ -114,7 +114,6 @@ class CopulaModel(Copula):
 
     # populated by __post_init__, excluded from equality
     _corr: np.ndarray | None = field(default=None, compare=False, repr=False)
-    _chol: np.ndarray | None = field(default=None, compare=False, repr=False)
     _ca_thetas: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -193,9 +192,8 @@ class CopulaModel(Copula):
             corr = corr_from_upper_triangle(k, p)
             if np.any(np.abs(np.asarray(p)) >= 1.0):
                 raise CorrelationNotPD("off-diagonal correlations must be in (-1, 1)")
-            chol = mvnorm.cholesky_corr(corr)
+            mvnorm.cholesky_corr(corr)
             object.__setattr__(self, "_corr", corr)
-            object.__setattr__(self, "_chol", chol)
 
     # -- evaluation ----------------------------------------------------
 
@@ -258,9 +256,7 @@ class CopulaModel(Copula):
             t = ((1.0 / U - 1.0) ** th).sum(axis=1)
             return 1.0 / (1.0 + t ** (1.0 / th))
         if fam == "gaussian":
-            X = ndtri(np.clip(U, 1e-300, 1.0))
-            X = np.clip(X, -mvnorm._X_CLIP, mvnorm._X_CLIP)
-            return mvnorm.mvn_cdf_many(self._corr, X)
+            return mvnorm.mvn_cdf_many(self._corr, ndtri(np.clip(U, 1e-300, 1.0)))
         if fam == "fgm":
             th = self.params[0]
             u, v = U[:, 0], U[:, 1]
@@ -297,7 +293,7 @@ class CopulaModel(Copula):
             u = rng.random(n)
             out = np.column_stack([u, 1.0 - u])
         elif fam == "gaussian":
-            out = ndtr(rng.standard_normal((n, k)) @ self._chol.T)
+            out = ndtr(rng.standard_normal((n, k)) @ np.linalg.cholesky(self._corr).T)
         elif fam == "fgm" or (fam in ("clayton", "frank") and th < 0):
             u = rng.random(n)
             out = np.column_stack([u, self._conditional_inverse(u, rng.random(n))])

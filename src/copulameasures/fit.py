@@ -27,6 +27,7 @@ from .errors import (
 
 FITTABLE_FAMILIES = ("clayton", "frank", "gumbel_hougaard", "joe", "gaussian",
                      "product")
+_EIG_FLOOR = 1e-6  # smallest eigenvalue nearest_pd_correlation keeps
 
 
 @dataclass(frozen=True)
@@ -129,12 +130,12 @@ def _solve_monotone(tau_of, target, lo, hi):
         raise NoConvergence(str(exc)) from exc
 
 
-def nearest_pd_correlation(corr: np.ndarray, floor: float = 1e-6) -> np.ndarray:
-    """Eigenvalue clipping followed by correlation renormalization."""
+def nearest_pd_correlation(corr: np.ndarray) -> np.ndarray:
+    """Eigenvalues clipped to 1e-6, then correlation renormalization."""
     vals, vecs = np.linalg.eigh(corr)
-    if vals.min() > floor:
+    if vals.min() > _EIG_FLOOR:
         return corr
-    fixed = (vecs * np.maximum(vals, floor)) @ vecs.T
+    fixed = (vecs * np.maximum(vals, _EIG_FLOOR)) @ vecs.T
     d = np.sqrt(np.diag(fixed))
     return fixed / np.outer(d, d)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import fit
-from .copulas import CopulaModel
+from .copulas import _PARAM_FREE, CopulaModel
 from .cubature import IntegrationConfig, xlog_ratio
 from .empirical import EmpiricalBetaCopula, RankedSample, rank_with_random_ties
 from .errors import DimensionMismatch, NotFittable
@@ -134,6 +134,14 @@ def _percentile(stats: np.ndarray, cfg: GofConfig) -> float:
     return float(np.sort(stats)[percentile_index(cfg.reps, cfg.alpha) - 1])
 
 
+def _known_model(family: str, k: int, params: tuple | None) -> CopulaModel:
+    """The null that known_params mode holds fixed; it needs parameters
+    unless the family has none."""
+    if params is None and family not in _PARAM_FREE:
+        raise NotFittable("known_params mode needs explicit parameters")
+    return CopulaModel(family, k, tuple(params or ()))
+
+
 def bootstrap_test(data: np.ndarray, family: str, cfg: GofConfig,
                    params: tuple | None = None) -> GofReport:
     """Five-step parametric bootstrap test of one family against data.
@@ -145,9 +153,7 @@ def bootstrap_test(data: np.ndarray, family: str, cfg: GofConfig,
     data = np.atleast_2d(np.asarray(data, dtype=float))
     n, k = data.shape
     if cfg.param_mode == "known_params":
-        if params is None and family not in ("product",):
-            raise NotFittable("known_params mode needs explicit parameters")
-        fitted = fit.FitResult(CopulaModel(family, k, tuple(params or ())),
+        fitted = fit.FitResult(_known_model(family, k, params),
                                "known_params", ())
     else:
         fitted = fit.estimate(family, data)
@@ -174,24 +180,23 @@ def calibrate_percentile(model: CopulaModel, n: int, cfg: GofConfig) -> float:
                        cfg)
 
 
-def power_study(null_model: CopulaModel, true_model: CopulaModel, n: int,
-                cfg: GofConfig) -> float:
-    """Percentage of datasets from true_model rejected against null_model.
+def power_study(null_family: str, true_model: CopulaModel, n: int,
+                cfg: GofConfig, null_params: tuple | None = None) -> float:
+    """Percentage of datasets from true_model rejected against the null.
 
-    The default known-parameter convention calibrates the percentile
-    once under the null; estimate_each_rep runs a full nested bootstrap
-    per dataset and costs reps^2 statistics.
+    As in :func:`bootstrap_test`, known_params holds the null's parameters
+    fixed and calibrates the percentile once; estimate_each_rep ignores
+    them and runs a full nested bootstrap per dataset, reps^2 statistics.
     """
-    if null_model.dim != true_model.dim:
-        raise DimensionMismatch("null and true models differ in dimension")
     data_base = substream_seed(cfg.seed, _PHASE_POWER_DATA)
     if cfg.param_mode == "known_params":
+        null_model = _known_model(null_family, true_model.dim, null_params)
         pct = calibrate_percentile(null_model, n, cfg)
         stats = _statistics(true_model, null_model, n, data_base, cfg,
                             refit=False)
         return 100.0 * float(np.mean(stats >= pct))
     # one pool over the datasets; each nested bootstrap runs serially
-    tasks = [(true_model, null_model.family, n,
+    tasks = [(true_model, null_family, n,
               replace(cfg, seed=substream_seed(data_base, r), workers=1))
              for r in range(cfg.reps)]
     rejections = _run(_power_task, tasks, cfg.workers, chunksize=1)

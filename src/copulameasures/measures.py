@@ -26,6 +26,7 @@ from .cubature import (Estimate, IntegrationConfig, integrate_unit_cube,
 from .errors import DimensionMismatch, DivergenceInfinite
 
 _CCKL_FLOOR = 1e-300
+_GRID_TOL = 1e-9  # slack of concordance_leq_on_grid
 
 
 def spearman_n(k: int) -> float:
@@ -52,9 +53,6 @@ def fcce(model, r: float, cfg: IntegrationConfig | None = None) -> Estimate:
     """Fractional cumulative copula entropy of order r in [0, 1]."""
     if not 0.0 <= r <= 1.0:
         raise ValueError("fractional order r must lie in [0, 1]")
-    if r == 0.0:
-        return b_k(model, cfg)
-
     def transform(c):
         out = np.zeros_like(c)
         pos = c > 0.0
@@ -113,9 +111,8 @@ def cckl(model1, model2, cfg: IntegrationConfig | None = None) -> Estimate:
     return integrate_unit_cube(integrand, model1.dim, cfg)
 
 
-def concordance_leq_on_grid(model1, model2, grid_pts: int = 17,
-                            tol: float = 1e-9) -> bool:
-    """True iff C1 <= C2 + tol on the uniform grid with grid_pts per axis."""
+def concordance_leq_on_grid(model1, model2, grid_pts: int = 17) -> bool:
+    """True iff C1 <= C2 + 1e-9 on the uniform grid with grid_pts per axis."""
     if model1.dim != model2.dim:
         raise DimensionMismatch("concordance needs copulas of equal dimension")
     k = model1.dim
@@ -123,4 +120,4 @@ def concordance_leq_on_grid(model1, model2, grid_pts: int = 17,
         raise ValueError("grid too large")
     axis = np.linspace(0.0, 1.0, grid_pts)
     grid = np.stack(np.meshgrid(*([axis] * k), indexing="ij"), axis=-1).reshape(-1, k)
-    return bool(np.all(model1.cdf_many(grid) <= model2.cdf_many(grid) + tol))
+    return bool(np.all(model1.cdf_many(grid) <= model2.cdf_many(grid) + _GRID_TOL))

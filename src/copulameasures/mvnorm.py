@@ -10,8 +10,9 @@ Three regimes, all deterministic:
 * k >= 4: separation-of-variables transform to the unit cube, integrated
   with scrambled Sobol points under a fixed internal seed.
 
-Booleans aside, correlation inputs are full matrices; validation happens
-through the Cholesky factorization.
+Correlation inputs are full matrices, validated by ``mvn_cdf``;
+``mvn_cdf_many`` evaluates for a matrix its caller has validated.  Scores
+are clipped to +-38 where a point enters, so infinite ones give limits.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ import numpy as np
 from scipy.special import ndtr, ndtri, owens_t
 
 from .cubature import Estimate, _integrate_qmc
-from .errors import CorrelationNotPD
+from .errors import CorrelationNotPD, DimensionUnsupported, ToleranceNotReached
 
 _INTERNAL_QMC_SEED = 0x6D764E
 _X_CLIP = 38.0  # ndtr saturates to 0/1 beyond this
+_ABS_TOL = 1e-8  # of one QMC value, k >= 4
 
 
 def cholesky_corr(corr: np.ndarray) -> np.ndarray:
@@ -65,12 +67,6 @@ def bvn_cdf(x1, x2, rho: float):
     return np.clip(p, 0.0, 1.0)
 
 
-def _gl_nodes(n: int, a: float, b: float):
-    x, w = np.polynomial.legendre.leggauss(n)
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w
-
-
 def _tvn_path_term(b_i, b_j, b_m, r_ij, r_base, r_other, n_nodes):
     """One correlation-path integral for the trivariate CDF.
 
@@ -82,7 +78,9 @@ def _tvn_path_term(b_i, b_j, b_m, r_ij, r_base, r_other, n_nodes):
     """
     if r_ij == 0.0:
         return 0.0
-    theta, w = _gl_nodes(n_nodes, 0.0, np.arcsin(r_ij))
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    half = 0.5 * np.arcsin(r_ij)
+    theta, w = half * (x + 1.0), half * w  # nodes on [0, arcsin r_ij]
     sin_t = np.sin(theta)
     cos2 = np.cos(theta) ** 2
     t = sin_t / r_ij  # path position in [0, 1]
@@ -107,7 +105,7 @@ def tvn_cdf(x: np.ndarray, corr: np.ndarray) -> np.ndarray:
     perm_by_pair = {0: (0, 1, 2), 1: (0, 2, 1), 2: (1, 2, 0)}
     pair = int(np.argmax([abs(r21), abs(r31), abs(r32)]))
     p = perm_by_pair[pair]
-    b = np.clip(x[:, p], -_X_CLIP, _X_CLIP)
+    b = x[:, p]
     c = corr[np.ix_(p, p)]
     rb, ra, rc = c[0, 1], c[0, 2], c[1, 2]  # base, path(1,3), path(2,3)
 
@@ -119,14 +117,12 @@ def tvn_cdf(x: np.ndarray, corr: np.ndarray) -> np.ndarray:
     return np.clip(base + (t1 + t2) / (2.0 * np.pi), 0.0, 1.0)
 
 
-def _mvn_qmc(x: np.ndarray, chol: np.ndarray, abs_tol: float,
-             max_evals: int) -> Estimate:
+def _mvn_qmc(x: np.ndarray, corr: np.ndarray, abs_tol: float) -> Estimate:
     """Separation-of-variables QMC estimate of P(Z <= x), k >= 3."""
     k = len(x)
     order = np.argsort(x)
-    corr = (chol @ chol.T)[np.ix_(order, order)]
-    L = np.linalg.cholesky(corr)
-    b = np.clip(x[order], -_X_CLIP, _X_CLIP)
+    L = np.linalg.cholesky(corr[np.ix_(order, order)])
+    b = x[order]
 
     def integrand(w: np.ndarray) -> np.ndarray:
         m = w.shape[0]
@@ -142,13 +138,12 @@ def _mvn_qmc(x: np.ndarray, chol: np.ndarray, abs_tol: float,
 
     # rel_tol 0: the tolerance is absolute, as documented on mvn_cdf
     est = _integrate_qmc(integrand, k - 1, _INTERNAL_QMC_SEED, 2048, abs_tol,
-                         0.0, max_evals)
+                         0.0, 1_000_000)
     return replace(est, value=float(np.clip(est.value, 0.0, 1.0)))
 
 
-def mvn_cdf(corr: np.ndarray, x, abs_tol: float = 1e-8,
-            max_evals: int = 1_000_000) -> Estimate:
-    """P(Z <= x) for Z ~ N(0, corr) with an estimated error bound."""
+def mvn_cdf(corr: np.ndarray, x, abs_tol: float = _ABS_TOL) -> Estimate:
+    """P(Z <= x) for Z ~ N(0, corr), k >= 2; abs_tol binds from k = 4 on."""
     if abs_tol <= 0:
         raise ValueError("abs_tol must be positive")
     corr = np.asarray(corr, dtype=float)
@@ -156,8 +151,8 @@ def mvn_cdf(corr: np.ndarray, x, abs_tol: float = 1e-8,
     k = len(x)
     if k != corr.shape[0]:
         raise ValueError("point dimension does not match correlation")
-    if k == 1:
-        return Estimate(float(ndtr(x[0])), 1e-15, 1)
+    if k < 2:
+        raise DimensionUnsupported("mvn_cdf needs dimension k >= 2")
     if k == 2:
         # the comonotone and countermonotone boundaries are valid limits
         rho = float(corr[0, 1])
@@ -165,23 +160,23 @@ def mvn_cdf(corr: np.ndarray, x, abs_tol: float = 1e-8,
             raise CorrelationNotPD("invalid bivariate correlation matrix")
         if abs(rho) > 1.0:
             raise CorrelationNotPD(f"|rho| = {abs(rho)} exceeds 1")
-        v = float(bvn_cdf(x[0], x[1], rho))
-        return Estimate(v, 5e-15, 1)
-    chol = cholesky_corr(corr)
+        return Estimate(float(mvn_cdf_many(corr, x)[0]), 5e-15, 1)
+    cholesky_corr(corr)
     if k == 3:
-        v = float(tvn_cdf(x[None, :], np.asarray(corr, dtype=float))[0])
-        return Estimate(v, 5e-10, 256 * 2)
-    return _mvn_qmc(x, chol, abs_tol, max_evals)
+        return Estimate(float(mvn_cdf_many(corr, x)[0]), 5e-10, 512)
+    return _mvn_qmc(np.clip(x, -_X_CLIP, _X_CLIP), corr, abs_tol)
 
 
-def mvn_cdf_many(corr: np.ndarray, X: np.ndarray,
-                 abs_tol: float = 1e-8) -> np.ndarray:
-    """Vectorized P(Z <= x) over the rows of X (loops for k >= 4)."""
+def mvn_cdf_many(corr: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """P(Z <= x) over the rows of X for a correlation its caller validated."""
     corr = np.asarray(corr, dtype=float)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.clip(np.atleast_2d(np.asarray(X, dtype=float)), -_X_CLIP, _X_CLIP)
     k = corr.shape[0]
     if k == 2:
         return np.asarray(bvn_cdf(X[:, 0], X[:, 1], float(corr[0, 1])))
     if k == 3:
         return tvn_cdf(X, corr)
-    return np.array([mvn_cdf(corr, row, abs_tol=abs_tol).value for row in X])
+    try:
+        return np.array([_mvn_qmc(x, corr, _ABS_TOL).value for x in X])
+    except ToleranceNotReached as exc:  # a CDF value, not the caller's estimate
+        raise ToleranceNotReached(f"normal CDF at one point: {exc}") from exc

@@ -116,6 +116,22 @@ class TestCommands:
         assert code == EXIT_OK
         assert json.loads(out)["outputs"]["rejection_percent"] > 50
 
+    @pytest.mark.slow
+    def test_power_null_params_only_for_known_params(self, capsys):
+        # estimate_each_rep re-fits every dataset to the null family, so
+        # the null's parameters are optional there and ignored if given
+        argv = ["power", "--null-family", "clayton", "--true-family",
+                "gaussian", "--true-params", "0.5", "--n", "30", "--reps",
+                "100", "--seed", "7", "--workers", "2", "--param-mode"]
+        pct = []
+        for extra in ([], ["--null-params", "1.0"]):
+            code, out = run_cli(argv + ["estimate_each_rep"] + extra, capsys)
+            assert code == EXIT_OK
+            pct.append(json.loads(out)["outputs"]["rejection_percent"])
+        assert pct[0] == pct[1]
+        code, _ = run_cli(argv + ["known_params"], capsys)
+        assert code == EXIT_ERROR
+
     def test_select_command(self, gauss_csv, capsys):
         code, out = run_cli(["select", "--data", gauss_csv, "--cols", "x,y",
                              "--families", "gaussian,product", "--reps", "100",

@@ -16,6 +16,8 @@ from copulameasures.errors import (
 )
 from copulameasures.fit import frank_tau, kendall_tau
 
+from conftest import model_zoo
+
 
 class TestValidate:
     def test_valid_examples(self):
@@ -62,6 +64,66 @@ class TestValidate:
         m = CopulaModel("clayton", 2, (1.0,))
         with pytest.raises(Exception):
             m.params = (2.0,)
+
+
+# Parameters spanning each family's validated range; the unbounded ones
+# run to 1e4.  Each tuple is tried at k = 2 and k = 3 and kept wherever
+# validation accepts it.
+_PARAM_RANGE = {
+    "product": [()], "min": [()], "lower_bound_w": [()],
+    "clayton": [(-1.0,), (-0.999,), (-0.5,), (-1e-9,), (1e-9,), (0.5,),
+                (5.0,), (50.0,), (1e3,), (1e4,)],
+    "frank": [(-700.0,), (-100.0,), (-38.0,), (-1e-9,), (1e-9,), (5.0,),
+              (37.0,), (38.0,), (50.0,), (100.0,), (700.0,)],
+    "gumbel_hougaard": [(1.0,), (1.0 + 1e-9,), (1.5,), (10.0,), (100.0,),
+                        (1e3,), (1e4,)],
+    "joe": [(1.0,), (1.0 + 1e-9,), (1.5,), (10.0,), (100.0,), (1e3,),
+            (1e4,)],
+    "gaussian": [(-0.999999,), (0.999999,), (0.9, 0.9, 0.9),
+                 (-0.45, -0.45, -0.45)],
+    "fgm": [(-1.0,), (0.0,), (1.0,)],
+    "marshall_olkin": [(0.0, 1.0), (0.3, 0.7)],
+    "cuadras_auge": [(0.0,), (1.0,), (0.2, 0.5, 1.0)],
+    "gumbel_barnett": [(1e-9,), (1.0,)],
+    "nelsen_4212": [(1.0,), (1e4,)],
+}
+
+
+def _range_models():
+    models = []
+    for fam in FAMILIES:
+        for params in _PARAM_RANGE[fam]:
+            for dim in (2, 3):
+                try:
+                    models.append(CopulaModel(fam, dim, params))
+                except (ParamOutOfRange, DimensionUnsupported):
+                    pass
+    return models
+
+
+# C(u, 1, ..., 1) = u fails on these models of the range, all through
+# the CDF formulas: the measured max |C - u| at k = 2 (and k = 3 where
+# the model exists) over the margin test's points
+_MARGIN_DEFECTS = {
+    ("clayton", (-1e-9,)): "9e-8: sum u^-alpha - (k-1) cancels near 0",
+    ("clayton", (1e-9,)): "2e-7: sum u^-alpha - (k-1) cancels near 0",
+    ("clayton", (1e3,)): "0.43: u^-alpha overflows and C falls to 0",
+    ("clayton", (1e4,)): "0.81: u^-alpha overflows and C falls to 0",
+    ("frank", (-700.0,)): "0.94: the expm1(-theta u) product overflows, C = 1",
+    ("frank", (1e-9,)): "1.8e-7: the generator's log terms cancel near 0",
+    ("joe", (1e3,)): "0.44: (1-u)^theta underflows and C rounds to 1",
+    ("joe", (1e4,)): "0.91: (1-u)^theta underflows and C rounds to 1",
+    ("nelsen_4212", (1e4,)): "0.44: (1/u - 1)^theta underflows and C = 1",
+}
+
+
+def _margin_cases():
+    cases = []
+    for m in model_zoo(np.random.default_rng(20240801)) + _range_models():
+        reason = _MARGIN_DEFECTS.get((m.family, m.params))
+        marks = [pytest.mark.xfail(strict=True, reason=reason)] if reason else []
+        cases.append(pytest.param(m, marks=marks, id=repr(m)))
+    return cases
 
 
 class TestCdf:
@@ -117,16 +179,14 @@ class TestCdf:
                     + m.cdf_many(a))
             assert mass.min() >= -1e-9, m
 
-    def test_uniform_margins(self, zoo):
-        rng = np.random.default_rng(2)
-        for m in zoo:
-            k = m.dim
-            u = rng.random(20)
-            for j in range(k):
-                pts = np.ones((20, k))
-                pts[:, j] = u
-                tol = 1e-8 if m.family == "gaussian" else 1e-12
-                assert np.allclose(m.cdf_many(pts), u, atol=tol), m
+    @pytest.mark.parametrize("m", _margin_cases())
+    def test_uniform_margins(self, m):
+        u = np.random.default_rng(2).random(20)
+        for j in range(m.dim):
+            pts = np.ones((20, m.dim))
+            pts[:, j] = u
+            tol = 1e-8 if m.family == "gaussian" else 1e-12
+            assert np.abs(m.cdf_many(pts) - u).max() <= tol, j
 
     def test_gaussian_identity_is_product(self):
         m3 = CopulaModel("gaussian", 3, (0.0, 0.0, 0.0))
@@ -302,41 +362,6 @@ class TestSamplePins:
     def test_sample_bits(self, fam, dim, params, seed, digest):
         X = CopulaModel(fam, dim, params).sample(257, seed)
         assert hashlib.sha256(X.tobytes()).hexdigest() == digest
-
-
-# Parameters spanning each family's validated range; the unbounded ones
-# run to 1e4.  Each tuple is tried at k = 2 and k = 3 and kept wherever
-# validation accepts it.
-_PARAM_RANGE = {
-    "product": [()], "min": [()], "lower_bound_w": [()],
-    "clayton": [(-1.0,), (-0.999,), (-0.5,), (-1e-9,), (1e-9,), (0.5,),
-                (5.0,), (50.0,), (1e3,), (1e4,)],
-    "frank": [(-700.0,), (-100.0,), (-38.0,), (-1e-9,), (1e-9,), (5.0,),
-              (37.0,), (38.0,), (50.0,), (100.0,), (700.0,)],
-    "gumbel_hougaard": [(1.0,), (1.0 + 1e-9,), (1.5,), (10.0,), (100.0,),
-                        (1e3,), (1e4,)],
-    "joe": [(1.0,), (1.0 + 1e-9,), (1.5,), (10.0,), (100.0,), (1e3,),
-            (1e4,)],
-    "gaussian": [(-0.999999,), (0.999999,), (0.9, 0.9, 0.9),
-                 (-0.45, -0.45, -0.45)],
-    "fgm": [(-1.0,), (0.0,), (1.0,)],
-    "marshall_olkin": [(0.0, 1.0), (0.3, 0.7)],
-    "cuadras_auge": [(0.0,), (1.0,), (0.2, 0.5, 1.0)],
-    "gumbel_barnett": [(1e-9,), (1.0,)],
-    "nelsen_4212": [(1.0,), (1e4,)],
-}
-
-
-def _range_models():
-    models = []
-    for fam in FAMILIES:
-        for params in _PARAM_RANGE[fam]:
-            for dim in (2, 3):
-                try:
-                    models.append(CopulaModel(fam, dim, params))
-                except (ParamOutOfRange, DimensionUnsupported):
-                    pass
-    return models
 
 
 class TestSamplerRange:

@@ -169,18 +169,17 @@ class TestPower:
         # up to 1.5-point noise)
         cfg = GofConfig(reps=1000 if FULL else 600, alpha=0.05, seed=17,
                         param_mode="known_params")
-        null = CopulaModel("product", 2)
         true = CopulaModel("clayton", 2, (2.0,))
-        powers = [power_study(null, true, n, cfg) for n in (100, 150, 200, 250)]
+        powers = [power_study("product", true, n, cfg)
+                  for n in (100, 150, 200, 250)]
         for lo, hi in zip(powers, powers[1:]):
             assert hi >= lo - 1.5
 
     def test_estimate_each_rep_worker_invariant(self):
         # one nested bootstrap per dataset, spread over one pool
-        null = CopulaModel("clayton", 2, (1.0,))
         true = CopulaModel("gaussian", 2, (0.5,))
-        a, b = (power_study(null, true, 30, GofConfig(reps=100, seed=7,
-                                                      workers=w))
+        a, b = (power_study("clayton", true, 30, GofConfig(reps=100, seed=7,
+                                                           workers=w))
                 for w in (1, 2))
         assert a == b
 

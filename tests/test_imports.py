@@ -1,5 +1,6 @@
-"""No library module imports a name it never uses, and no private
-module-level name goes unreferenced in the package.
+"""No library module imports a name it never uses, no private
+module-level name goes unreferenced in the package, and the package
+exports exactly what ``__init__.py`` imports.
 
 Stdlib ``ast`` checks standing in for a linter's unused-import and
 dead-code rules.  ``__init__.py`` is exempt from the first: its imports
@@ -10,6 +11,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import copulameasures
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "copulameasures"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -90,3 +93,11 @@ def test_no_dead_private_names():
     sources = {p.stem: p.read_text(encoding="utf-8")
                for p in sorted(PACKAGE.glob("*.py"))}
     assert dead_private_names(sources) == []
+
+
+def test_all_lists_exactly_the_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names]
+    assert sorted(copulameasures.__all__) == sorted(imported)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from copulameasures import IntegrationConfig, integrate_unit_cube, mvn_cdf, mvn_cdf_many
-from copulameasures.errors import CorrelationNotPD
+from copulameasures import (CopulaModel, IntegrationConfig, cce,
+                            integrate_unit_cube, mvn_cdf, mvn_cdf_many)
+from copulameasures.errors import (CorrelationNotPD, DimensionUnsupported,
+                                   ToleranceNotReached)
 from copulameasures.mvnorm import bvn_cdf, tvn_cdf
 
 
@@ -51,6 +53,27 @@ def test_comonotone_limit():
     got = mvn_cdf(np.array([[1.0, 1.0 - 1e-17], [1.0 - 1e-17, 1.0]]),
                   [0.0, 0.0])
     assert got.value == pytest.approx(0.5, abs=1e-10)
+
+
+@pytest.mark.parametrize("x,limit", [([np.inf, 0.0], 0.5), ([0.0, np.inf], 0.5),
+                                     ([-np.inf, 0.0], 0.0), ([0.0, -np.inf], 0.0)])
+def test_bivariate_infinite_coordinate_is_the_limit(x, limit):
+    got = mvn_cdf(np.array([[1.0, 0.5], [0.5, 1.0]]), x)
+    assert got.value == pytest.approx(limit, abs=1e-15)
+
+
+def test_one_dimension_unsupported():
+    with pytest.raises(DimensionUnsupported):
+        mvn_cdf(np.eye(1), [0.0])
+
+
+def test_measure_failure_carries_no_cdf_estimate():
+    # one k=4 CDF value misses 1e-8 within its budget; that value is not
+    # an estimate of the measure, so none rides on the error
+    model = CopulaModel("gaussian", 4, (0.5, 0.3, 0.4, 0.2, 0.3, 0.5))
+    with pytest.raises(ToleranceNotReached) as exc:
+        cce(model)
+    assert exc.value.estimate is None
 
 
 def test_trivariate_orthant_identity():
