@@ -115,12 +115,6 @@ def _parse_stat(text: str) -> tuple[str, tuple]:
     return name, ()
 
 
-def _integration_cfg(args) -> IntegrationConfig:
-    return IntegrationConfig(method=getattr(args, "method", "auto"),
-                             abs_tol=getattr(args, "tol", None),
-                             qmc_seed=getattr(args, "qmc_seed", 0))
-
-
 def _model_from_args(family: str, dim: int, params: str | None) -> CopulaModel:
     return CopulaModel(family, dim, _parse_params(params))
 
@@ -169,7 +163,7 @@ def cmd_measure(args, argv) -> int:
     model = _model_from_args(args.family, args.dim, args.params)
     stat, order = _parse_stat(args.stat)
     spec = _STATS[stat]
-    est = spec.measure(model, *order, _integration_cfg(args))
+    est = spec.measure(model, *order, IntegrationConfig(abs_tol=args.tol))
     return _emit(args, argv,
                  {"family": model.family, "dim": model.dim,
                   "params": list(model.params), "stat": args.stat},
@@ -182,7 +176,7 @@ def cmd_measure(args, argv) -> int:
 def cmd_cckl(args, argv) -> int:
     a = _model_from_args(args.family_a, args.dim, args.params_a)
     b = _model_from_args(args.family_b, args.dim, args.params_b)
-    est = measures.cckl(a, b, _integration_cfg(args))
+    est = measures.cckl(a, b, IntegrationConfig(abs_tol=args.tol))
     return _emit(args, argv,
                  {"family_a": a.family, "params_a": list(a.params),
                   "family_b": b.family, "params_b": list(b.params),
@@ -198,7 +192,7 @@ def cmd_empirical(args, argv) -> int:
     rs = empirical.rank_with_random_ties(ds.values, args.tie_seed)
     stat, order = _parse_stat(args.stat)
     measure = _STATS[stat].measure
-    cfg = _integration_cfg(args)
+    cfg = IntegrationConfig(abs_tol=args.tol)
     est = measure(empirical.EmpiricalBetaCopula(rs), *order, cfg)
     outputs = {"value": est.value, "error": est.error, "n": rs.n, "k": rs.k}
     if args.dump_curve:
@@ -287,9 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common_measure(sp):
         sp.add_argument("--tol", type=float, default=None,
                         help="absolute integration tolerance")
-        sp.add_argument("--method", choices=("auto", "adaptive", "qmc"),
-                        default="auto")
-        sp.add_argument("--qmc-seed", type=int, default=0, dest="qmc_seed")
 
     def add_data(sp):
         sp.add_argument("--data", required=True)

@@ -37,7 +37,7 @@ from scipy.special import gammaln, logsumexp, ndtr, ndtri
 from scipy.stats import logser
 
 from . import mvnorm
-from .cubature import AUTO_SOBOL_DIM
+from .cubature import SOBOL_DIM
 from .errors import (
     CorrelationNotPD,
     DimensionMismatch,
@@ -80,11 +80,11 @@ class Copula(ABC):
     """Interface of every copula in the package: ``dim``,
     ``has_zero_region`` and the vectorized ``cdf_many``, which treats
     coordinates outside [0, 1] its own way.  ``cdf`` is defined here.
-    Measures under ``method="auto"`` use Sobol from ``auto_sobol_dim`` on."""
+    Its measures integrate by Sobol sampling from ``sobol_dim`` on."""
 
     dim: int
     has_zero_region: bool
-    auto_sobol_dim: int = AUTO_SOBOL_DIM
+    sobol_dim: int = SOBOL_DIM
 
     @abstractmethod
     def cdf_many(self, U: np.ndarray) -> np.ndarray:

@@ -7,8 +7,9 @@ Two engines sit behind one entry point, :func:`integrate_unit_cube`:
 * scrambled Sobol sampling with an error band taken across independent
   randomizations.
 
-``method="auto"`` picks subdivision below k = AUTO_SOBOL_DIM and Sobol
-from there on, where the region count of subdivision explodes.
+The engine follows from k: subdivision below ``sobol_dim`` (SOBOL_DIM
+unless the copula declares another) and Sobol from there on, where the
+region count of subdivision explodes.
 Integrands must be vectorized: they receive an (m, k) array of points
 and return m values.
 
@@ -24,46 +25,34 @@ from typing import Callable
 import numpy as np
 from scipy.stats import qmc
 
-from .errors import NonFiniteIntegrand, ToleranceNotReached
+from .errors import DimensionUnsupported, NonFiniteIntegrand, ToleranceNotReached
 
 _QMC_RANDOMIZATIONS = 16
 _QMC_FIRST_BATCH = 1024
-# first dimension that method="auto" integrates by Sobol
-AUTO_SOBOL_DIM = 5
+_QMC_SEED = 0
+# first dimension integrated by Sobol sampling
+SOBOL_DIM = 5
 
 
 @dataclass(frozen=True)
 class IntegrationConfig:
     """Tolerance and budget settings for :func:`integrate_unit_cube`.
 
-    ``abs_tol=None`` resolves to 1e-7 for the adaptive engine and 1e-4
-    for the Sobol engine.
+    ``abs_tol=None`` resolves to 1e-7 under subdivision and 1e-4 under
+    Sobol sampling.
     """
 
-    method: str = "auto"
     abs_tol: float | None = None
     rel_tol: float = 1e-6
     max_evals: int = 10_000_000
-    qmc_seed: int = 0
 
     def __post_init__(self):
-        if self.method not in ("adaptive", "qmc", "auto"):
-            raise ValueError(f"unknown method {self.method!r}")
         if self.abs_tol is not None and self.abs_tol <= 0:
             raise ValueError("abs_tol must be positive")
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be positive")
         if self.max_evals < 1_000:
             raise ValueError("max_evals must be at least 1000")
-
-    def resolved(self, k: int) -> tuple[str, float]:
-        method = self.method
-        if method == "auto":
-            method = "adaptive" if k < AUTO_SOBOL_DIM else "qmc"
-        abs_tol = self.abs_tol
-        if abs_tol is None:
-            abs_tol = 1e-7 if method == "adaptive" else 1e-4
-        return method, abs_tol
 
 
 @dataclass(frozen=True)
@@ -164,12 +153,11 @@ def _gm_offsets(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 class _GenzMalikRule:
     def __init__(self, k: int):
-        self.k = k
         self.offsets, self.groups = _gm_offsets(k)
         self.w, self.we = _gm_weights(k)
         self.npts = len(self.offsets)
-        # per-point index sets for the fourth differences along each axis
-        self.i_center = 0
+        # per-point index sets for the fourth differences along each axis;
+        # the center is point 0
         self.i_l2 = np.array([[1 + a, 1 + k + a] for a in range(k)])  # +/- lambda2
         self.i_l4 = np.array([[1 + 2 * k + a, 1 + 3 * k + a] for a in range(k)])
 
@@ -194,7 +182,7 @@ class _GenzMalikRule:
         res5 = vol * (sums[:, :4] @ self.we)
         err = np.abs(res7 - res5)
 
-        fc = fv[:, self.i_center][:, None]
+        fc = fv[:, :1]
         d2 = fv[:, self.i_l2].sum(axis=2) - 2.0 * fc  # (m, k)
         d4 = fv[:, self.i_l4].sum(axis=2) - 2.0 * fc
         fourth = np.abs(d2 - _FD_RATIO * d4)
@@ -287,18 +275,22 @@ def _integrate_qmc(f, k, seed, first_batch, abs_tol, rel_tol, max_evals):
 
 
 def integrate_unit_cube(f: Callable[[np.ndarray], np.ndarray], k: int,
-                        cfg: IntegrationConfig | None = None) -> Estimate:
-    """Integrate a bounded vectorized integrand over [0,1]^k.
+                        cfg: IntegrationConfig | None = None,
+                        sobol_dim: int = SOBOL_DIM) -> Estimate:
+    """Integrate a bounded vectorized integrand over [0,1]^k, by
+    subdivision for k < sobol_dim and by Sobol sampling from there on.
 
-    Raises :class:`ToleranceNotReached` (carrying the best estimate) if
-    the evaluation budget runs out, and :class:`NonFiniteIntegrand` if f
+    Raises :class:`DimensionUnsupported` outside 2 <= k <= 8,
+    :class:`ToleranceNotReached` (carrying the best estimate) if the
+    evaluation budget runs out, and :class:`NonFiniteIntegrand` if f
     produces NaN or infinity.  Deterministic for a fixed configuration.
     """
     if not 2 <= k <= 8:
-        raise ValueError(f"dimension {k} outside supported range 2..8")
+        raise DimensionUnsupported(f"dimension {k} outside supported range 2..8")
     cfg = cfg or IntegrationConfig()
-    method, abs_tol = cfg.resolved(k)
-    if method == "adaptive":
+    if k < sobol_dim:
+        abs_tol = 1e-7 if cfg.abs_tol is None else cfg.abs_tol
         return _integrate_adaptive(f, k, abs_tol, cfg.rel_tol, cfg.max_evals)
-    return _integrate_qmc(f, k, cfg.qmc_seed, _QMC_FIRST_BATCH, abs_tol,
+    abs_tol = 1e-4 if cfg.abs_tol is None else cfg.abs_tol
+    return _integrate_qmc(f, k, _QMC_SEED, _QMC_FIRST_BATCH, abs_tol,
                           cfg.rel_tol, cfg.max_evals)

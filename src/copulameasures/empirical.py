@@ -5,7 +5,8 @@ tie-breaking and an audit trail).  From it, :func:`empirical_copula_cdf`
 evaluates the step-function estimator and :class:`EmpiricalBetaCopula`
 the smooth rank-binomial one, which is a genuine copula when ranks are
 permutations.  Plug-in estimates are the measures of that copula, e.g.
-``cce(EmpiricalBetaCopula(rs))``; it sets ``auto_sobol_dim`` to 4.
+``cce(EmpiricalBetaCopula(rs))``; they integrate by Sobol sampling from
+k = 4, one dimension before parametric copulas do.
 """
 
 from __future__ import annotations
@@ -126,11 +127,11 @@ class EmpiricalBetaCopula(Copula):
     C(u) = (1/N) sum_i prod_j S(u_j; N, R_ij) with S(u; N, r) =
     P(Bin(N, u) >= r).  One point costs O(N k): each coordinate needs the
     whole survival row over r = 1..N, computed by one binomial-pmf pass,
-    so the measures switch to Sobol one dimension early.
+    so its measures switch to Sobol one dimension early (``sobol_dim`` 4).
     """
 
     rs: RankedSample
-    auto_sobol_dim = 4
+    sobol_dim = 4
 
     @property
     def dim(self) -> int:

@@ -17,8 +17,6 @@ Measures:
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .cubature import (Estimate, IntegrationConfig, integrate_unit_cube,
@@ -35,13 +33,10 @@ def spearman_n(k: int) -> float:
 
 
 def _integrate_cdf(model, transform, cfg) -> Estimate:
-    """Cubature of transform(C) over the unit cube; ``auto`` turns to
-    Sobol from the copula's ``auto_sobol_dim`` on."""
-    cfg = cfg or IntegrationConfig()
-    if cfg.method == "auto" and model.dim >= model.auto_sobol_dim:
-        cfg = replace(cfg, method="qmc")
+    """Cubature of transform(C) over the unit cube, by Sobol sampling
+    from the copula's ``sobol_dim`` on."""
     return integrate_unit_cube(lambda U: transform(model.cdf_many(U)),
-                               model.dim, cfg)
+                               model.dim, cfg, model.sobol_dim)
 
 
 def cce(model, cfg: IntegrationConfig | None = None) -> Estimate:

@@ -23,7 +23,8 @@ import numpy as np
 from scipy.special import ndtr, ndtri, owens_t
 
 from .cubature import Estimate, _integrate_qmc
-from .errors import CorrelationNotPD, DimensionUnsupported, ToleranceNotReached
+from .errors import (CorrelationNotPD, DimensionMismatch, DimensionUnsupported,
+                     ToleranceNotReached)
 
 _INTERNAL_QMC_SEED = 0x6D764E
 _X_CLIP = 38.0  # ndtr saturates to 0/1 beyond this
@@ -150,7 +151,7 @@ def mvn_cdf(corr: np.ndarray, x, abs_tol: float = _ABS_TOL) -> Estimate:
     x = np.asarray(x, dtype=float).ravel()
     k = len(x)
     if k != corr.shape[0]:
-        raise ValueError("point dimension does not match correlation")
+        raise DimensionMismatch("point dimension does not match correlation")
     if k < 2:
         raise DimensionUnsupported("mvn_cdf needs dimension k >= 2")
     if k == 2:

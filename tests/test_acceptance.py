@@ -15,7 +15,6 @@ import json
 import math
 import os
 
-import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
 
@@ -28,7 +27,6 @@ from copulameasures import (
     CopulaModel,
     GofConfig,
     IntegrationConfig,
-    b_k,
     calibrate_percentile,
     cce,
     ccigf,

@@ -1,12 +1,11 @@
 import json
-import os
 
 import numpy as np
 import pytest
 
-from copulameasures import (CopulaModel, EmpiricalBetaCopula, Estimate,
-                            IntegrationConfig, b_k, cce, ccigf, cckl, fcce,
-                            measures, mvn_cdf, rank_with_random_ties)
+from copulameasures import (CopulaModel, EmpiricalBetaCopula, Estimate, b_k,
+                            cce, ccigf, cckl, cubature, fcce, mvn_cdf,
+                            rank_with_random_ties)
 from copulameasures.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECT, load_csv, main
 from copulameasures.errors import ColumnMissing, NoCompleteRows
 
@@ -20,6 +19,16 @@ def gauss_csv(tmp_path_factory):
         z = "" if i % 25 == 0 else f"{0.1 * i:.3f}"
         rows.append(f"{float(a)!r},{float(b)!r},{z}")
     path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def normal4_csv(tmp_path_factory):
+    """30 rows of four standard normals, columns a,b,c,d."""
+    path = tmp_path_factory.mktemp("data") / "normal4.csv"
+    X = np.random.default_rng(5).normal(size=(30, 4))
+    path.write_text("a,b,c,d\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in X))
     return str(path)
 
 
@@ -315,18 +324,41 @@ GOLDEN = [
                   "error": None}],
               "recommended": "gaussian"},
              seeds={"seed": 9})),
+    # k = 4, where the engines part: the beta copula's plug-in measure
+    # runs Sobol, parametric measures and cckl run subdivision
+    (["empirical", "--data", "CSV4", "--cols", "a,b,c,d", "--stat", "cce",
+      "--dump-curve", "20"], EXIT_OK,
+     _report({"data": "CSV4", "columns": ["a", "b", "c", "d"], "stat": "cce",
+              "rows_dropped": 0},
+             {"value": 0.10983405388669587, "error": 5.230409892051373e-05,
+              "n": 30, "k": 4, "curve": [[20, 0.10589494681270487]]},
+             seeds={"tie_seed": 20241})),
+    (_measure("clayton", 4, "bk", "1"), EXIT_OK,
+     _measured("clayton", 4, [1.0], "bk",
+               {"value": 0.1324459105362513, "error": 1.1944368953663048e-07,
+                "method": "cubature", "closed_form": None})),
+    (["cckl", "--family-a", "clayton", "--params-a", "1", "--family-b",
+      "product", "--dim", "4", "--tol", "1e-6"], EXIT_OK,
+     _report({"family_a": "clayton", "params_a": [1.0], "family_b": "product",
+              "params_b": [], "dim": 4},
+             {"value": 0.054782621637632534, "error": 8.170723601265968e-07,
+              "closed_form": None})),
 ]
 
 
 class TestGoldenReports:
     @pytest.mark.parametrize("argv,code,report", GOLDEN,
                              ids=[" ".join(g[0][:6]) for g in GOLDEN])
-    def test_report_unchanged(self, argv, code, report, gauss_csv, capsys):
-        argv = [gauss_csv if a == "CSV" else a for a in argv]
+    def test_report_unchanged(self, argv, code, report, gauss_csv,
+                              normal4_csv, capsys):
+        paths = {"CSV": gauss_csv, "CSV4": normal4_csv}
+        argv = [paths.get(a, a) for a in argv]
         got_code, out = run_cli(argv, capsys)
         assert got_code == code
-        want = json.loads(json.dumps(report).replace('"CSV"',
-                                                     json.dumps(gauss_csv)))
+        text = json.dumps(report)
+        for token, path in paths.items():
+            text = text.replace(json.dumps(token), json.dumps(path))
+        want = json.loads(text)
         _same(json.loads(out), {"command": argv[0], "argv": argv, **want})
 
     def test_k4_mvn_cdf_unchanged(self):
@@ -343,15 +375,14 @@ class TestGoldenReports:
 
 @pytest.fixture
 def engines(monkeypatch):
-    """The engine each integration resolves to, with the integration
-    itself stubbed out."""
+    """The engine each integration runs, "adaptive" or "qmc", with both
+    engines stubbed out behind ``integrate_unit_cube``'s dispatch."""
     seen = []
-
-    def record(f, k, cfg=None):
-        seen.append((cfg or IntegrationConfig()).resolved(k)[0])
-        return Estimate(0.1, 0.0, 1)
-
-    monkeypatch.setattr(measures, "integrate_unit_cube", record)
+    for name in ("adaptive", "qmc"):
+        def record(*args, name=name):
+            seen.append(name)
+            return Estimate(0.1, 0.0, 1)
+        monkeypatch.setattr(cubature, f"_integrate_{name}", record)
     return seen
 
 
@@ -361,20 +392,16 @@ def _beta(k):
 
 
 class TestEmpiricalEngine:
-    """The empirical beta copula sets ``auto_sobol_dim`` to 4, so under
-    ``auto`` every measure of it but ``cckl`` integrates by Sobol from
-    k = 4, whether called from the API or the CLI; parametric models keep
-    cubature's own switch at k = 5."""
+    """The empirical beta copula sets ``sobol_dim`` to 4, so every measure
+    of it but ``cckl`` integrates by Sobol from k = 4, whether called from
+    the API or the CLI; parametric models and ``cckl`` keep cubature's
+    default switch at k = 5."""
 
-    def test_cli_uses_the_api_engine_rule(self, tmp_path, capsys, engines):
+    def test_cli_uses_the_api_engine_rule(self, normal4_csv, capsys, engines):
         """The dumped curve included; below k = 4 it stays adaptive."""
-        path = tmp_path / "normal4.csv"
-        X = np.random.default_rng(5).normal(size=(30, 4))
-        path.write_text("a,b,c,d\n" + "".join(
-            ",".join(repr(float(v)) for v in row) + "\n" for row in X))
         for cols, engine in (("a,b,c,d", "qmc"), ("a,b,c", "adaptive")):
             engines.clear()
-            code, _ = run_cli(["empirical", "--data", str(path), "--cols",
+            code, _ = run_cli(["empirical", "--data", normal4_csv, "--cols",
                                cols, "--stat", "cce", "--dump-curve", "20"],
                               capsys)
             assert code == EXIT_OK

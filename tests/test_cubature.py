@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from copulameasures import IntegrationConfig, integrate_unit_cube, xlog_ratio, xlogx
-from copulameasures.errors import NonFiniteIntegrand, ToleranceNotReached
+from copulameasures.errors import (DimensionUnsupported, NonFiniteIntegrand,
+                                   ToleranceNotReached)
 
 
 def test_constant_is_exact():
@@ -32,25 +33,22 @@ def test_monomials_up_to_degree_five_exact(k):
             powers[j] = rng.integers(0, budget + 1)
             budget -= powers[j]
         exact = np.prod(1.0 / (powers + 1.0))
-        est = integrate_unit_cube(
-            lambda p: (p ** powers).prod(axis=1), k,
-            IntegrationConfig(method="adaptive"))
+        est = integrate_unit_cube(lambda p: (p ** powers).prod(axis=1), k)
         assert abs(est.value - exact) < 1e-12
 
 
 def test_deterministic_bit_identical():
-    cfg = IntegrationConfig(method="qmc", abs_tol=1e-3)
+    cfg = IntegrationConfig(abs_tol=1e-3)
     f = lambda p: xlogx(p.prod(axis=1))
     assert integrate_unit_cube(f, 5, cfg) == integrate_unit_cube(f, 5, cfg)
-    cfg2 = IntegrationConfig(method="adaptive")
     g = lambda p: xlogx(p.min(axis=1))
-    assert integrate_unit_cube(g, 2, cfg2) == integrate_unit_cube(g, 2, cfg2)
+    assert integrate_unit_cube(g, 2) == integrate_unit_cube(g, 2)
 
 
 def test_qmc_adaptive_agreement_k3():
     f = lambda p: xlogx(p.prod(axis=1))
-    a = integrate_unit_cube(f, 3, IntegrationConfig(method="adaptive"))
-    q = integrate_unit_cube(f, 3, IntegrationConfig(method="qmc"))
+    a = integrate_unit_cube(f, 3)
+    q = integrate_unit_cube(f, 3, sobol_dim=3)
     assert abs(a.value - q.value) <= 3.0 * (a.error + q.error)
 
 
@@ -59,7 +57,7 @@ def test_tolerance_not_reached_carries_estimate():
     f = lambda p: np.cos(200.0 * p.sum(axis=1))
     with pytest.raises(ToleranceNotReached) as exc:
         integrate_unit_cube(f, 2, IntegrationConfig(
-            method="adaptive", abs_tol=1e-14, rel_tol=1e-14, max_evals=2000))
+            abs_tol=1e-14, rel_tol=1e-14, max_evals=2000))
     est = exc.value.estimate
     assert est is not None and est.evals <= 2000
 
@@ -70,13 +68,13 @@ def test_non_finite_integrand_raises():
         out[0] = np.nan
         return out
     with pytest.raises(NonFiniteIntegrand):
-        integrate_unit_cube(f, 2, IntegrationConfig(method="adaptive"))
+        integrate_unit_cube(f, 2)
 
 
 def test_dimension_range_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionUnsupported):
         integrate_unit_cube(lambda p: np.ones(len(p)), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionUnsupported):
         integrate_unit_cube(lambda p: np.ones(len(p)), 9)
 
 

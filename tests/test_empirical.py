@@ -17,8 +17,6 @@ from copulameasures.empirical import (_binomial_survival, _pseudo_obs_basis,
                                       empirical_copula_cdf_many)
 from copulameasures.errors import DimensionMismatch, NonFiniteData
 
-from conftest import FULL
-
 
 def _ranked(rows, seed=0):
     return rank_with_random_ties(np.asarray(rows, dtype=float), seed)

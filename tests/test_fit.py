@@ -11,8 +11,6 @@ from copulameasures.errors import (
 )
 from copulameasures.fit import frank_tau, joe_tau, nearest_pd_correlation
 
-from conftest import FULL
-
 
 class TestKendallTau:
     def test_perfect_concordance(self):

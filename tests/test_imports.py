@@ -1,4 +1,4 @@
-"""No library module imports a name it never uses, no private
+"""No library or test module imports a name it never uses, no private
 module-level name goes unreferenced in the package, and the package
 exports exactly what ``__init__.py`` imports.
 
@@ -14,8 +14,10 @@ import pytest
 
 import copulameasures
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "copulameasures"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "copulameasures"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

@@ -25,6 +25,7 @@ from copulameasures import (
 )
 from copulameasures.errors import (
     DimensionMismatch,
+    DimensionUnsupported,
     DivergenceInfinite,
     NoClosedForm,
 )
@@ -48,6 +49,11 @@ class TestCce:
         nelsen = CopulaModel("nelsen_4212", 2, (2.0,))
         assert cce(nelsen).value == pytest.approx(0.2790, abs=2e-4)
         assert cce(M2).value == pytest.approx(0.2777, abs=1e-4)
+
+    def test_dimension_beyond_cubature_is_typed(self):
+        # a valid model at k = 9, one past the cubature's range
+        with pytest.raises(DimensionUnsupported):
+            cce(CopulaModel("product", 9))
 
 
 class TestFcce:

@@ -3,9 +3,9 @@ import pytest
 
 from copulameasures import (CopulaModel, IntegrationConfig, cce,
                             integrate_unit_cube, mvn_cdf, mvn_cdf_many)
-from copulameasures.errors import (CorrelationNotPD, DimensionUnsupported,
-                                   ToleranceNotReached)
-from copulameasures.mvnorm import bvn_cdf, tvn_cdf
+from copulameasures.errors import (CorrelationNotPD, DimensionMismatch,
+                                   DimensionUnsupported, ToleranceNotReached)
+from copulameasures.mvnorm import tvn_cdf
 
 
 def density_box_probability(corr, x, lo=-8.5, abs_tol=1e-10, rel_tol=1e-9):
@@ -65,6 +65,13 @@ def test_bivariate_infinite_coordinate_is_the_limit(x, limit):
 def test_one_dimension_unsupported():
     with pytest.raises(DimensionUnsupported):
         mvn_cdf(np.eye(1), [0.0])
+
+
+def test_point_longer_than_correlation_is_a_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        mvn_cdf(np.eye(2), [0.0, 0.0, 0.0])
+    with pytest.raises(ValueError):  # an argument check, as IntegrationConfig's
+        mvn_cdf(np.eye(2), [0.0, 0.0], abs_tol=0.0)
 
 
 def test_measure_failure_carries_no_cdf_estimate():
