@@ -6,17 +6,18 @@ object is safe to share across threads.  ``cdf_many`` is the vectorized
 evaluation used by every integrand in the package, ``sample`` draws
 exact i.i.d. observations with an explicit seed.
 
-Family names are lowercase strings.  Parameters are positional:
+Family names are lowercase strings.  Parameters are positional; their
+rules are the table ``_PARAMS``:
 
 =================  ====================================================
 product, min       none
 lower_bound_w      none (dimension 2 only)
-clayton            alpha  (alpha > 0; at k=2 also -1 <= alpha < 0)
-frank              theta != 0  (theta > 0 for k >= 3)
+clayton            alpha >= -1, alpha != 0  (alpha > 0 for k >= 3)
+frank              theta in [-700, 700], theta != 0  (theta > 0 for k >= 3)
 gumbel_hougaard    phi >= 1
 joe                theta >= 1
 gaussian           strict upper triangle of the correlation matrix,
-                   row-major (k=3: rho12, rho13, rho23)
+                   row-major (k=3: rho12, rho13, rho23), each in (-1, 1)
 fgm                theta in [-1, 1]  (dimension 2 only)
 marshall_olkin     alpha1, alpha2 in [0, 1]  (dimension 2 only)
 cuadras_auge       pair weights a_ij in [0, 1], rows i=2..k in order
@@ -29,12 +30,11 @@ nelsen_4212        theta >= 1  (dimension 2 only)
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, ndtr, ndtri
-from scipy.stats import logser
 
 from . import mvnorm
 from .cubature import SOBOL_DIM
@@ -47,18 +47,36 @@ from .errors import (
     SamplerUnavailable,
 )
 
-FAMILIES = (
-    "product", "min", "lower_bound_w", "clayton", "frank", "gumbel_hougaard",
-    "joe", "gaussian", "fgm", "marshall_olkin", "cuadras_auge",
-    "gumbel_barnett", "nelsen_4212",
-)
 
-# Families the sources define only in the bivariate case, plus W, which
-# is a copula only at k = 2.
-_BIVARIATE_ONLY = frozenset(
-    {"lower_bound_w", "fgm", "marshall_olkin", "gumbel_barnett", "nelsen_4212"})
+class _ParamRule(NamedTuple):  # the parameter rule of one family
+    count: int | None               # None: one per pair of coordinates
+    low: float = -np.inf            # each parameter lies in [low, high]
+    high: float = np.inf
+    nonzero: bool = False           # 0 is excluded
+    bivariate: bool = False         # the family exists only at k = 2
+    positive_from_k3: bool = False  # low rises to 0 from k = 3
 
-_PARAM_FREE = frozenset({"product", "min", "lower_bound_w"})
+
+# W is a copula only at k = 2, and the sources define fgm to nelsen_4212
+# only there.  Gaussian correlations have their own CorrelationNotPD check.
+_PARAMS = {
+    "product": _ParamRule(0),
+    "min": _ParamRule(0),
+    "lower_bound_w": _ParamRule(0, bivariate=True),
+    "clayton": _ParamRule(1, -1.0, nonzero=True, positive_from_k3=True),
+    "frank": _ParamRule(1, -700.0, 700.0, nonzero=True, positive_from_k3=True),
+    "gumbel_hougaard": _ParamRule(1, 1.0),
+    "joe": _ParamRule(1, 1.0),
+    "gaussian": _ParamRule(None),
+    "fgm": _ParamRule(1, -1.0, 1.0, bivariate=True),
+    "marshall_olkin": _ParamRule(2, 0.0, 1.0, bivariate=True),
+    "cuadras_auge": _ParamRule(None, 0.0, 1.0),
+    "gumbel_barnett": _ParamRule(1, 0.0, 1.0, nonzero=True, bivariate=True),
+    "nelsen_4212": _ParamRule(1, 1.0, bivariate=True),
+}
+
+FAMILIES = tuple(_PARAMS)
+_PARAM_FREE = frozenset(f for f, rule in _PARAMS.items() if rule.count == 0)
 
 _SAMPLE_EPS = 1e-15
 
@@ -78,9 +96,9 @@ def corr_from_upper_triangle(dim: int, entries) -> np.ndarray:
 
 class Copula(ABC):
     """Interface of every copula in the package: ``dim``,
-    ``has_zero_region`` and the vectorized ``cdf_many``, which treats
-    coordinates outside [0, 1] its own way.  ``cdf`` is defined here.
-    Its measures integrate by Sobol sampling from ``sobol_dim`` on."""
+    ``has_zero_region`` and the vectorized ``cdf_many``, whose points all
+    pass the one check ``_points``.  ``cdf`` is defined here.  Its
+    measures integrate by Sobol sampling from ``sobol_dim`` on."""
 
     dim: int
     has_zero_region: bool
@@ -96,12 +114,15 @@ class Copula(ABC):
         return float(self.cdf_many(u[None, :])[0])
 
     def _points(self, U) -> np.ndarray:
-        """U as an (m, dim) float array; raises DimensionMismatch."""
+        """U as an (m, dim) float array clipped into [0, 1]; raises
+        DimensionMismatch, and ValueError for NaN or u over 1e-12 outside it."""
         U = np.atleast_2d(np.asarray(U, dtype=float))
         if U.shape[1] != self.dim:
             raise DimensionMismatch(
                 f"points have dimension {U.shape[1]}, copula has {self.dim}")
-        return U
+        if not np.all((U >= -1e-12) & (U <= 1.0 + 1e-12)):
+            raise ValueError("coordinates must lie in [0, 1]")
+        return np.clip(U, 0.0, 1.0)
 
 
 @dataclass(frozen=True, eq=True)
@@ -112,16 +133,12 @@ class CopulaModel(Copula):
     dim: int
     params: tuple = ()
 
-    # populated by __post_init__, excluded from equality
-    _corr: np.ndarray | None = field(default=None, compare=False, repr=False)
-    _ca_thetas: np.ndarray | None = field(default=None, compare=False, repr=False)
-
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ParamOutOfRange(f"unknown family {self.family!r}")
         if self.dim < 2:
             raise DimensionUnsupported("copulas need dimension k >= 2")
-        if self.family in _BIVARIATE_ONLY and self.dim != 2:
+        if _PARAMS[self.family].bivariate and self.dim != 2:
             raise DimensionUnsupported(
                 f"{self.family} is only defined at dimension 2")
         raw = np.asarray(self.params, dtype=float).ravel() if self.params != () else []
@@ -131,69 +148,30 @@ class CopulaModel(Copula):
         self._validate_params()
 
     def _validate_params(self):
+        """Check the parameters by ``_PARAMS``; set ``_corr`` or ``_ca_thetas``."""
         fam, k, p = self.family, self.dim, self.params
-        def need(n):
-            if len(p) != n:
-                raise ParamOutOfRange(f"{fam} takes {n} parameter(s), got {len(p)}")
-        if fam in _PARAM_FREE:
-            need(0)
-        elif fam == "clayton":
-            need(1)
-            a = p[0]
-            if a == 0.0:
-                raise ParamOutOfRange("clayton alpha must be nonzero")
-            if k >= 3 and a <= 0.0:
-                raise ParamOutOfRange("clayton needs alpha > 0 for k >= 3")
-            if a < -1.0:
-                raise ParamOutOfRange("clayton alpha must be >= -1")
-        elif fam == "frank":
-            need(1)
-            t = p[0]
-            if t == 0.0:
-                raise ParamOutOfRange("frank theta must be nonzero")
-            if k >= 3 and t <= 0.0:
-                raise ParamOutOfRange("frank needs theta > 0 for k >= 3")
-            if abs(t) > 700.0:
-                raise ParamOutOfRange("frank |theta| > 700 overflows")
-        elif fam == "gumbel_hougaard":
-            need(1)
-            if p[0] < 1.0:
-                raise ParamOutOfRange("gumbel_hougaard needs phi >= 1")
-        elif fam in ("joe", "nelsen_4212"):
-            need(1)
-            if p[0] < 1.0:
-                raise ParamOutOfRange(f"{fam} needs theta >= 1")
-        elif fam == "fgm":
-            need(1)
-            if abs(p[0]) > 1.0:
-                raise ParamOutOfRange("fgm needs |theta| <= 1")
-        elif fam == "marshall_olkin":
-            need(2)
-            if not all(0.0 <= a <= 1.0 for a in p):
-                raise ParamOutOfRange("marshall_olkin needs alphas in [0, 1]")
-        elif fam == "gumbel_barnett":
-            need(1)
-            if not 0.0 < p[0] <= 1.0:
-                raise ParamOutOfRange("gumbel_barnett needs theta in (0, 1]")
-        elif fam == "cuadras_auge":
-            need(k * (k - 1) // 2)
-            if not all(0.0 <= a <= 1.0 for a in p):
-                raise ParamOutOfRange("cuadras_auge weights must lie in [0, 1]")
-            # exponent on the i-th smallest coordinate (1-based i >= 2):
-            # product of (1 - a_ij) over the i-th parameter row
-            thetas = np.ones(k)
-            pos = 0
-            for i in range(2, k + 1):
-                row = p[pos:pos + i - 1]
-                pos += i - 1
-                thetas[i - 1] = np.prod([1.0 - a for a in row])
-            object.__setattr__(self, "_ca_thetas", thetas)
-        elif fam == "gaussian":
-            corr = corr_from_upper_triangle(k, p)
-            if np.any(np.abs(np.asarray(p)) >= 1.0):
+        rule = _PARAMS[fam]
+        n = k * (k - 1) // 2 if rule.count is None else rule.count
+        if len(p) != n:
+            raise ParamOutOfRange(f"{fam} at k={k} takes {n} parameter(s), got {len(p)}")
+        low = 0.0 if rule.positive_from_k3 and k >= 3 else rule.low
+        if not all(low <= a <= rule.high and not (rule.nonzero and a == 0.0)
+                   for a in p):
+            raise ParamOutOfRange(
+                f"{fam} at k={k} needs parameters in [{low:g}, {rule.high:g}]"
+                + (" other than 0" if rule.nonzero else "") + f", got {p}")
+        if fam == "gaussian":
+            if not all(abs(a) < 1.0 for a in p):
                 raise CorrelationNotPD("off-diagonal correlations must be in (-1, 1)")
+            corr = corr_from_upper_triangle(k, p)
             mvnorm.cholesky_corr(corr)
             object.__setattr__(self, "_corr", corr)
+        elif fam == "cuadras_auge":
+            # exponent on the i-th smallest coordinate (1-based i >= 2):
+            # product of (1 - a_ij) over the i-th parameter row
+            rows = np.split(1.0 - np.array(p), np.cumsum(np.arange(1, k - 1)))
+            object.__setattr__(self, "_ca_thetas",
+                               np.array([1.0] + [r.prod() for r in rows]))
 
     # -- evaluation ----------------------------------------------------
 
@@ -206,9 +184,6 @@ class CopulaModel(Copula):
     def cdf_many(self, U: np.ndarray) -> np.ndarray:
         """Vectorized C(u) over the rows of U, clamped into [0, 1]."""
         U = self._points(U)
-        if np.any(U < -1e-12) or np.any(U > 1.0 + 1e-12):
-            raise ValueError("coordinates must lie in [0, 1]")
-        U = np.clip(U, 0.0, 1.0)
         out = np.zeros(len(U))
         interior = ~(U <= 0.0).any(axis=1)
         if interior.any():
@@ -329,9 +304,9 @@ def _frailty(family: str, param: float, rng, n: int) -> np.ndarray:
         return rng.gamma(1.0 / param, 1.0, size=n)
     if family == "frank":
         p = -np.expm1(-param)
-        if p == 1.0:  # out of logser's domain from theta ~ 37.4 on
+        if p == 1.0:  # out of logseries' domain from theta ~ 37.4 on
             return _logseries_kemp(param, rng, n)
-        return logser.rvs(p, size=n, random_state=rng).astype(float)
+        return rng.logseries(p, n).astype(float)
     if family == "gumbel_hougaard":
         # positive stable, Kanter's representation:
         # V = sin(a T)/sin(T)^(1/a) * (sin((1-a)T)/W)^((1-a)/a),
@@ -393,10 +368,11 @@ class MixtureCopula(Copula):
     weights: tuple
 
     def __post_init__(self):
-        if len(self.components) != len(self.weights) or not self.components:
-            raise ValueError("need matching nonempty components and weights")
-        if any(w < 0 for w in self.weights) or abs(sum(self.weights) - 1.0) > 1e-12:
-            raise ValueError("weights must be convex")
+        if not self.components or len(self.components) != len(self.weights):
+            raise ParamOutOfRange("need matching nonempty components and weights")
+        # a NaN weight makes the sum NaN, which fails the second test
+        if min(self.weights) < 0 or not abs(sum(self.weights) - 1.0) <= 1e-12:
+            raise ParamOutOfRange("weights must be convex")
         dims = {c.dim for c in self.components}
         if len(dims) != 1:
             raise DimensionMismatch("mixture components must share a dimension")

@@ -142,7 +142,7 @@ class EmpiricalBetaCopula(Copula):
         return False
 
     def cdf_many(self, U: np.ndarray) -> np.ndarray:
-        U = np.clip(self._points(U), 0.0, 1.0)
+        U = self._points(U)
         n, k = self.rs.n, self.rs.k
         out = np.empty(len(U))
         for lo in range(0, len(U), _CHUNK):

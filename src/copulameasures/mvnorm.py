@@ -10,9 +10,9 @@ Three regimes, all deterministic:
 * k >= 4: separation-of-variables transform to the unit cube, integrated
   with scrambled Sobol points under a fixed internal seed.
 
-Correlation inputs are full matrices, validated by ``mvn_cdf``;
-``mvn_cdf_many`` evaluates for a matrix its caller has validated.  Scores
-are clipped to +-38 where a point enters, so infinite ones give limits.
+Correlation inputs are full matrices.  Scores are clipped to +-38 where
+a point enters, so infinite ones give limits.  ``mvn_cdf`` validates both
+and rejects NaN scores; ``mvn_cdf_many`` trusts its caller.
 """
 
 from __future__ import annotations
@@ -149,6 +149,8 @@ def mvn_cdf(corr: np.ndarray, x, abs_tol: float = _ABS_TOL) -> Estimate:
         raise ValueError("abs_tol must be positive")
     corr = np.asarray(corr, dtype=float)
     x = np.asarray(x, dtype=float).ravel()
+    if np.isnan(x).any():
+        raise ValueError("scores must not be NaN")
     k = len(x)
     if k != corr.shape[0]:
         raise DimensionMismatch("point dimension does not match correlation")
@@ -156,11 +158,10 @@ def mvn_cdf(corr: np.ndarray, x, abs_tol: float = _ABS_TOL) -> Estimate:
         raise DimensionUnsupported("mvn_cdf needs dimension k >= 2")
     if k == 2:
         # the comonotone and countermonotone boundaries are valid limits
-        rho = float(corr[0, 1])
-        if abs(corr[1, 0] - rho) > 1e-12 or np.any(np.abs(np.diag(corr) - 1) > 1e-12):
+        if (corr.shape != (2, 2) or not np.all(np.isfinite(corr))
+                or abs(corr[1, 0] - corr[0, 1]) > 1e-12 or abs(corr[0, 1]) > 1.0
+                or np.any(np.abs(np.diag(corr) - 1) > 1e-12)):
             raise CorrelationNotPD("invalid bivariate correlation matrix")
-        if abs(rho) > 1.0:
-            raise CorrelationNotPD(f"|rho| = {abs(rho)} exceeds 1")
         return Estimate(float(mvn_cdf_many(corr, x)[0]), 5e-15, 1)
     cholesky_corr(corr)
     if k == 3:

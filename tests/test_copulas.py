@@ -1,10 +1,13 @@
+import dataclasses
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
 from scipy.stats import kstest, logser
 
-from copulameasures import CopulaModel, MixtureCopula, archimedean_generator
+from copulameasures import (CopulaModel, EmpiricalBetaCopula, MixtureCopula,
+                            archimedean_generator, rank_with_random_ties)
 from copulameasures.copulas import FAMILIES, _logseries_kemp
 from copulameasures.errors import (
     CorrelationNotPD,
@@ -38,6 +41,8 @@ class TestValidate:
         with pytest.raises(CorrelationNotPD):
             CopulaModel("gaussian", 3, (0.99, 0.99, -0.99))
 
+    # each family's range endpoints and values just outside them, written
+    # out here rather than read from the validation table
     @pytest.mark.parametrize("fam,dim,params", [
         ("clayton", 2, (0.0,)),
         ("clayton", 3, (-0.5,)),
@@ -52,10 +57,52 @@ class TestValidate:
         ("nelsen_4212", 2, (0.5,)),
         ("cuadras_auge", 2, (1.3,)),
         ("clayton", 2, (0.5, 1.0)),
+        ("clayton", 2, (-1.0 - 1e-12,)), ("clayton", 3, (0.0,)),
+        ("clayton", 3, (-1.0,)),
+        ("frank", 2, (-700.0 - 1e-9,)), ("frank", 2, (700.0 + 1e-9,)),
+        ("frank", 3, (0.0,)), ("frank", 3, (700.0 + 1e-9,)),
+        ("gumbel_hougaard", 2, (1.0 - 1e-12,)), ("joe", 2, (1.0 - 1e-12,)),
+        ("nelsen_4212", 2, (1.0 - 1e-12,)),
+        ("fgm", 2, (-1.0 - 1e-12,)), ("fgm", 2, (1.0 + 1e-12,)),
+        ("marshall_olkin", 2, (-1e-12, 0.5)),
+        ("marshall_olkin", 2, (0.5, 1.0 + 1e-12)),
+        ("cuadras_auge", 2, (-1e-12,)), ("cuadras_auge", 2, (1.0 + 1e-12,)),
+        ("cuadras_auge", 3, (0.0, 0.5, 1.0 + 1e-12)),
+        ("cuadras_auge", 3, (0.5,)),
+        ("gumbel_barnett", 2, (1.0 + 1e-12,)),
+        ("product", 2, (0.5,)), ("gaussian", 3, (0.1, 0.2)),
     ])
     def test_param_out_of_range(self, fam, dim, params):
-        with pytest.raises(ParamOutOfRange):
+        with pytest.raises(ParamOutOfRange, match=f"{fam} at k={dim}"):
             CopulaModel(fam, dim, params)
+
+    @pytest.mark.parametrize("fam,dim,params", [
+        ("clayton", 2, (-1.0,)), ("clayton", 2, (1e-300,)),
+        ("clayton", 2, (-1e-300,)), ("clayton", 3, (1e-300,)),
+        ("frank", 2, (-700.0,)), ("frank", 2, (700.0,)), ("frank", 3, (700.0,)),
+        ("frank", 3, (1e-300,)),
+        ("gumbel_hougaard", 2, (1.0,)), ("joe", 2, (1.0,)),
+        ("nelsen_4212", 2, (1.0,)), ("fgm", 2, (-1.0,)), ("fgm", 2, (1.0,)),
+        ("marshall_olkin", 2, (0.0, 1.0)), ("marshall_olkin", 2, (1.0, 0.0)),
+        ("cuadras_auge", 2, (0.0,)), ("cuadras_auge", 2, (1.0,)),
+        ("cuadras_auge", 3, (0.0, 0.5, 1.0)),
+        ("gumbel_barnett", 2, (1e-300,)), ("gumbel_barnett", 2, (1.0,)),
+        ("gaussian", 2, (-0.999999,)), ("gaussian", 2, (0.999999,)),
+    ])
+    def test_range_endpoints_accepted(self, fam, dim, params):
+        assert CopulaModel(fam, dim, params).params == params
+
+    @pytest.mark.parametrize("params", [(1.0,), (-1.0,), (1.5,)])
+    def test_gaussian_unit_correlation_not_pd(self, params):
+        with pytest.raises(CorrelationNotPD):
+            CopulaModel("gaussian", 2, params)
+        with pytest.raises(CorrelationNotPD):
+            CopulaModel("gaussian", 3, (0.0, 0.0) + params)
+
+    def test_cuadras_auge_zero_weight_exponents(self):
+        m = CopulaModel("cuadras_auge", 3, (0.0, 0.5, 0.25))
+        assert m._ca_thetas.tolist() == [1.0, 1.0, 0.375]
+        assert m.cdf([0.2, 0.5, 0.8]) == pytest.approx(0.2 * 0.5 * 0.8 ** 0.375)
 
     def test_clayton_negative_allowed_bivariate(self):
         assert CopulaModel("clayton", 2, (-1.0,)).params == (-1.0,)
@@ -64,6 +111,54 @@ class TestValidate:
         m = CopulaModel("clayton", 2, (1.0,))
         with pytest.raises(Exception):
             m.params = (2.0,)
+
+
+class TestModelFields:
+    def test_fields_are_the_constructor_values(self):
+        assert [f.name for f in dataclasses.fields(CopulaModel)] == \
+            ["family", "dim", "params"]
+
+    def test_derived_attributes_not_accepted(self):
+        with pytest.raises(TypeError):
+            CopulaModel("product", 2, (), _corr=None)
+        with pytest.raises(TypeError):
+            CopulaModel("cuadras_auge", 2, (0.5,), _ca_thetas=None)
+
+    @pytest.mark.parametrize("fam,params", [("gaussian", (0.1, 0.2, 0.3)),
+                                            ("cuadras_auge", (0.2, 0.5, 0.7))])
+    def test_equality_hash_and_pickle(self, fam, params):
+        a, b = CopulaModel(fam, 3, params), CopulaModel(fam, 3, params)
+        assert a == b and hash(a) == hash(b)
+        assert a != CopulaModel("product", 3)
+        c = pickle.loads(pickle.dumps(a))
+        assert c == a and hash(c) == hash(a)
+        assert repr(c) == f"CopulaModel(family={fam!r}, dim=3, params={params!r})"
+        u = np.array([[0.3, 0.6, 0.9]])
+        assert c.cdf_many(u).tobytes() == a.cdf_many(u).tobytes()
+
+
+def _three_classes():
+    rs = rank_with_random_ties(np.random.default_rng(0).normal(size=(50, 2)), 1)
+    model = CopulaModel("clayton", 2, (1.0,))
+    return [model, MixtureCopula((model, CopulaModel("min", 2)), (0.5, 0.5)),
+            EmpiricalBetaCopula(rs)]
+
+
+class TestPointsCheck:
+    @pytest.mark.parametrize("c", _three_classes(), ids=lambda c: type(c).__name__)
+    @pytest.mark.parametrize("u", [[np.nan, 0.5], [0.5, np.nan], [-1e-9, 0.5],
+                                   [0.5, 1.0 + 1e-9], [np.inf, 0.5]])
+    def test_nan_and_out_of_cube_rejected(self, c, u):
+        with pytest.raises(ValueError):
+            c.cdf_many(np.array([[0.5, 0.5], u]))
+        with pytest.raises(ValueError):
+            c.cdf(u)
+
+    @pytest.mark.parametrize("c", _three_classes(), ids=lambda c: type(c).__name__)
+    def test_rounding_slack_is_clipped(self, c):
+        inside = np.array([[0.0, 0.5], [1.0, 0.5], [1.0, 1.0]])
+        slack = inside + np.array([[-1e-13, 0.0], [1e-13, 0.0], [1e-13, 1e-13]])
+        assert c.cdf_many(slack).tobytes() == c.cdf_many(inside).tobytes()
 
 
 # Parameters spanning each family's validated range; the unbounded ones
@@ -408,6 +503,13 @@ class TestMixture:
         u = [0.4, 0.8]
         assert mix.cdf(u) == pytest.approx(0.3 * 0.32 + 0.7 * 0.4)
 
-    def test_weights_validated(self):
-        with pytest.raises(ValueError):
-            MixtureCopula((CopulaModel("product", 2),), (0.9,))
+    @pytest.mark.parametrize("weights", [(0.9,), (0.5,), (np.nan,), (1.5, -0.5),
+                                         (0.5, np.nan), ()])
+    def test_weights_validated(self, weights):
+        comps = (CopulaModel("product", 2),) * max(len(weights), 1)
+        with pytest.raises(ParamOutOfRange):
+            MixtureCopula(comps, weights)
+
+    def test_components_nonempty(self):
+        with pytest.raises(ParamOutOfRange):
+            MixtureCopula((), ())

@@ -131,3 +131,24 @@ def test_not_positive_definite_rejected():
         mvn_cdf(bad, [0.0, 0.0, 0.0])
     with pytest.raises(CorrelationNotPD):
         mvn_cdf(np.array([[1.0, 0.5], [0.4, 1.0]]), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("corr", [
+    [[1.0, 0.5, 0.0], [0.5, 1.0, 0.0]],
+    [[1.0, np.nan], [np.nan, 1.0]],
+    [[1.0, np.inf], [np.inf, 1.0]],
+    [[np.nan, 0.5], [0.5, 1.0]],
+    [[1.0, 1.5], [1.5, 1.0]],
+])
+def test_bivariate_malformed_correlation_rejected(corr):
+    with pytest.raises(CorrelationNotPD):
+        mvn_cdf(np.array(corr), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("where", [0, -1])
+def test_nan_score_rejected(k, where):
+    x = np.zeros(k)
+    x[where] = np.nan
+    with pytest.raises(ValueError):
+        mvn_cdf(np.eye(k), x)
