@@ -393,6 +393,14 @@ class MixtureCopula(Copula):
         return np.clip(out, 0.0, 1.0)
 
 
+def _log1mexp(x):
+    """log(1 - e^(-x)) for x >= 0, accurate at both ends (Maechler 2012):
+    expm1 up to ln 2, where e^(-x) is near 1, and log1p above it, where
+    1 - e^(-x) rounds to 1."""
+    return np.where(x <= np.log(2.0), np.log(-np.expm1(-x)),
+                    np.log1p(-np.exp(-x)))
+
+
 def archimedean_generator(model: CopulaModel) -> tuple[Callable, Callable]:
     """(psi, psi_inverse) with C(u) = psi(sum psi_inverse(u_i)).
 
@@ -414,7 +422,7 @@ def archimedean_generator(model: CopulaModel) -> tuple[Callable, Callable]:
             return -np.log(-np.expm1(-t) + np.exp(-t0 - t)) / t0
         def psi_inv(u):
             u = np.asarray(u, dtype=float)
-            return -(np.log(-np.expm1(-t0 * u)) - np.log(-np.expm1(-t0))) \
+            return -(_log1mexp(t0 * u) - _log1mexp(t0)) \
                 if t0 > 0 else -np.log(np.expm1(-t0 * u) / np.expm1(-t0))
         return psi, psi_inv
     if fam == "gumbel_hougaard":

@@ -23,6 +23,9 @@ from .errors import DimensionMismatch, NonFiniteData
 # cap on points per cdf_many block; the block's survival rows and
 # products take a few (chunk, N) float arrays
 _CHUNK = 4096
+# elements per row block of the T_N product: rows = max(1, this // N),
+# so each block's product and factor are 256 KB and stay in cache
+_TN_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -160,14 +163,27 @@ class EmpiricalBetaCopula(Copula):
 
     def cdf_at_pseudo_observations(self) -> np.ndarray:
         """Values at the sample's own pseudo-observations, via the shared
-        N x N basis, built on the first call for this N."""
+        N x N basis, built on the first call for this N.
+
+        Value i is (1/N) sum_l prod_j B[R_ij - 1, R_lj - 1].  The product
+        is formed a block of rows i at a time, so the temporaries are
+        O(block N) beside the cached basis.  Each row keeps its values
+        and their order, and ``mean(axis=1)`` reduces a C-ordered row the
+        same way at any block height, so the result is bit-identical to
+        the dense N x N product.
+        """
         n = self.rs.n
         basis = _pseudo_obs_basis(n)
-        prod = np.ones((n, n))
-        for j in range(self.rs.k):
-            col = self.rs.ranks[:, j] - 1
-            prod *= basis[np.ix_(col, col)]  # row: eval point, col: obs
-        return prod.mean(axis=1)
+        r = self.rs.ranks - 1
+        rows = max(1, _TN_BLOCK // n)
+        out = np.empty(n)
+        for lo in range(0, n, rows):
+            # row: eval point, col: obs; take keeps the block C-ordered
+            prod = np.take(basis[r[lo:lo + rows, 0]], r[:, 0], axis=1)
+            for j in range(1, self.rs.k):
+                prod *= np.take(basis[r[lo:lo + rows, j]], r[:, j], axis=1)
+            out[lo:lo + rows] = prod.mean(axis=1)
+        return out
 
     def mean_integral(self) -> float:
         """Exact integral of the copula over the cube.

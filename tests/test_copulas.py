@@ -324,6 +324,31 @@ class TestGenerator:
             assert m.cdf([u, v]) == pytest.approx(direct, rel=1e-12)
             assert psi(psi_inv(u) + psi_inv(v)) == pytest.approx(direct, rel=1e-12)
 
+    @pytest.mark.parametrize("theta", [30.0, 300.0, 700.0])
+    def test_frank_large_theta_round_trip_matches_cdf(self, theta):
+        """psi(sum psi_inv(u)) = C(u) where e^(-theta u) is far below the
+        spacing of doubles near 1."""
+        m = CopulaModel("frank", 2, (theta,))
+        psi, psi_inv = archimedean_generator(m)
+        U = np.vstack([[0.125, 0.643],
+                       np.random.default_rng(int(theta)).random((2000, 2))])
+        assert np.max(np.abs(psi(psi_inv(U).sum(axis=1)) - m.cdf_many(U))) \
+            <= 1e-15
+
+    @pytest.mark.parametrize("theta", [30.0, 300.0, 700.0])
+    def test_frank_large_theta_inverse_generator(self, theta):
+        """psi_inv(u) = -log((1 - e^(-theta u)) / (1 - e^(-theta))) against
+        mpmath, written with log1p so that the digits are not lost."""
+        mpmath = pytest.importorskip("mpmath")
+        _, psi_inv = archimedean_generator(CopulaModel("frank", 2, (theta,)))
+        us = np.array([1e-6, 0.01, 0.125, 0.5, 0.643, 0.99])
+        with mpmath.workdps(50):
+            t = mpmath.mpf(theta)
+            ref = np.array([float(-mpmath.log1p(
+                (mpmath.exp(-t) - mpmath.exp(-t * mpmath.mpf(u)))
+                / -mpmath.expm1(-t))) for u in us])
+        assert np.allclose(psi_inv(us), ref, rtol=1e-13, atol=0.0)
+
     def test_not_archimedean(self):
         with pytest.raises(NotArchimedean):
             archimedean_generator(CopulaModel("gaussian", 2, (0.5,)))

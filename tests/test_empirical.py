@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from copulameasures import (
     rank_with_random_ties,
     t_statistic,
 )
-from copulameasures.empirical import (_binomial_survival, _pseudo_obs_basis,
+from copulameasures.empirical import (_TN_BLOCK, _binomial_survival,
+                                      _pseudo_obs_basis,
                                       empirical_copula_cdf_many)
 from copulameasures.errors import DimensionMismatch, NonFiniteData
 
@@ -197,6 +200,54 @@ class TestBinomialSurvival:
         assert np.allclose(c.cdf_at_pseudo_observations(),
                            c.cdf_many(rs.pseudo_observations()),
                            rtol=0.0, atol=1e-12)
+
+
+class TestPseudoObsBlocks:
+    """T_N's beta-copula values, formed a block of rows at a time."""
+
+    @staticmethod
+    def _dense(rs):
+        """The whole N x N product, then the row means."""
+        basis = _pseudo_obs_basis(rs.n)
+        prod = np.ones((rs.n, rs.n))
+        for j in range(rs.k):
+            c = rs.ranks[:, j] - 1
+            prod *= basis[np.ix_(c, c)]
+        return prod.mean(axis=1)
+
+    SIZES = (1, 2, 100, 250, 724, 2000)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_equals_dense_product_bitwise(self, n, k):
+        rng = np.random.default_rng(1000 * n + k)
+        ranks = np.column_stack([rng.permutation(n) + 1 for _ in range(k)])
+        rs = RankedSample(ranks=ranks, tie_seed=0, ties_broken=(0,) * k)
+        got = EmpiricalBetaCopula(rs).cdf_at_pseudo_observations()
+        assert np.array_equal(got, self._dense(rs))
+
+    def test_sizes_cover_block_shapes(self):
+        """One block, several full blocks, and a short last block."""
+        rows = {n: max(1, _TN_BLOCK // n) for n in self.SIZES}
+        assert any(r >= n for n, r in rows.items())
+        assert any(r < n and n % r == 0 for n, r in rows.items())
+        assert any(r < n and n % r != 0 for n, r in rows.items())
+
+    def test_memory_bounded_beside_basis(self):
+        n = 2000
+        rng = np.random.default_rng(3)
+        ranks = np.column_stack([rng.permutation(n) + 1 for _ in range(3)])
+        c = EmpiricalBetaCopula(
+            RankedSample(ranks=ranks, tie_seed=0, ties_broken=(0, 0, 0)))
+        _pseudo_obs_basis(n)              # the cached basis is not counted
+        tracemalloc.start()
+        try:
+            c.cdf_at_pseudo_observations()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6              # one dense N x N product is 32 MB
+
 
 
 class TestPluginMeasures:
