@@ -202,34 +202,20 @@ class CopulaModel(Copula):
             return U.min(axis=1)
         if fam == "lower_bound_w":
             return np.maximum(U.sum(axis=1) - 1.0, 0.0)
+        if fam in ("frank", "joe", "nelsen_4212"):
+            psi, psi_inv = archimedean_generator(self)
+            return psi(psi_inv(U).sum(axis=1))
         if fam == "clayton":
+            # one formula for both signs; alpha < 0 has no generator here
             a = self.params[0]
             inner = np.maximum((U ** -a).sum(axis=1) - (k - 1), 0.0)
             return inner ** (-1.0 / a)
-        if fam == "frank":
-            t = self.params[0]
-            if t > 0:
-                # log1p keeps precision for large theta, where e^{-t u}
-                # underflows relative to 1
-                gi = -np.log1p(-np.exp(-t * U)) + np.log1p(-np.exp(-t))
-                s = gi.sum(axis=1)
-                return -np.log(-np.expm1(-s) + np.exp(-t - s)) / t
-            num = np.expm1(-t * U).prod(axis=1)
-            return -np.log1p(num / np.expm1(-t) ** (k - 1)) / t
         if fam == "gumbel_hougaard":
+            # log-sum-exp: (-ln u)^phi overflows at large phi, e.g. u < 0.13 at 1e3
             phi = self.params[0]
             with np.errstate(divide="ignore"):
                 logl = np.log(-np.log(U))  # -inf where u = 1
             return np.exp(-np.exp(logsumexp(phi * logl, axis=1) / phi))
-        if fam == "joe":
-            th = self.params[0]
-            g = np.exp(th * np.log1p(-U))          # (1-u)^theta
-            t = -np.log1p(-g).sum(axis=1)
-            return -np.expm1(np.log(-np.expm1(-t)) / th)
-        if fam == "nelsen_4212":
-            th = self.params[0]
-            t = ((1.0 / U - 1.0) ** th).sum(axis=1)
-            return 1.0 / (1.0 + t ** (1.0 / th))
         if fam == "gaussian":
             return mvnorm.mvn_cdf_many(self._corr, ndtri(np.clip(U, 1e-300, 1.0)))
         if fam == "fgm":
@@ -404,8 +390,11 @@ def _log1mexp(x):
 def archimedean_generator(model: CopulaModel) -> tuple[Callable, Callable]:
     """(psi, psi_inverse) with C(u) = psi(sum psi_inverse(u_i)).
 
-    psi(0) = 1 and psi is nonincreasing.  Clayton with alpha < 0 has no
-    generator of this form and raises NotArchimedean.
+    psi(0) = 1 and psi is nonincreasing.  ``cdf_many`` evaluates Frank,
+    Joe and Nelsen 4.2.12 through this pair, and ``sample`` draws from psi
+    at positive dependence, so psi for theta > 0 is shared with the
+    sampler.  Clayton with alpha < 0 has no generator of this form and
+    raises NotArchimedean.
     """
     fam = model.family
     if fam == "clayton":
@@ -419,7 +408,9 @@ def archimedean_generator(model: CopulaModel) -> tuple[Callable, Callable]:
         t0 = model.params[0]
         def psi(t):
             t = np.asarray(t, dtype=float)
-            return -np.log(-np.expm1(-t) + np.exp(-t0 - t)) / t0
+            if t0 > 0:
+                return -np.log(-np.expm1(-t) + np.exp(-t0 - t)) / t0
+            return -np.log1p(np.exp(-t) * np.expm1(-t0)) / t0
         def psi_inv(u):
             u = np.asarray(u, dtype=float)
             return -(_log1mexp(t0 * u) - _log1mexp(t0)) \
@@ -434,7 +425,10 @@ def archimedean_generator(model: CopulaModel) -> tuple[Callable, Callable]:
         def psi(t):
             with np.errstate(divide="ignore"):  # log(0) at t = 0 gives psi = 1
                 return 1.0 - np.exp(np.log(-np.expm1(-np.asarray(t, dtype=float))) / th)
-        return psi, lambda u: -np.log1p(-(1.0 - np.asarray(u, dtype=float)) ** th)
+        def psi_inv(u):
+            with np.errstate(divide="ignore"):  # log1p(-1) at u = 1 gives 0
+                return -np.log1p(-np.exp(th * np.log1p(-np.asarray(u, dtype=float))))
+        return psi, psi_inv
     if fam == "nelsen_4212":
         th = model.params[0]
         return (lambda t: 1.0 / (1.0 + np.asarray(t, dtype=float) ** (1.0 / th)),

@@ -15,6 +15,7 @@ from itertools import combinations
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import digamma, factorial, polygamma
 from scipy.stats import kendalltau
 
 from .copulas import CopulaModel, corr_from_upper_triangle
@@ -68,21 +69,20 @@ def frank_tau(theta: float) -> float:
     return 1.0 - (4.0 / theta) * (1.0 - debye1(theta))
 
 
+# Taylor coefficients psi^(m)(2)/m!, m = 1..6, of the digamma function at 2
+_JOE_SERIES = polygamma(np.arange(1, 7), 2.0) / factorial(np.arange(1, 7))
+
+
 def joe_tau(theta: float) -> float:
-    """Kendall tau of the Joe copula through its generator integral."""
+    """Kendall tau of the Joe copula, 1 + 2/(2 - theta) (psi(2) - psi(2/theta + 1))
+    with psi the digamma function, a series in h = 2/theta - 1 near theta = 2."""
     if theta == 1.0:
         return 0.0
-
-    def integrand(y):
-        # y = 1 - x; the exact form is log(1-y^t) (1-y^t) y^(1-t), which
-        # degenerates to 0 * inf at small y where it equals -y
-        g = y ** theta
-        if g < 1e-12:
-            return -y
-        return np.log1p(-g) * (1.0 - g) * y ** (1.0 - theta)
-
-    val, _ = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-11, limit=200)
-    return 1.0 + 4.0 * val / theta
+    h = 2.0 / theta - 1.0
+    if abs(h) < 1e-3:
+        return float(1.0 - 2.0 / theta * np.polyval(_JOE_SERIES[::-1], h))
+    return float(1.0 + 2.0 / (2.0 - theta)
+                 * (digamma(2.0) - digamma(2.0 / theta + 1.0)))
 
 
 def tau_to_param(family: str, tau: float) -> float:

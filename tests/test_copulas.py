@@ -204,7 +204,6 @@ _MARGIN_DEFECTS = {
     ("clayton", (1e-9,)): "2e-7: sum u^-alpha - (k-1) cancels near 0",
     ("clayton", (1e3,)): "0.43: u^-alpha overflows and C falls to 0",
     ("clayton", (1e4,)): "0.81: u^-alpha overflows and C falls to 0",
-    ("frank", (-700.0,)): "0.94: the expm1(-theta u) product overflows, C = 1",
     ("frank", (1e-9,)): "1.8e-7: the generator's log terms cancel near 0",
     ("joe", (1e3,)): "0.44: (1-u)^theta underflows and C rounds to 1",
     ("joe", (1e4,)): "0.91: (1-u)^theta underflows and C rounds to 1",
@@ -296,6 +295,8 @@ class TestGenerator:
         ("clayton", (1.0,)), ("clayton", (4.0,)),
         ("frank", (3.0,)), ("frank", (-4.0,)), ("frank", (14.0,)),
         ("gumbel_hougaard", (2.0,)), ("joe", (2.5,)), ("nelsen_4212", (2.0,)),
+        ("frank", (-38.0,)), ("frank", (-700.0,)), ("joe", (10.0,)),
+        ("nelsen_4212", (20.0,)),
     ])
     def test_round_trip(self, fam, params):
         psi, psi_inv = archimedean_generator(CopulaModel(fam, 2, params))
@@ -348,6 +349,46 @@ class TestGenerator:
                 (mpmath.exp(-t) - mpmath.exp(-t * mpmath.mpf(u)))
                 / -mpmath.expm1(-t))) for u in us])
         assert np.allclose(psi_inv(us), ref, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("theta", [-4.0, -38.0, -700.0])
+    def test_frank_negative_theta_against_mpmath(self, theta):
+        """C = -log1p(prod expm1(-theta u_i) / expm1(-theta)) / theta at 50
+        digits; the product of expm1 terms overflows in doubles at -700."""
+        mpmath = pytest.importorskip("mpmath")
+        U = np.random.default_rng(int(-theta)).random((200, 2))
+        with mpmath.workdps(50):
+            t = mpmath.mpf(theta)
+            ref = np.array([float(-mpmath.log1p(
+                mpmath.expm1(-t * mpmath.mpf(u)) * mpmath.expm1(-t * mpmath.mpf(v))
+                / mpmath.expm1(-t)) / t) for u, v in U])
+        assert np.max(np.abs(CopulaModel("frank", 2, (theta,)).cdf_many(U) - ref)) \
+            <= 1e-15
+
+    def test_joe_inverse_generator_near_zero(self):
+        """psi_inv(u) = -log(1 - (1 - u)^theta) to 1e-8 relative where
+        (1 - u)^theta is within theta u of 1."""
+        mpmath = pytest.importorskip("mpmath")
+        _, psi_inv = archimedean_generator(CopulaModel("joe", 2, (10.0,)))
+        us = np.array([1e-12, 1e-9, 1e-6])
+        with mpmath.workdps(50):
+            ref = np.array([float(-mpmath.log1p(-(1 - mpmath.mpf(u)) ** 10))
+                            for u in us])
+        assert np.allclose(psi_inv(us), ref, rtol=1e-8, atol=0.0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("fam,param", [
+        *(("clayton", a) for a in (0.01, 1.0, 5.0, 20.0, 100.0)),
+        *(("gumbel_hougaard", p) for p in (1.0001, 1.5, 5.0, 20.0, 50.0)),
+    ])
+    def test_closed_form_matches_generator(self, fam, param, dim):
+        """Clayton and Gumbel-Hougaard keep their own CDF formulas; they
+        are the copula psi(sum psi_inv(u)) that the sampler draws from."""
+        m = CopulaModel(fam, dim, (param,))
+        psi, psi_inv = archimedean_generator(m)
+        U = 1e-6 + (1.0 - 1e-6) * np.random.default_rng(dim).random((20000, dim))
+        with np.errstate(over="ignore"):  # u^-alpha at alpha = 100, as in cdf_many
+            via_psi = psi(psi_inv(U).sum(axis=1))
+        assert np.max(np.abs(m.cdf_many(U) - via_psi)) <= 1e-13
 
     def test_not_archimedean(self):
         with pytest.raises(NotArchimedean):

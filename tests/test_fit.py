@@ -61,6 +61,18 @@ class TestTauInversion:
         with pytest.raises(NotFittable):
             tau_to_param("fgm", 0.2)
 
+    @pytest.mark.parametrize("theta", [1.0001, 1.5, 2.0 - 1e-9, 2.0, 2.0 + 1e-6,
+                                       3.0, 50.0, 500.0])
+    def test_joe_tau_against_mpmath(self, theta):
+        """The closed form, and its series near theta = 2, against the
+        digamma form at 60 digits (its limit 1 - psi'(2) at theta = 2)."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            t = mpmath.mpf(theta)
+            ref = 1 - mpmath.psi(1, 2) if theta == 2.0 else \
+                1 + 2 / (2 - t) * (mpmath.psi(0, 2) - mpmath.psi(0, 2 / t + 1))
+        assert abs(joe_tau(theta) - float(ref)) <= 1e-13
+
 
 # Monte Carlo standard errors of the recovered parameter at N = 5000,
 # frozen from a 50-seed pilot (tests/pilots/fit_round_trip.py regenerates).
