@@ -79,6 +79,8 @@ FAMILIES = tuple(_PARAMS)
 _PARAM_FREE = frozenset(f for f, rule in _PARAMS.items() if rule.count == 0)
 
 _SAMPLE_EPS = 1e-15
+# points per cdf_many call of the default cdf_grid
+_GRID_CHUNK = 1 << 14
 
 
 def corr_from_upper_triangle(dim: int, entries) -> np.ndarray:
@@ -97,12 +99,16 @@ def corr_from_upper_triangle(dim: int, entries) -> np.ndarray:
 class Copula(ABC):
     """Interface of every copula in the package: ``dim``,
     ``has_zero_region`` and the vectorized ``cdf_many``, whose points all
-    pass the one check ``_points``.  ``cdf`` is defined here.  Its
-    measures integrate by Sobol sampling from ``sobol_dim`` on."""
+    pass the one check ``_points``.  ``cdf`` and ``cdf_grid`` are defined
+    here.  Its measures integrate by Sobol sampling from ``sobol_dim`` on;
+    a copula that sets ``tensor_grid``, whose ``cdf_grid`` costs far less
+    than ``cdf_many`` at as many points, has them integrate on the tensor
+    grid up to ``cubature.GRID_MAX_DIM``, as does any divergence it enters."""
 
     dim: int
     has_zero_region: bool
     sobol_dim: int = SOBOL_DIM
+    tensor_grid: bool = False
 
     @abstractmethod
     def cdf_many(self, U: np.ndarray) -> np.ndarray:
@@ -112,6 +118,19 @@ class Copula(ABC):
         """C(u) at a single point of the closed unit cube."""
         u = np.asarray(point, dtype=float).ravel()
         return float(self.cdf_many(u[None, :])[0])
+
+    def cdf_grid(self, x) -> np.ndarray:
+        """C on the tensor grid x^dim, shape (len(x),) * dim, from
+        ``cdf_many`` at most _GRID_CHUNK points at a time, so that the
+        temporaries of a CDF like the trivariate normal's stay bounded."""
+        x = np.asarray(x, dtype=float).ravel()
+        shape = (len(x),) * self.dim
+        out = np.empty(len(x) ** self.dim)
+        for lo in range(0, out.size, _GRID_CHUNK):
+            idx = np.unravel_index(np.arange(lo, min(lo + _GRID_CHUNK, out.size)),
+                                   shape)
+            out[lo:lo + _GRID_CHUNK] = self.cdf_many(np.column_stack([x[i] for i in idx]))
+        return out.reshape(shape)
 
     def _points(self, U) -> np.ndarray:
         """U as an (m, dim) float array clipped into [0, 1]; raises

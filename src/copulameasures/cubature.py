@@ -1,15 +1,22 @@
 """Numerical integration over the unit hypercube [0,1]^k.
 
-Two engines sit behind one entry point, :func:`integrate_unit_cube`:
+Three engines sit behind one entry point, :func:`integrate_unit_cube`:
 
+* a tensor grid: per axis, composite Gauss-Legendre panels graded toward
+  the faces, refined level by level, with the error taken from the last
+  three levels;
 * an adaptive subdivision scheme built on the degree-7 Genz-Malik rule
   with its embedded degree-5 companion for error estimation, and
 * scrambled Sobol sampling with an error band taken across independent
   randomizations.
 
-The engine follows from k: subdivision below ``sobol_dim`` (SOBOL_DIM
-unless the copula declares another) and Sobol from there on, where the
-region count of subdivision explodes.
+One rule picks the engine from k and the integrand's caller: the grid
+when the caller supplies the integrand on a tensor grid (measures do so
+for the empirical beta copula) and k <= GRID_MAX_DIM; otherwise
+subdivision below ``sobol_dim`` (SOBOL_DIM unless the copula declares
+another) and Sobol from there on, where the region count of subdivision
+explodes.  From k = 4 the grid never runs, so the engines there are the
+two that served before it.
 Integrands must be vectorized: they receive an (m, k) array of points
 and return m values.
 
@@ -20,6 +27,8 @@ Also hosts the two bounded integrand transforms used by every measure:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import count
 from typing import Callable
 
 import numpy as np
@@ -32,14 +41,34 @@ _QMC_FIRST_BATCH = 1024
 _QMC_SEED = 0
 # first dimension integrated by Sobol sampling
 SOBOL_DIM = 5
+# last dimension integrated on the tensor grid: a level costs n^k values
+GRID_MAX_DIM = 3
+# Per axis, level L is a composite Gauss-Legendre rule in t with
+# _GRID_NODES nodes on each of round(2^(1.5 + L/2)) equal panels (3, 4, 6,
+# 8, 11, 16, 23, ...), mapped to u = sin^2(pi t / 2).  The map grades the
+# panels toward both faces as sqrt(u (1 - u)): that is how the transition
+# width of the binomial survival S(u; N, r) varies, so in t the beta
+# copula varies on one scale, 1/(pi sqrt N), everywhere.  It also smooths
+# C ln C and C^s at the lower faces, where C vanishes.  Levels grow by
+# sqrt 2 rather than 2 so that at k = 3 the level that resolves N = 724
+# (128 to 184 nodes) is reached within the default budget.
+_GRID_NODES = 8
+# Two levels that both miss the integrand's scale can agree by accident,
+# so the error is _GRID_SAFETY times the larger of the last two changes,
+# from the third level on, plus a rounding floor of _GRID_FLOOR times the
+# integral of |f|.  Against exact beta-copula integrals (N = 50 to 724,
+# k = 2 and 3), the last change alone understated the error in 7 of 474
+# k = 2 cases; the larger of two understated none.
+_GRID_SAFETY = 2.0
+_GRID_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
 class IntegrationConfig:
     """Tolerance and budget settings for :func:`integrate_unit_cube`.
 
-    ``abs_tol=None`` resolves to 1e-7 under subdivision and 1e-4 under
-    Sobol sampling.
+    ``abs_tol=None`` resolves to 1e-7 on the grid and under subdivision,
+    and to 1e-4 under Sobol sampling.
     """
 
     abs_tol: float | None = None
@@ -238,6 +267,58 @@ def _integrate_adaptive(f, k, abs_tol, rel_tol, max_evals):
         splits = np.concatenate([splits[keep], ns])
 
 
+@lru_cache(maxsize=16)
+def _grid_axis(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of level ``level``'s rule on [0, 1]."""
+    panels = round(2.0 ** (1.5 + 0.5 * level))
+    x, w = np.polynomial.legendre.leggauss(_GRID_NODES)
+    half = 0.5 / panels
+    t = ((2 * np.arange(panels) + 1)[:, None] * half + half * x).ravel()
+    nodes = np.sin(0.5 * np.pi * t) ** 2
+    weights = np.tile(half * w, panels) * (0.5 * np.pi) * np.sin(np.pi * t)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _grid_sum(values: np.ndarray, weights: np.ndarray) -> float:
+    """Tensor-rule sum: contract each axis of values with the weights."""
+    while values.ndim:
+        values = values @ weights
+    return float(values)
+
+
+def _integrate_grid(f, k, abs_tol, rel_tol, max_evals):
+    """Tensor Gauss-Legendre levels until the error, from the changes
+    over the last three levels, meets the tolerance.  f maps one axis's
+    nodes x to the integrand on the grid x^k, shape (len(x),)*k."""
+    evals = 0
+    best, values = None, []
+    for level in count():
+        nodes, weights = _grid_axis(level)
+        if evals + len(nodes) ** k > max_evals:
+            detail = (f"error {best.error:.3e} > tolerance {tol:.3e}" if best
+                      else "no grid level within the budget")
+            raise ToleranceNotReached(f"{detail} after {evals} evaluations",
+                                      estimate=best)
+        fv = np.asarray(f(nodes), dtype=float)
+        if fv.shape != (len(nodes),) * k:
+            raise NonFiniteIntegrand(
+                f"grid integrand returned shape {fv.shape}, "
+                f"expected {(len(nodes),) * k}")
+        if not np.all(np.isfinite(fv)):
+            raise NonFiniteIntegrand("integrand returned NaN or infinity")
+        evals += fv.size
+        values.append(_grid_sum(fv, weights))
+        change = (np.inf if level < 2 else
+                  max(abs(values[-1] - values[-2]), abs(values[-2] - values[-3])))
+        error = _GRID_SAFETY * change + _GRID_FLOOR * _grid_sum(np.abs(fv), weights)
+        best = Estimate(values[-1], error, evals)
+        tol = max(abs_tol, rel_tol * abs(best.value))
+        if error <= tol:
+            return best
+
+
 def _integrate_qmc(f, k, seed, first_batch, abs_tol, rel_tol, max_evals):
     """Doubling Sobol loop, error 3 standard errors across randomizations;
     also runs the MVN CDF at k >= 4."""
@@ -276,10 +357,15 @@ def _integrate_qmc(f, k, seed, first_batch, abs_tol, rel_tol, max_evals):
 
 def integrate_unit_cube(f: Callable[[np.ndarray], np.ndarray], k: int,
                         cfg: IntegrationConfig | None = None,
-                        sobol_dim: int = SOBOL_DIM) -> Estimate:
-    """Integrate a bounded vectorized integrand over [0,1]^k, by
+                        sobol_dim: int = SOBOL_DIM,
+                        on_grid: Callable[[np.ndarray], np.ndarray] | None = None
+                        ) -> Estimate:
+    """Integrate a bounded vectorized integrand over [0,1]^k: on the
+    tensor grid when ``on_grid`` is given and k <= GRID_MAX_DIM, else by
     subdivision for k < sobol_dim and by Sobol sampling from there on.
 
+    ``on_grid``, if given, is the same integrand on a tensor grid: it maps
+    the nodes x of one axis to the values on x^k, shape (len(x),)*k.
     Raises :class:`DimensionUnsupported` outside 2 <= k <= 8,
     :class:`ToleranceNotReached` (carrying the best estimate) if the
     evaluation budget runs out, and :class:`NonFiniteIntegrand` if f
@@ -288,6 +374,9 @@ def integrate_unit_cube(f: Callable[[np.ndarray], np.ndarray], k: int,
     if not 2 <= k <= 8:
         raise DimensionUnsupported(f"dimension {k} outside supported range 2..8")
     cfg = cfg or IntegrationConfig()
+    if on_grid is not None and k <= GRID_MAX_DIM:
+        abs_tol = 1e-7 if cfg.abs_tol is None else cfg.abs_tol
+        return _integrate_grid(on_grid, k, abs_tol, cfg.rel_tol, cfg.max_evals)
     if k < sobol_dim:
         abs_tol = 1e-7 if cfg.abs_tol is None else cfg.abs_tol
         return _integrate_adaptive(f, k, abs_tol, cfg.rel_tol, cfg.max_evals)

@@ -5,8 +5,9 @@ tie-breaking and an audit trail).  From it, :func:`empirical_copula_cdf`
 evaluates the step-function estimator and :class:`EmpiricalBetaCopula`
 the smooth rank-binomial one, which is a genuine copula when ranks are
 permutations.  Plug-in estimates are the measures of that copula, e.g.
-``cce(EmpiricalBetaCopula(rs))``; they integrate by Sobol sampling from
-k = 4, one dimension before parametric copulas do.
+``cce(EmpiricalBetaCopula(rs))``; they integrate on the tensor grid at
+k = 2 and 3 and by Sobol sampling from k = 4, one dimension before
+parametric copulas do.
 """
 
 from __future__ import annotations
@@ -26,6 +27,19 @@ _CHUNK = 4096
 # elements per row block of the T_N product: rows = max(1, this // N),
 # so each block's product and factor are 256 KB and stay in cache
 _TN_BLOCK = 32768
+# elements per row block of the grid contraction's (rows, N) factor: 16 MB,
+# large enough that each matmul runs near BLAS speed on any thread count
+_GRID_BLOCK = 1 << 21
+# observations per matmul of the grid contraction.  OpenBLAS splits a
+# long inner dimension into blocks whose sums it adds in an order that
+# depends on its thread count (C moved in its last bits between 1 and 2
+# threads at N = 400 and 724, never up to 300).  Summing chunks of 128
+# here, in order, keeps C bit-identical on any count.
+_GRID_INNER = 128
+# survival values below this are set to 0 on the grid: products of three
+# of them stay normal, where subnormal operands slow the matmul severalfold,
+# and C moves by less than 1e-100
+_GRID_TINY = 1e-100
 
 
 @dataclass(frozen=True)
@@ -123,18 +137,44 @@ def _pseudo_obs_basis(n: int) -> np.ndarray:
     return _binomial_survival(np.arange(1, n + 1) / (n + 1.0), n)
 
 
+def _grid_contract(factors: list) -> np.ndarray:
+    """sum_i prod_j F_j[a_j, i] over the grid of (a_1, ..., a_k), for
+    (n_j, N) factors: the rows prod_{j<k} F_j[a_j, :], a block at a time,
+    each block times F_k^T in one matmul (the whole grid at k = 2)."""
+    *heads, last = factors
+    shape = tuple(len(f) for f in heads)
+    rows = int(np.prod(shape))
+    out = np.empty((rows, len(last)))
+    step = max(1, _GRID_BLOCK // last.shape[1])
+    for lo in range(0, rows, step):
+        idx = np.unravel_index(np.arange(lo, min(lo + step, rows)), shape)
+        block = heads[0][idx[0]]
+        for f, i in zip(heads[1:], idx[1:]):
+            block *= f[i]
+        acc = out[lo:lo + step]
+        acc[:] = block[:, :_GRID_INNER] @ last[:, :_GRID_INNER].T
+        for c in range(_GRID_INNER, block.shape[1], _GRID_INNER):
+            acc += block[:, c:c + _GRID_INNER] @ last[:, c:c + _GRID_INNER].T
+    return out.reshape(*shape, len(last))
+
+
 @dataclass(frozen=True)
 class EmpiricalBetaCopula(Copula):
     """Smooth copula built from rank-binomial survival functions.
 
     C(u) = (1/N) sum_i prod_j S(u_j; N, R_ij) with S(u; N, r) =
-    P(Bin(N, u) >= r).  One point costs O(N k): each coordinate needs the
-    whole survival row over r = 1..N, computed by one binomial-pmf pass,
-    so its measures switch to Sobol one dimension early (``sobol_dim`` 4).
+    P(Bin(N, u) >= r).  One scattered point costs O(N k): each coordinate
+    needs the whole survival row over r = 1..N, computed by one
+    binomial-pmf pass.  On a tensor grid with n nodes per axis the rows
+    are needed at the n nodes only, and C on all n^k points is a BLAS
+    contraction of O(n^k N) flops (``cdf_grid``), so its measures
+    integrate on the grid at k = 2 and 3 (``tensor_grid``) and by Sobol
+    sampling from k = 4 (``sobol_dim`` 4), where n^k grows too fast.
     """
 
     rs: RankedSample
     sobol_dim = 4
+    tensor_grid = True
 
     @property
     def dim(self) -> int:
@@ -152,14 +192,26 @@ class EmpiricalBetaCopula(Copula):
             block = U[lo:lo + _CHUNK]                       # (m, k)
             prod = np.ones((len(block), n))
             for j in range(k):
-                # cubature points share coordinates (a Genz-Malik box has
-                # 7 distinct values per axis in 17 points), so the survival
-                # rows are computed once per distinct value
+                # subdivision points share coordinates (a Genz-Malik box
+                # has 7 distinct values per axis in 17 points; only a k = 4
+                # cckl sends them here), so the survival rows are computed
+                # once per distinct value
                 u, inv = np.unique(block[:, j], return_inverse=True)
                 s_all = _binomial_survival(u, n)            # (distinct u, n)
                 prod *= s_all[:, self.rs.ranks[:, j] - 1][inv]
             out[lo:lo + _CHUNK] = prod.mean(axis=1)
         return np.clip(out, 0.0, 1.0)
+
+    def cdf_grid(self, x) -> np.ndarray:
+        """C on the tensor grid x^k: the survival rows at the n nodes,
+        gathered by each rank column into an (n, N) factor, then
+        contracted over the observations by matmul (``_grid_contract``),
+        one (n x N)(N x n) product at k = 2 and n^2 rows in blocks at k = 3."""
+        x = self._points(np.repeat(np.ravel(x)[:, None], self.dim, axis=1))[:, 0]
+        s = _binomial_survival(x, self.rs.n)                # (n, N) over r
+        s[s < _GRID_TINY] = 0.0
+        factors = [s[:, r - 1] for r in self.rs.ranks.T]
+        return np.clip(_grid_contract(factors) / self.rs.n, 0.0, 1.0)
 
     def cdf_at_pseudo_observations(self) -> np.ndarray:
         """Values at the sample's own pseudo-observations, via the shared

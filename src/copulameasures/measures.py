@@ -5,6 +5,14 @@ Every operation accepts any :class:`~copulameasures.copulas.Copula`
 the cubature :class:`~copulameasures.cubature.Estimate`: the value, its
 error bound and the number of integrand evaluations.
 
+The engine follows from k and the copulas, by one rule in
+:func:`~copulameasures.cubature.integrate_unit_cube`: every measure of
+the empirical beta copula, and ``cckl`` when either copula is one,
+integrates on the tensor grid at k = 2 and 3; otherwise the copula's
+``sobol_dim`` (4 for the beta copula, 5 for the others and for
+``cckl``) is the first k integrated by Sobol sampling, and subdivision
+serves below it.  Behaviour at k >= 4 is as before the grid existed.
+
 Measures:
 
 * ``cce``      cumulative copula entropy, the integral of -C ln C
@@ -19,8 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cubature import (Estimate, IntegrationConfig, integrate_unit_cube,
-                       xlog_ratio, xlogx)
+from .cubature import (SOBOL_DIM, Estimate, IntegrationConfig,
+                       integrate_unit_cube, xlog_ratio, xlogx)
 from .errors import DimensionMismatch, DivergenceInfinite
 
 _CCKL_FLOOR = 1e-300
@@ -32,11 +40,24 @@ def spearman_n(k: int) -> float:
     return (k + 1.0) / (2.0 ** k - k - 1.0)
 
 
+def _integrate(models, transform, cfg, sobol_dim=SOBOL_DIM) -> Estimate:
+    """Cubature of transform(C_1, ...) over the unit cube, on the tensor
+    grid when one of the copulas sets ``tensor_grid``."""
+    def f(U):
+        return transform(*(m.cdf_many(U) for m in models))
+
+    def on_grid(x):
+        return transform(*(m.cdf_grid(x) for m in models))
+
+    gridded = any(m.tensor_grid for m in models)
+    return integrate_unit_cube(f, models[0].dim, cfg, sobol_dim,
+                               on_grid if gridded else None)
+
+
 def _integrate_cdf(model, transform, cfg) -> Estimate:
-    """Cubature of transform(C) over the unit cube, by Sobol sampling
-    from the copula's ``sobol_dim`` on."""
-    return integrate_unit_cube(lambda U: transform(model.cdf_many(U)),
-                               model.dim, cfg, model.sobol_dim)
+    """Cubature of transform(C), by Sobol sampling from the copula's
+    ``sobol_dim`` on."""
+    return _integrate((model,), transform, cfg, model.sobol_dim)
 
 
 def cce(model, cfg: IntegrationConfig | None = None) -> Estimate:
@@ -92,9 +113,7 @@ def cckl(model1, model2, cfg: IntegrationConfig | None = None) -> Estimate:
         raise DimensionMismatch("divergence needs copulas of equal dimension")
     absolutely_continuous = not model2.has_zero_region
 
-    def integrand(U):
-        c1 = model1.cdf_many(U)
-        c2 = model2.cdf_many(U)
+    def transform(c1, c2):
         if absolutely_continuous:
             c2 = np.maximum(c2, _CCKL_FLOOR)
         vals = xlog_ratio(c1, c2)
@@ -103,7 +122,7 @@ def cckl(model1, model2, cfg: IntegrationConfig | None = None) -> Estimate:
                 "first copula puts mass where the second vanishes")
         return vals
 
-    return integrate_unit_cube(integrand, model1.dim, cfg)
+    return _integrate((model1, model2), transform, cfg)
 
 
 def concordance_leq_on_grid(model1, model2, grid_pts: int = 17) -> bool:

@@ -18,6 +18,7 @@ and rejects NaN scores; ``mvn_cdf_many`` trusts its caller.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtr, ndtri, owens_t
@@ -68,6 +69,28 @@ def bvn_cdf(x1, x2, rho: float):
     return np.clip(p, 0.0, 1.0)
 
 
+@lru_cache(maxsize=64)
+def _tvn_path_rule(r_ij, r_base, r_other, n_nodes):
+    """The node-only vectors of one path integral: weights, sin and cos^2
+    of the path angle, the conditional-mean coefficients and the
+    conditional spread.  They depend on the correlations alone, so every
+    chunk of points on one copula reuses them."""
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    half = 0.5 * np.arcsin(r_ij)
+    theta, w = half * (x + 1.0), half * w  # nodes on [0, arcsin r_ij]
+    sin_t = np.sin(theta)
+    cos2 = np.cos(theta) ** 2
+    t = sin_t / r_ij  # path position in [0, 1]
+    det = 1.0 - sin_t * sin_t
+    c_a = (r_base - t * r_other * sin_t) / det
+    c_b = (t * r_other - sin_t * r_base) / det
+    s2 = np.sqrt(np.clip(1.0 - c_a * r_base - c_b * t * r_other, 1e-14, None))
+    rule = (w, sin_t, cos2, c_a, c_b, s2)
+    for a in rule:  # shared by every caller
+        a.setflags(write=False)
+    return rule
+
+
 def _tvn_path_term(b_i, b_j, b_m, r_ij, r_base, r_other, n_nodes):
     """One correlation-path integral for the trivariate CDF.
 
@@ -79,16 +102,8 @@ def _tvn_path_term(b_i, b_j, b_m, r_ij, r_base, r_other, n_nodes):
     """
     if r_ij == 0.0:
         return 0.0
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    half = 0.5 * np.arcsin(r_ij)
-    theta, w = half * (x + 1.0), half * w  # nodes on [0, arcsin r_ij]
-    sin_t = np.sin(theta)
-    cos2 = np.cos(theta) ** 2
-    t = sin_t / r_ij  # path position in [0, 1]
-    det = 1.0 - sin_t * sin_t
-    c_a = (r_base - t * r_other * sin_t) / det
-    c_b = (t * r_other - sin_t * r_base) / det
-    s2 = np.sqrt(np.clip(1.0 - c_a * r_base - c_b * t * r_other, 1e-14, None))
+    w, sin_t, cos2, c_a, c_b, s2 = _tvn_path_rule(
+        float(r_ij), float(r_base), float(r_other), n_nodes)
     # (points, nodes) broadcast
     expo = -(b_i[:, None] ** 2 - 2.0 * sin_t * b_i[:, None] * b_m[:, None]
              + b_m[:, None] ** 2) / (2.0 * cos2)

@@ -222,7 +222,11 @@ _GOF_SEEDS = {"seed": 3, "tie_seed": 10968187914866821265,
 # power and select at 100 replicates.  The empirical entry's error was
 # re-recorded for the binomial-pmf survival kernel of the beta copula: a
 # cubature error estimate is ~1e6 times smaller than the value it
-# bounds, so at 1e-12 relative it pins the kernel's last bits.
+# bounds, so at 1e-12 relative it pins the kernel's last bits.  The
+# empirical and select entries were re-recorded again when the beta
+# copula moved to the tensor grid at k <= 3; each new value lies within
+# the old error bar of the old one and within its own of a reference at
+# abs_tol 1e-11.
 GOLDEN = [
     (_measure("product", 2, "cce"), EXIT_OK,
      _measured("product", 2, [], "cce",
@@ -275,7 +279,7 @@ GOLDEN = [
               "the total 1/9 and fails quadrature)"])),
     (["empirical", "--data", "CSV", "--cols", "x,y", "--stat", "cce"], EXIT_OK,
      _report({**_CSV_INPUTS, "stat": "cce", "rows_dropped": 0},
-             {"value": 0.2743449244949438, "error": 2.370185139041155e-07,
+             {"value": 0.2743449252891183, "error": 4.985025626507229e-09,
               "n": 150, "k": 2},
              seeds={"tie_seed": 20241})),
     (["gof", "--family", "gaussian", "--param-mode", "estimate_each_rep",
@@ -314,13 +318,13 @@ GOLDEN = [
               "reps": 100, "alpha": 0.05, "rows_dropped": 0},
              {"ranking": [
                  {"family": "gaussian", "params": [0.6630498151671278],
-                  "cckl_to_empirical": 9.523153864917784e-05, "p_value": 0.5,
+                  "cckl_to_empirical": 9.523106361698304e-05, "p_value": 0.5,
                   "error": None},
                  {"family": "clayton", "params": [1.7138584247258224],
-                  "cckl_to_empirical": 0.0005109232937867879,
+                  "cckl_to_empirical": 0.0005109191568403382,
                   "p_value": 0.0, "error": None},
                  {"family": "product", "params": [],
-                  "cckl_to_empirical": 0.011200647930481566, "p_value": 0.0,
+                  "cckl_to_empirical": 0.011200643126531025, "p_value": 0.0,
                   "error": None}],
               "recommended": "gaussian"},
              seeds={"seed": 9})),
@@ -375,10 +379,10 @@ class TestGoldenReports:
 
 @pytest.fixture
 def engines(monkeypatch):
-    """The engine each integration runs, "adaptive" or "qmc", with both
-    engines stubbed out behind ``integrate_unit_cube``'s dispatch."""
+    """The engine each integration runs, "grid", "adaptive" or "qmc", with
+    every engine stubbed out behind ``integrate_unit_cube``'s dispatch."""
     seen = []
-    for name in ("adaptive", "qmc"):
+    for name in ("grid", "adaptive", "qmc"):
         def record(*args, name=name):
             seen.append(name)
             return Estimate(0.1, 0.0, 1)
@@ -392,14 +396,16 @@ def _beta(k):
 
 
 class TestEmpiricalEngine:
-    """The empirical beta copula sets ``sobol_dim`` to 4, so every measure
-    of it but ``cckl`` integrates by Sobol from k = 4, whether called from
-    the API or the CLI; parametric models and ``cckl`` keep cubature's
-    default switch at k = 5."""
+    """Every measure of the empirical beta copula, and ``cckl`` when either
+    copula is one, integrates on the tensor grid at k = 2 and 3, whether
+    called from the API or the CLI.  From k = 4 the beta copula's own
+    measures run Sobol (``sobol_dim`` 4); parametric models and ``cckl``
+    keep cubature's default switch at k = 5, as before the grid."""
 
     def test_cli_uses_the_api_engine_rule(self, normal4_csv, capsys, engines):
-        """The dumped curve included; below k = 4 it stays adaptive."""
-        for cols, engine in (("a,b,c,d", "qmc"), ("a,b,c", "adaptive")):
+        """The dumped curve included."""
+        for cols, engine in (("a,b,c,d", "qmc"), ("a,b,c", "grid"),
+                             ("a,b", "grid")):
             engines.clear()
             code, _ = run_cli(["empirical", "--data", normal4_csv, "--cols",
                                cols, "--stat", "cce", "--dump-curve", "20"],
@@ -407,13 +413,24 @@ class TestEmpiricalEngine:
             assert code == EXIT_OK
             assert engines == [engine, engine]
 
-    @pytest.mark.parametrize("k,engine", [(4, "qmc"), (3, "adaptive")])
+    @pytest.mark.parametrize("k,engine", [(4, "qmc"), (3, "grid"), (2, "grid")])
     def test_api_measures_use_the_copula_rule(self, k, engine, engines):
         beta = _beta(k)
         cce(beta), fcce(beta, 0.5), ccigf(beta, 2.0), b_k(beta)
         assert engines == [engine] * 4
 
-    def test_cckl_and_parametric_models_stay_adaptive_at_k4(self, engines):
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_cckl_with_a_beta_copula_on_the_grid(self, k, engines):
+        model = CopulaModel("product", k)
+        cckl(_beta(k), model), cckl(model, _beta(k))
+        assert engines == ["grid", "grid"]
+
+    def test_cckl_and_parametric_models_unchanged(self, engines):
+        """Subdivision below k = 5 and Sobol from it, with or without a
+        beta copula at k = 4."""
         cckl(_beta(4), CopulaModel("product", 4))
         cce(CopulaModel("clayton", 4, (1.0,)))
-        assert engines == ["adaptive", "adaptive"]
+        cckl(CopulaModel("clayton", 3, (1.0,)), CopulaModel("product", 3))
+        cce(CopulaModel("clayton", 2, (1.0,)))
+        cce(CopulaModel("product", 5))
+        assert engines == ["adaptive"] * 4 + ["qmc"]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from copulameasures import IntegrationConfig, integrate_unit_cube, xlog_ratio, xlogx
+from copulameasures.cubature import _grid_axis
 from copulameasures.errors import (DimensionUnsupported, NonFiniteIntegrand,
                                    ToleranceNotReached)
 
@@ -76,6 +77,61 @@ def test_dimension_range_enforced():
         integrate_unit_cube(lambda p: np.ones(len(p)), 1)
     with pytest.raises(DimensionUnsupported):
         integrate_unit_cube(lambda p: np.ones(len(p)), 9)
+
+
+def _tensor(g, k):
+    """g of the points of the grid x^k, as the grid integrand."""
+    return lambda x: g(np.stack(np.meshgrid(*[x] * k, indexing="ij"), axis=-1))
+
+
+def _product_entropy(p):
+    return xlogx(p.prod(axis=-1))
+
+
+class TestGrid:
+    """The tensor-grid engine, which runs when the caller passes the
+    integrand on a grid and k <= 3."""
+
+    @pytest.mark.parametrize("k,exact", [(2, 0.25), (3, 3.0 / 16.0)])
+    @pytest.mark.parametrize("abs_tol", [1e-6, None])
+    def test_product_entropy_within_error(self, k, exact, abs_tol):
+        est = integrate_unit_cube(None, k, IntegrationConfig(abs_tol=abs_tol),
+                                  on_grid=_tensor(_product_entropy, k))
+        assert abs(est.value - exact) <= est.error <= (abs_tol or 1e-7)
+
+    def test_levels_refine_one_rule(self):
+        for level in range(5):
+            x, w = _grid_axis(level)
+            assert np.all((x > 0.0) & (x < 1.0)) and np.all(w > 0.0)
+            assert w.sum() == pytest.approx(1.0, abs=1e-14)
+            assert len(_grid_axis(level + 1)[0]) > len(x)
+
+    def test_budget_carries_the_best_estimate(self):
+        def wave(p):
+            return np.cos(200.0 * p.sum(axis=-1))
+        cfg = IntegrationConfig(abs_tol=1e-14, rel_tol=1e-14, max_evals=10_000)
+        with pytest.raises(ToleranceNotReached) as exc:
+            integrate_unit_cube(None, 2, cfg, on_grid=_tensor(wave, 2))
+        est = exc.value.estimate
+        assert est is not None and 0 < est.evals <= 10_000
+        with pytest.raises(ToleranceNotReached) as exc:
+            integrate_unit_cube(None, 3, IntegrationConfig(max_evals=1_000),
+                                on_grid=_tensor(wave, 3))
+        assert exc.value.estimate is None
+
+    def test_non_finite_raises(self):
+        def bad(p):
+            out = p.prod(axis=-1)
+            out[0, 0] = np.inf
+            return out
+        with pytest.raises(NonFiniteIntegrand):
+            integrate_unit_cube(None, 2, on_grid=_tensor(bad, 2))
+
+    def test_grid_ignored_from_k4(self):
+        def f(p):
+            return _product_entropy(p)
+        assert integrate_unit_cube(f, 4, on_grid=_tensor(f, 4)) == \
+            integrate_unit_cube(f, 4)
 
 
 class TestXlogx:

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import betaln, gammaln
 
 from copulameasures import (
     CopulaModel,
@@ -10,10 +11,15 @@ from copulameasures import (
     RankedSample,
     b_k,
     cce,
+    ccigf,
+    cckl,
     empirical_copula_cdf,
+    estimate,
     fcce,
+    integrate_unit_cube,
     rank_with_random_ties,
     t_statistic,
+    xlog_ratio,
 )
 from copulameasures.empirical import (_TN_BLOCK, _binomial_survival,
                                       _pseudo_obs_basis,
@@ -146,6 +152,15 @@ class TestBetaCopula:
         after = _pseudo_obs_basis.cache_info()
         assert after.hits + after.misses == before.hits + before.misses + 1
 
+    @pytest.mark.parametrize("n,k", [(2, 2), (37, 2), (250, 2), (20, 3), (150, 3)])
+    def test_cdf_grid_matches_cdf_many(self, n, k):
+        rs = rank_with_random_ties(np.random.default_rng(n).normal(size=(n, k)), 4)
+        c = EmpiricalBetaCopula(rs)
+        x = np.array([0.0, 1e-9, 0.03, 0.31, 0.5, 0.77, 0.999, 1.0])
+        grid = np.stack(np.meshgrid(*[x] * k, indexing="ij"), axis=-1)
+        want = c.cdf_many(grid.reshape(-1, k)).reshape((len(x),) * k)
+        assert np.allclose(c.cdf_grid(x), want, rtol=1e-13, atol=1e-15)
+
     def test_mean_matches_cubature_random_ranks(self):
         rng = np.random.default_rng(4)
         for n, k in ((7, 2), (23, 2), (50, 3), (14, 3)):
@@ -154,6 +169,65 @@ class TestBetaCopula:
             c = EmpiricalBetaCopula(rs)
             est = b_k(c)
             assert c.mean_integral() == pytest.approx(est.value, abs=1e-6)
+
+
+def exact_square_integral(c: EmpiricalBetaCopula) -> float:
+    """Exact integral of C^2 over the cube, for the beta copula's oracle
+    tests beside ``mean_integral()``.
+
+    int_0^1 S(u; N, r1) S(u; N, r2) du = M[r1, r2], the sum over m1 >= r1
+    and m2 >= r2 of C(N, m1) C(N, m2) B(m1 + m2 + 1, 2N - m1 - m2 + 1),
+    built as a 2-D suffix sum of log terms.  C^2 is a double sum over
+    observations, so the integral is (1/N^2) sum_{i,l} prod_j M[R_ij, R_lj].
+    """
+    n = c.rs.n
+    m = np.arange(n + 1.0)
+    log_binom = gammaln(n + 1.0) - gammaln(m + 1.0) - gammaln(n - m + 1.0)
+    total = m[:, None] + m[None, :]
+    log_terms = (log_binom[:, None] + log_binom[None, :]
+                 + betaln(total + 1.0, 2.0 * n - total + 1.0))
+    suffix = np.logaddexp.accumulate(log_terms[::-1, ::-1], axis=0)
+    M = np.exp(np.logaddexp.accumulate(suffix, axis=1)[::-1, ::-1])
+    prod = np.ones((n, n))
+    for r in c.rs.ranks.T:
+        prod *= M[np.ix_(r, r)]
+    return float(prod.sum() / n ** 2)
+
+
+class TestExactOracles:
+    """b_k and ccigf:2 of the beta copula, integrated on the tensor grid,
+    against their closed forms ``mean_integral()`` and
+    ``exact_square_integral``."""
+
+    def test_square_integral_single_observation(self):
+        rs1 = RankedSample(np.array([[1, 1]]), 0, (0, 0))
+        assert exact_square_integral(EmpiricalBetaCopula(rs1)) == \
+            pytest.approx(1.0 / 9.0, rel=1e-14)
+
+    def test_square_integral_matches_subdivision(self):
+        rs = rank_with_random_ties(np.random.default_rng(2).normal(size=(9, 2)), 1)
+        c = EmpiricalBetaCopula(rs)
+        est = integrate_unit_cube(lambda U: c.cdf_many(U) ** 2, 2,
+                                  IntegrationConfig(abs_tol=1e-11, rel_tol=1e-11))
+        assert exact_square_integral(c) == pytest.approx(est.value, abs=1e-10)
+
+    @pytest.mark.parametrize("k,family,params,n", [
+        *[(2, f, p, n) for f, p in (("gaussian", (0.7,)), ("clayton", (2.0,)),
+                                    ("product", ()))
+          for n in (50, 150, 250)],
+        *[(3, f, p, n) for f, p in (("gaussian", (0.5, 0.3, 0.4)),
+                                    ("clayton", (2.0,)))
+          for n in (150, 724)],
+    ])
+    @pytest.mark.parametrize("abs_tol", [1e-6, None])
+    def test_grid_within_reported_error(self, k, family, params, n, abs_tol):
+        data = CopulaModel(family, k, params).sample(n, seed=11 + n)
+        c = EmpiricalBetaCopula(rank_with_random_ties(data, 0))
+        cfg = IntegrationConfig(abs_tol=abs_tol)
+        for est, exact in ((b_k(c, cfg), c.mean_integral()),
+                           (ccigf(c, 2.0, cfg), exact_square_integral(c))):
+            tol = max(abs_tol or 1e-7, cfg.rel_tol * abs(est.value))
+            assert abs(est.value - exact) <= est.error <= tol
 
 
 def _ranks_to_check(n, u):
@@ -262,6 +336,18 @@ class TestPluginMeasures:
         a = fcce(EmpiricalBetaCopula(rs), 1.0)
         b = cce(EmpiricalBetaCopula(rs))
         assert a.value == pytest.approx(b.value, abs=a.error + b.error + 1e-9)
+
+    def test_divergence_within_error_of_a_tight_reference(self):
+        """Subdivision stopped this divergence after 17 evaluations, at
+        4.2439e-4 +- 5.6e-6, against 4.6437e-4."""
+        data = CopulaModel("gaussian", 2, (0.7,)).sample(250, seed=7009)
+        c = EmpiricalBetaCopula(rank_with_random_ties(data, 9))
+        joe = estimate("joe", data).model
+        est = cckl(c, joe, IntegrationConfig(abs_tol=1e-5))
+        ref = integrate_unit_cube(
+            lambda U: xlog_ratio(c.cdf_many(U), np.maximum(joe.cdf_many(U), 1e-300)),
+            2, IntegrationConfig(abs_tol=1e-9))
+        assert abs(est.value - ref.value) <= est.error
 
     def test_thousand_product_samples_close(self):
         data = CopulaModel("product", 2).sample(1000, seed=123)
