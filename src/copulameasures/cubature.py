@@ -303,9 +303,8 @@ def _integrate_grid(f, k, abs_tol, rel_tol, max_evals):
                                       estimate=best)
         fv = np.asarray(f(nodes), dtype=float)
         if fv.shape != (len(nodes),) * k:
-            raise NonFiniteIntegrand(
-                f"grid integrand returned shape {fv.shape}, "
-                f"expected {(len(nodes),) * k}")
+            raise ValueError(f"grid integrand returned shape {fv.shape}, "
+                             f"expected {(len(nodes),) * k}")
         if not np.all(np.isfinite(fv)):
             raise NonFiniteIntegrand("integrand returned NaN or infinity")
         evals += fv.size

@@ -127,6 +127,10 @@ class TestGrid:
         with pytest.raises(NonFiniteIntegrand):
             integrate_unit_cube(None, 2, on_grid=_tensor(bad, 2))
 
+    def test_wrong_shape_raises(self):
+        with pytest.raises(ValueError, match="shape"):
+            integrate_unit_cube(None, 2, on_grid=lambda x: np.ones(len(x)))
+
     def test_grid_ignored_from_k4(self):
         def f(p):
             return _product_entropy(p)
