@@ -193,14 +193,15 @@ def cmd_empirical(args, argv) -> int:
     stat, order = _parse_stat(args.stat)
     measure = _STATS[stat].measure
     cfg = IntegrationConfig(abs_tol=args.tol)
+    sizes = [int(s) for s in args.dump_curve.split(",")] if args.dump_curve else []
+    for m in sizes:
+        if not 2 <= m <= rs.n:
+            raise ValueError(f"curve size {m} outside 2..N={rs.n}")
     est = measure(empirical.EmpiricalBetaCopula(rs), *order, cfg)
     outputs = {"value": est.value, "error": est.error, "n": rs.n, "k": rs.k}
-    if args.dump_curve:
-        sizes = [int(s) for s in args.dump_curve.split(",")]
+    if sizes:
         curve = []
         for m in sizes:
-            if m > rs.n:
-                raise ValueError(f"curve size {m} exceeds N={rs.n}")
             sub = empirical.rank_with_random_ties(ds.values[:m], args.tie_seed)
             sub_est = measure(empirical.EmpiricalBetaCopula(sub), *order, cfg)
             curve.append([m, sub_est.value])

@@ -18,7 +18,10 @@ another) and Sobol from there on, where the region count of subdivision
 explodes.  From k = 4 the grid never runs, so the engines there are the
 two that served before it.
 Integrands must be vectorized: they receive an (m, k) array of points
-and return m values.
+and return m values; on every engine a wrong shape raises ValueError and
+NaN or infinity raises NonFiniteIntegrand.  ``max_evals`` caps every
+engine: each stops, with ToleranceNotReached, before a step that would
+pass it.
 
 Also hosts the two bounded integrand transforms used by every measure:
 :func:`xlogx` and :func:`xlog_ratio`.
@@ -76,11 +79,12 @@ class IntegrationConfig:
     max_evals: int = 10_000_000
 
     def __post_init__(self):
-        if self.abs_tol is not None and self.abs_tol <= 0:
+        # written so that NaN fails each check
+        if self.abs_tol is not None and not self.abs_tol > 0:
             raise ValueError("abs_tol must be positive")
-        if self.rel_tol <= 0:
+        if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
-        if self.max_evals < 1_000:
+        if not self.max_evals >= 1_000:
             raise ValueError("max_evals must be at least 1000")
 
 
@@ -125,6 +129,34 @@ def xlog_ratio(c1, c2):
     # The identity x ln(x/y) - x + y >= 0 can dip an ulp below zero.
     np.clip(out, 0.0, None, out=out)
     return out if out.ndim else float(out)
+
+
+def _values(f, x, shape) -> np.ndarray:
+    """f(x) as floats, checked to have ``shape`` and to be finite."""
+    fv = np.asarray(f(x), dtype=float)
+    if fv.shape != shape:
+        raise ValueError(f"integrand returned shape {fv.shape}, expected {shape}")
+    if not np.all(np.isfinite(fv)):
+        raise NonFiniteIntegrand("integrand returned NaN or infinity")
+    return fv
+
+
+def _converged(est, abs_tol, rel_tol, next_evals, max_evals) -> bool:
+    """Whether ``est`` (None before the first step) meets the tolerance
+    max(abs_tol, rel_tol |value|).  If not, and the next step would bring
+    the evaluation count to more than ``max_evals``, raises
+    :class:`ToleranceNotReached` carrying ``est``."""
+    if est is None:
+        detail = f"no step within the budget: the first needs {next_evals} evaluations"
+    else:
+        tol = max(abs_tol, rel_tol * abs(est.value))
+        if est.error <= tol:
+            return True
+        detail = (f"error {est.error:.3e} > tolerance {tol:.3e} "
+                  f"after {est.evals} evaluations")
+    if next_evals > max_evals:
+        raise ToleranceNotReached(detail, estimate=est)
+    return False
 
 
 # Genz-Malik degree-7 rule with embedded degree-5 rule, per-point weights
@@ -193,16 +225,11 @@ class _GenzMalikRule:
     def apply(self, f, centers: np.ndarray, halfw: np.ndarray):
         """Evaluate the 7/5 rule on a batch of boxes.
 
-        Returns (values, errors, split_dims, evals).
+        Returns (values, errors, split_dims).
         """
         m, k = centers.shape
         pts = centers[:, None, :] + halfw[:, None, :] * self.offsets[None, :, :]
-        fv = np.asarray(f(pts.reshape(m * self.npts, k)), dtype=float)
-        if fv.shape != (m * self.npts,):
-            raise NonFiniteIntegrand(
-                f"integrand returned shape {fv.shape}, expected ({m * self.npts},)")
-        if not np.all(np.isfinite(fv)):
-            raise NonFiniteIntegrand("integrand returned NaN or infinity")
+        fv = _values(f, pts.reshape(m * self.npts, k), (m * self.npts,))
         fv = fv.reshape(m, self.npts)
 
         vol = np.prod(2.0 * halfw, axis=1)
@@ -218,30 +245,21 @@ class _GenzMalikRule:
         # Prefer the largest fourth difference; break ties by widest side.
         score = fourth * halfw
         split = np.argmax(score, axis=1)
-        return res7, err, split, m * self.npts
+        return res7, err, split
 
 
 def _integrate_adaptive(f, k, abs_tol, rel_tol, max_evals):
     rule = _GenzMalikRule(k)
     centers = np.full((1, k), 0.5)
     halfw = np.full((1, k), 0.5)
-    vals, errs, splits, evals = rule.apply(f, centers, halfw)
-
-    while True:
-        total = float(vals.sum())
-        total_err = float(errs.sum())
-        tol = max(abs_tol, rel_tol * abs(total))
-        if total_err <= tol:
-            return Estimate(total, total_err, evals)
-        if evals + 2 * rule.npts > max_evals:
-            raise ToleranceNotReached(
-                f"error {total_err:.3e} > tolerance {tol:.3e} "
-                f"after {evals} evaluations",
-                estimate=Estimate(total, total_err, evals),
-            )
+    # the first step, at most 401 points at k = 8, fits any budget
+    vals, errs, splits = rule.apply(f, centers, halfw)
+    est = Estimate(float(vals.sum()), float(errs.sum()), rule.npts)
+    # a step splits at least one region in two
+    while not _converged(est, abs_tol, rel_tol, est.evals + 2 * rule.npts, max_evals):
         # Split the worst regions in one vectorized batch.
-        budget = (max_evals - evals) // (2 * rule.npts)
-        nbatch = min(len(errs), max(1, len(errs) // 8), max(budget, 1), 256)
+        budget = (max_evals - est.evals) // (2 * rule.npts)
+        nbatch = min(len(errs), max(1, len(errs) // 8), budget, 256)
         worst = np.argpartition(errs, -nbatch)[-nbatch:]
         worst = worst[np.argsort(errs[worst])[::-1]]
 
@@ -255,8 +273,7 @@ def _integrate_adaptive(f, k, abs_tol, rel_tol, max_evals):
 
         new_c = np.concatenate([c_lo, c_hi])
         new_h = np.concatenate([h_child, h_child])
-        nv, ne, ns, used = rule.apply(f, new_c, new_h)
-        evals += used
+        nv, ne, ns = rule.apply(f, new_c, new_h)
 
         keep = np.ones(len(errs), dtype=bool)
         keep[worst] = False
@@ -265,6 +282,9 @@ def _integrate_adaptive(f, k, abs_tol, rel_tol, max_evals):
         vals = np.concatenate([vals[keep], nv])
         errs = np.concatenate([errs[keep], ne])
         splits = np.concatenate([splits[keep], ns])
+        est = Estimate(float(vals.sum()), float(errs.sum()),
+                       est.evals + len(new_c) * rule.npts)
+    return est
 
 
 @lru_cache(maxsize=16)
@@ -292,30 +312,18 @@ def _integrate_grid(f, k, abs_tol, rel_tol, max_evals):
     """Tensor Gauss-Legendre levels until the error, from the changes
     over the last three levels, meets the tolerance.  f maps one axis's
     nodes x to the integrand on the grid x^k, shape (len(x),)*k."""
-    evals = 0
-    best, values = None, []
+    est, evals, values = None, 0, []
     for level in count():
         nodes, weights = _grid_axis(level)
-        if evals + len(nodes) ** k > max_evals:
-            detail = (f"error {best.error:.3e} > tolerance {tol:.3e}" if best
-                      else "no grid level within the budget")
-            raise ToleranceNotReached(f"{detail} after {evals} evaluations",
-                                      estimate=best)
-        fv = np.asarray(f(nodes), dtype=float)
-        if fv.shape != (len(nodes),) * k:
-            raise ValueError(f"grid integrand returned shape {fv.shape}, "
-                             f"expected {(len(nodes),) * k}")
-        if not np.all(np.isfinite(fv)):
-            raise NonFiniteIntegrand("integrand returned NaN or infinity")
+        if _converged(est, abs_tol, rel_tol, evals + len(nodes) ** k, max_evals):
+            return est
+        fv = _values(f, nodes, (len(nodes),) * k)
         evals += fv.size
         values.append(_grid_sum(fv, weights))
         change = (np.inf if level < 2 else
                   max(abs(values[-1] - values[-2]), abs(values[-2] - values[-3])))
         error = _GRID_SAFETY * change + _GRID_FLOOR * _grid_sum(np.abs(fv), weights)
-        best = Estimate(values[-1], error, evals)
-        tol = max(abs_tol, rel_tol * abs(best.value))
-        if error <= tol:
-            return best
+        est = Estimate(values[-1], error, evals)
 
 
 def _integrate_qmc(f, k, seed, first_batch, abs_tol, rel_tol, max_evals):
@@ -327,31 +335,17 @@ def _integrate_qmc(f, k, seed, first_batch, abs_tol, rel_tol, max_evals):
         for rep in range(_QMC_RANDOMIZATIONS)
     ]
     sums = np.zeros(_QMC_RANDOMIZATIONS)
-    counts = 0
-    evals = 0
-    n_next = first_batch
-    while True:
+    est, counts, n_next = None, 0, first_batch
+    while not _converged(est, abs_tol, rel_tol,
+                         (counts + n_next) * _QMC_RANDOMIZATIONS, max_evals):
         for i, eng in enumerate(engines):
-            pts = eng.random(n_next)
-            fv = np.asarray(f(pts), dtype=float)
-            if not np.all(np.isfinite(fv)):
-                raise NonFiniteIntegrand("integrand returned NaN or infinity")
-            sums[i] += fv.sum()
+            sums[i] += _values(f, eng.random(n_next), (n_next,)).sum()
         counts += n_next
-        evals += n_next * _QMC_RANDOMIZATIONS
         means = sums / counts
-        value = float(means.mean())
         se = float(means.std(ddof=1) / np.sqrt(_QMC_RANDOMIZATIONS))
-        err = 3.0 * se
-        tol = max(abs_tol, rel_tol * abs(value))
-        if err <= tol:
-            return Estimate(value, err, evals)
-        if evals + n_next * _QMC_RANDOMIZATIONS > max_evals:
-            raise ToleranceNotReached(
-                f"error {err:.3e} > tolerance {tol:.3e} after {evals} evaluations",
-                estimate=Estimate(value, err, evals),
-            )
+        est = Estimate(float(means.mean()), 3.0 * se, counts * _QMC_RANDOMIZATIONS)
         n_next = counts  # double the sample size each round
+    return est
 
 
 def integrate_unit_cube(f: Callable[[np.ndarray], np.ndarray], k: int,
@@ -366,9 +360,11 @@ def integrate_unit_cube(f: Callable[[np.ndarray], np.ndarray], k: int,
     ``on_grid``, if given, is the same integrand on a tensor grid: it maps
     the nodes x of one axis to the values on x^k, shape (len(x),)*k.
     Raises :class:`DimensionUnsupported` outside 2 <= k <= 8,
-    :class:`ToleranceNotReached` (carrying the best estimate) if the
-    evaluation budget runs out, and :class:`NonFiniteIntegrand` if f
-    produces NaN or infinity.  Deterministic for a fixed configuration.
+    :class:`ToleranceNotReached` (carrying the best estimate, None if no
+    step fits) before a step that would pass ``cfg.max_evals``,
+    ``ValueError`` if f returns the wrong shape, and
+    :class:`NonFiniteIntegrand` if it returns NaN or infinity.
+    Deterministic for a fixed configuration.
     """
     if not 2 <= k <= 8:
         raise DimensionUnsupported(f"dimension {k} outside supported range 2..8")

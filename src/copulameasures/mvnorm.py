@@ -160,7 +160,7 @@ def _mvn_qmc(x: np.ndarray, corr: np.ndarray, abs_tol: float) -> Estimate:
 
 def mvn_cdf(corr: np.ndarray, x, abs_tol: float = _ABS_TOL) -> Estimate:
     """P(Z <= x) for Z ~ N(0, corr), k >= 2; abs_tol binds from k = 4 on."""
-    if abs_tol <= 0:
+    if not abs_tol > 0:  # NaN fails too
         raise ValueError("abs_tol must be positive")
     corr = np.asarray(corr, dtype=float)
     x = np.asarray(x, dtype=float).ravel()

@@ -157,6 +157,18 @@ class TestCommands:
         assert main(["measure", "--family", "clayton", "--dim", "2",
                      "--params", "0", "--stat", "cce"]) == EXIT_ERROR
 
+    def test_nan_tolerance_rejected_before_integrating(self, capsys, caplog):
+        assert main(["measure", "--family", "clayton", "--dim", "2",
+                     "--params", "1", "--stat", "cce", "--tol", "nan"]) == EXIT_ERROR
+        assert "ValueError: abs_tol must be positive" in caplog.text
+
+    @pytest.mark.parametrize("sizes", ["-5,20", "1,20", "0", "20,31"])
+    def test_curve_sizes_outside_2_to_n_exit_code(self, normal4_csv, sizes,
+                                                  capsys, caplog):
+        assert main(["empirical", "--data", normal4_csv, "--cols", "a,b",
+                     "--stat", "cce", f"--dump-curve={sizes}"]) == EXIT_ERROR
+        assert "curve size" in caplog.text
+
 
 class TestDeterminism:
     def test_replay_byte_identical_and_worker_invariant(self, gauss_csv,

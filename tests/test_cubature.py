@@ -88,6 +88,51 @@ def _product_entropy(p):
     return xlogx(p.prod(axis=-1))
 
 
+# k at which each engine runs in the tests below; the grid only when the
+# integrand is also given on the tensor grid
+_ENGINE_DIM = {"grid": 2, "subdivision": 3, "sobol": 5}
+
+
+def _on_engine(engine, g, cfg=None):
+    """Integrate g, a function of points (..., k), on ``engine``."""
+    k = _ENGINE_DIM[engine]
+    if engine == "grid":
+        return integrate_unit_cube(None, k, cfg, on_grid=_tensor(g, k))
+    return integrate_unit_cube(g, k, cfg)
+
+
+@pytest.mark.parametrize("engine", list(_ENGINE_DIM))
+class TestEveryEngine:
+    """One integrand check and one stopping rule, whatever the engine."""
+
+    def test_wrong_shape_raises(self, engine):
+        with pytest.raises(ValueError, match="shape"):
+            _on_engine(engine, lambda p: p)
+
+    def test_budget_holds(self, engine):
+        def wave(p):
+            return np.cos(40.0 * p.sum(axis=-1))
+        cfg = IntegrationConfig(abs_tol=1e-12, rel_tol=1e-12, max_evals=100_000)
+        with pytest.raises(ToleranceNotReached) as exc:
+            _on_engine(engine, wave, cfg)
+        assert 0 < exc.value.estimate.evals <= 100_000
+
+
+def test_sobol_budget_below_the_first_round_carries_no_estimate():
+    # the first round is 1024 points under each of 16 randomizations
+    with pytest.raises(ToleranceNotReached) as exc:
+        integrate_unit_cube(lambda p: p.prod(axis=1), 5,
+                            IntegrationConfig(max_evals=10_000))
+    assert exc.value.estimate is None
+
+
+@pytest.mark.parametrize("field", ["abs_tol", "rel_tol", "max_evals"])
+@pytest.mark.parametrize("value", [np.nan, 0])
+def test_config_rejects_nan_and_nonpositive_limits(field, value):
+    with pytest.raises(ValueError):
+        IntegrationConfig(**{field: value})
+
+
 class TestGrid:
     """The tensor-grid engine, which runs when the caller passes the
     integrand on a grid and k <= 3."""
@@ -126,10 +171,6 @@ class TestGrid:
             return out
         with pytest.raises(NonFiniteIntegrand):
             integrate_unit_cube(None, 2, on_grid=_tensor(bad, 2))
-
-    def test_wrong_shape_raises(self):
-        with pytest.raises(ValueError, match="shape"):
-            integrate_unit_cube(None, 2, on_grid=lambda x: np.ones(len(x)))
 
     def test_grid_ignored_from_k4(self):
         def f(p):

@@ -70,8 +70,9 @@ def test_one_dimension_unsupported():
 def test_point_longer_than_correlation_is_a_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         mvn_cdf(np.eye(2), [0.0, 0.0, 0.0])
-    with pytest.raises(ValueError):  # an argument check, as IntegrationConfig's
-        mvn_cdf(np.eye(2), [0.0, 0.0], abs_tol=0.0)
+    for abs_tol in (0.0, np.nan):
+        with pytest.raises(ValueError):  # an argument check, as IntegrationConfig's
+            mvn_cdf(np.eye(2), [0.0, 0.0], abs_tol=abs_tol)
 
 
 def test_measure_failure_carries_no_cdf_estimate():
@@ -81,6 +82,8 @@ def test_measure_failure_carries_no_cdf_estimate():
     with pytest.raises(ToleranceNotReached) as exc:
         cce(model)
     assert exc.value.estimate is None
+    # the CDF value itself stopped within its 1,000,000-evaluation budget
+    assert exc.value.__cause__.estimate.evals <= 1_000_000
 
 
 def test_trivariate_orthant_identity():
