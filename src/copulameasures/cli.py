@@ -53,8 +53,6 @@ class Dataset:
 
 def load_csv(path: str, columns) -> Dataset:
     """Read named numeric columns; rows with any bad cell are dropped."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
@@ -380,7 +378,7 @@ def main(argv=None) -> int:
         return EXIT_ERROR if exc.code else EXIT_OK
     try:
         return args.func(args, argv)
-    except (CopulaError, FileNotFoundError, ValueError) as exc:
+    except (CopulaError, OSError, ValueError) as exc:
         log.error("%s: %s", type(exc).__name__, exc)
         return EXIT_ERROR
 

@@ -77,7 +77,7 @@ def _gen_binom(s: float, x: int) -> float:
 
 def closed_form_ccigf(model: CopulaModel, s: float) -> float:
     """Closed-form generating function; integral of C^s over the cube."""
-    if s <= 0.0:
+    if not s > 0:  # written so that NaN fails it
         raise ValueError("order s must be positive")
     fam, k = model.family, model.dim
     if fam == "product":

@@ -37,7 +37,6 @@ import numpy as np
 from scipy.special import gammaln, logsumexp, ndtr, ndtri
 
 from . import mvnorm
-from .cubature import SOBOL_DIM
 from .errors import (
     CorrelationNotPD,
     DimensionMismatch,
@@ -100,14 +99,15 @@ class Copula(ABC):
     """Interface of every copula in the package: ``dim``,
     ``has_zero_region`` and the vectorized ``cdf_many``, whose points all
     pass the one check ``_points``.  ``cdf`` and ``cdf_grid`` are defined
-    here.  Its measures integrate by Sobol sampling from ``sobol_dim`` on;
-    a copula that sets ``tensor_grid``, whose ``cdf_grid`` costs far less
-    than ``cdf_many`` at as many points, has them integrate on the tensor
-    grid up to ``cubature.GRID_MAX_DIM``, as does any divergence it enters."""
+    here.  Its measures integrate by subdivision below
+    ``cubature.SOBOL_DIM`` and by Sobol sampling from it; a copula that
+    sets ``tensor_grid``, whose ``cdf_grid`` costs far less than
+    ``cdf_many`` at as many points, has them integrate on the tensor grid
+    up to ``cubature.GRID_MAX_DIM`` and by Sobol sampling above it, as
+    does any divergence it enters."""
 
     dim: int
     has_zero_region: bool
-    sobol_dim: int = SOBOL_DIM
     tensor_grid: bool = False
 
     @abstractmethod

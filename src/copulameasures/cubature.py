@@ -10,13 +10,13 @@ Three engines sit behind one entry point, :func:`integrate_unit_cube`:
 * scrambled Sobol sampling with an error band taken across independent
   randomizations.
 
-One rule picks the engine from k and the integrand's caller: the grid
-when the caller supplies the integrand on a tensor grid (measures do so
-for the empirical beta copula) and k <= GRID_MAX_DIM; otherwise
-subdivision below ``sobol_dim`` (SOBOL_DIM unless the copula declares
-another) and Sobol from there on, where the region count of subdivision
-explodes.  From k = 4 the grid never runs, so the engines there are the
-two that served before it.
+One rule picks the engine from k and whether the caller supplies the
+integrand on a tensor grid (measures do so for the empirical beta
+copula).  An integrand with a grid form runs on the grid up to
+GRID_MAX_DIM and by Sobol above it, never by subdivision, which needs
+far more evaluations of the beta copula than Sobol does.  Any other
+integrand runs by subdivision below SOBOL_DIM and by Sobol from there
+on, where the region count of subdivision explodes.
 Integrands must be vectorized: they receive an (m, k) array of points
 and return m values; on every engine a wrong shape raises ValueError and
 NaN or infinity raises NonFiniteIntegrand.  ``max_evals`` caps every
@@ -42,7 +42,7 @@ from .errors import DimensionUnsupported, NonFiniteIntegrand, ToleranceNotReache
 _QMC_RANDOMIZATIONS = 16
 _QMC_FIRST_BATCH = 1024
 _QMC_SEED = 0
-# first dimension integrated by Sobol sampling
+# first dimension integrated by Sobol sampling when there is no grid form
 SOBOL_DIM = 5
 # last dimension integrated on the tensor grid: a level costs n^k values
 GRID_MAX_DIM = 3
@@ -350,12 +350,12 @@ def _integrate_qmc(f, k, seed, first_batch, abs_tol, rel_tol, max_evals):
 
 def integrate_unit_cube(f: Callable[[np.ndarray], np.ndarray], k: int,
                         cfg: IntegrationConfig | None = None,
-                        sobol_dim: int = SOBOL_DIM,
                         on_grid: Callable[[np.ndarray], np.ndarray] | None = None
                         ) -> Estimate:
-    """Integrate a bounded vectorized integrand over [0,1]^k: on the
-    tensor grid when ``on_grid`` is given and k <= GRID_MAX_DIM, else by
-    subdivision for k < sobol_dim and by Sobol sampling from there on.
+    """Integrate a bounded vectorized integrand over [0,1]^k.  With
+    ``on_grid`` it runs on the tensor grid for k <= GRID_MAX_DIM and by
+    Sobol sampling above; without, by subdivision for k < SOBOL_DIM and
+    by Sobol sampling from there on.
 
     ``on_grid``, if given, is the same integrand on a tensor grid: it maps
     the nodes x of one axis to the values on x^k, shape (len(x),)*k.
@@ -372,7 +372,7 @@ def integrate_unit_cube(f: Callable[[np.ndarray], np.ndarray], k: int,
     if on_grid is not None and k <= GRID_MAX_DIM:
         abs_tol = 1e-7 if cfg.abs_tol is None else cfg.abs_tol
         return _integrate_grid(on_grid, k, abs_tol, cfg.rel_tol, cfg.max_evals)
-    if k < sobol_dim:
+    if on_grid is None and k < SOBOL_DIM:
         abs_tol = 1e-7 if cfg.abs_tol is None else cfg.abs_tol
         return _integrate_adaptive(f, k, abs_tol, cfg.rel_tol, cfg.max_evals)
     abs_tol = 1e-4 if cfg.abs_tol is None else cfg.abs_tol

@@ -7,7 +7,9 @@ the smooth rank-binomial one, which is a genuine copula when ranks are
 permutations.  Plug-in estimates are the measures of that copula, e.g.
 ``cce(EmpiricalBetaCopula(rs))``; they integrate on the tensor grid at
 k = 2 and 3 and by Sobol sampling from k = 4, one dimension before
-parametric copulas do.
+parametric copulas do.  The step function, the beta copula at scattered
+points and the beta copula at the pseudo-observations (for T_N) are one
+rank-product mean, ``_rank_product_mean``, over different rows.
 """
 
 from __future__ import annotations
@@ -21,10 +23,7 @@ from scipy.special import gammaln
 from .copulas import Copula
 from .errors import DimensionMismatch, NonFiniteData
 
-# cap on points per cdf_many block; the block's survival rows and
-# products take a few (chunk, N) float arrays
-_CHUNK = 4096
-# elements per row block of the T_N product: rows = max(1, this // N),
+# elements per row block of the rank product: rows = max(1, this // N),
 # so each block's product and factor are 256 KB and stay in cache
 _TN_BLOCK = 32768
 # elements per row block of the grid contraction's (rows, N) factor: 16 MB,
@@ -76,11 +75,12 @@ def rank_with_random_ties(data: np.ndarray, tie_seed: int) -> RankedSample:
     ties = []
     for j in range(k):
         col = data[:, j]
-        ties.append(int(n - np.unique(col).size))
         # shuffling first makes the stable sort break ties uniformly
         perm = rng.permutation(n)
         order = perm[np.argsort(col[perm], kind="stable")]
         ranks[order, j] = np.arange(1, n + 1)
+        ordered = col[order]
+        ties.append(int(np.count_nonzero(ordered[1:] == ordered[:-1])))
     return RankedSample(ranks=ranks, tie_seed=int(tie_seed), ties_broken=tuple(ties))
 
 
@@ -93,12 +93,32 @@ def empirical_copula_cdf_many(rs: RankedSample, U: np.ndarray) -> np.ndarray:
     U = np.atleast_2d(np.asarray(U, dtype=float))
     if U.shape[1] != rs.k:
         raise DimensionMismatch(f"points dimension {U.shape[1]} != {rs.k}")
-    e = rs.pseudo_observations()
-    out = np.empty(len(U))
-    for lo in range(0, len(U), _CHUNK):
-        block = U[lo:lo + _CHUNK]
-        out[lo:lo + _CHUNK] = (
-            (e[None, :, :] <= block[:, None, :]).all(axis=2).mean(axis=1))
+    grid = np.arange(1, rs.n + 1) / (rs.n + 1.0)
+    return _rank_product_mean(
+        rs.ranks, len(U), lambda rows, j: grid <= U[rows, j, None])
+
+
+def _rank_product_mean(ranks: np.ndarray, m: int, table) -> np.ndarray:
+    """out[a] = (1/N) sum_l prod_j T_j[a, R_lj - 1] for a < m, where
+    ``table(rows, j)`` returns the rows T_j[rows] for a slice of a.
+
+    The product is formed max(1, _TN_BLOCK // N) rows at a time, so the
+    temporaries are a few (rows, N) arrays beside what ``table`` keeps.
+    Each row keeps its values and their order, and ``mean(axis=1)``
+    reduces a C-ordered row the same way at any block height, so the
+    result is bit-identical to the dense (m, N) product.
+    """
+    r = ranks - 1
+    n, k = r.shape
+    step = max(1, _TN_BLOCK // n)
+    out = np.empty(m)
+    for lo in range(0, m, step):
+        rows = slice(lo, lo + step)
+        # row: eval point, col: obs; take keeps the block C-ordered
+        prod = np.take(table(rows, 0), r[:, 0], axis=1)
+        for j in range(1, k):
+            prod *= np.take(table(rows, j), r[:, j], axis=1)
+        out[rows] = prod.mean(axis=1)
     return out
 
 
@@ -167,13 +187,13 @@ class EmpiricalBetaCopula(Copula):
     needs the whole survival row over r = 1..N, computed by one
     binomial-pmf pass.  On a tensor grid with n nodes per axis the rows
     are needed at the n nodes only, and C on all n^k points is a BLAS
-    contraction of O(n^k N) flops (``cdf_grid``), so its measures
-    integrate on the grid at k = 2 and 3 (``tensor_grid``) and by Sobol
-    sampling from k = 4 (``sobol_dim`` 4), where n^k grows too fast.
+    contraction of O(n^k N) flops (``cdf_grid``), so its measures, and
+    any divergence it enters, integrate on the grid at k = 2 and 3
+    (``tensor_grid``) and by Sobol sampling from k = 4, where n^k grows
+    too fast.
     """
 
     rs: RankedSample
-    sobol_dim = 4
     tensor_grid = True
 
     @property
@@ -185,21 +205,13 @@ class EmpiricalBetaCopula(Copula):
         return False
 
     def cdf_many(self, U: np.ndarray) -> np.ndarray:
+        """C at scattered points: the survival rows of each block of
+        points, computed as the rank product needs them."""
         U = self._points(U)
-        n, k = self.rs.n, self.rs.k
-        out = np.empty(len(U))
-        for lo in range(0, len(U), _CHUNK):
-            block = U[lo:lo + _CHUNK]                       # (m, k)
-            prod = np.ones((len(block), n))
-            for j in range(k):
-                # subdivision points share coordinates (a Genz-Malik box
-                # has 7 distinct values per axis in 17 points; only a k = 4
-                # cckl sends them here), so the survival rows are computed
-                # once per distinct value
-                u, inv = np.unique(block[:, j], return_inverse=True)
-                s_all = _binomial_survival(u, n)            # (distinct u, n)
-                prod *= s_all[:, self.rs.ranks[:, j] - 1][inv]
-            out[lo:lo + _CHUNK] = prod.mean(axis=1)
+        n = self.rs.n
+        out = _rank_product_mean(
+            self.rs.ranks, len(U),
+            lambda rows, j: _binomial_survival(U[rows, j], n))
         return np.clip(out, 0.0, 1.0)
 
     def cdf_grid(self, x) -> np.ndarray:
@@ -217,25 +229,13 @@ class EmpiricalBetaCopula(Copula):
         """Values at the sample's own pseudo-observations, via the shared
         N x N basis, built on the first call for this N.
 
-        Value i is (1/N) sum_l prod_j B[R_ij - 1, R_lj - 1].  The product
-        is formed a block of rows i at a time, so the temporaries are
-        O(block N) beside the cached basis.  Each row keeps its values
-        and their order, and ``mean(axis=1)`` reduces a C-ordered row the
-        same way at any block height, so the result is bit-identical to
-        the dense N x N product.
+        Value i is (1/N) sum_l prod_j B[R_ij - 1, R_lj - 1], the rank
+        product over the basis rows of the sample's own ranks.
         """
-        n = self.rs.n
-        basis = _pseudo_obs_basis(n)
-        r = self.rs.ranks - 1
-        rows = max(1, _TN_BLOCK // n)
-        out = np.empty(n)
-        for lo in range(0, n, rows):
-            # row: eval point, col: obs; take keeps the block C-ordered
-            prod = np.take(basis[r[lo:lo + rows, 0]], r[:, 0], axis=1)
-            for j in range(1, self.rs.k):
-                prod *= np.take(basis[r[lo:lo + rows, j]], r[:, j], axis=1)
-            out[lo:lo + rows] = prod.mean(axis=1)
-        return out
+        basis = _pseudo_obs_basis(self.rs.n)
+        ranks = self.rs.ranks
+        return _rank_product_mean(ranks, self.rs.n,
+                                  lambda rows, j: basis[ranks[rows, j] - 1])
 
     def mean_integral(self) -> float:
         """Exact integral of the copula over the cube.

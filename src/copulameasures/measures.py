@@ -8,10 +8,9 @@ error bound and the number of integrand evaluations.
 The engine follows from k and the copulas, by one rule in
 :func:`~copulameasures.cubature.integrate_unit_cube`: every measure of
 the empirical beta copula, and ``cckl`` when either copula is one,
-integrates on the tensor grid at k = 2 and 3; otherwise the copula's
-``sobol_dim`` (4 for the beta copula, 5 for the others and for
-``cckl``) is the first k integrated by Sobol sampling, and subdivision
-serves below it.  Behaviour at k >= 4 is as before the grid existed.
+integrates on the tensor grid at k = 2 and 3 and by Sobol sampling from
+k = 4; every other measure integrates by subdivision below k = 5 and by
+Sobol sampling from it.
 
 Measures:
 
@@ -27,8 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cubature import (SOBOL_DIM, Estimate, IntegrationConfig,
-                       integrate_unit_cube, xlog_ratio, xlogx)
+from .cubature import (Estimate, IntegrationConfig, integrate_unit_cube,
+                       xlog_ratio, xlogx)
 from .errors import DimensionMismatch, DivergenceInfinite
 
 _CCKL_FLOOR = 1e-300
@@ -40,9 +39,9 @@ def spearman_n(k: int) -> float:
     return (k + 1.0) / (2.0 ** k - k - 1.0)
 
 
-def _integrate(models, transform, cfg, sobol_dim=SOBOL_DIM) -> Estimate:
-    """Cubature of transform(C_1, ...) over the unit cube, on the tensor
-    grid when one of the copulas sets ``tensor_grid``."""
+def _integrate(models, transform, cfg) -> Estimate:
+    """Cubature of transform(C_1, ...) over the unit cube, with the grid
+    form when one of the copulas sets ``tensor_grid``."""
     def f(U):
         return transform(*(m.cdf_many(U) for m in models))
 
@@ -50,19 +49,13 @@ def _integrate(models, transform, cfg, sobol_dim=SOBOL_DIM) -> Estimate:
         return transform(*(m.cdf_grid(x) for m in models))
 
     gridded = any(m.tensor_grid for m in models)
-    return integrate_unit_cube(f, models[0].dim, cfg, sobol_dim,
+    return integrate_unit_cube(f, models[0].dim, cfg,
                                on_grid if gridded else None)
-
-
-def _integrate_cdf(model, transform, cfg) -> Estimate:
-    """Cubature of transform(C), by Sobol sampling from the copula's
-    ``sobol_dim`` on."""
-    return _integrate((model,), transform, cfg, model.sobol_dim)
 
 
 def cce(model, cfg: IntegrationConfig | None = None) -> Estimate:
     """Cumulative copula entropy, bounded in [0, 1/e]."""
-    return _integrate_cdf(model, xlogx, cfg)
+    return _integrate((model,), xlogx, cfg)
 
 
 def fcce(model, r: float, cfg: IntegrationConfig | None = None) -> Estimate:
@@ -76,19 +69,19 @@ def fcce(model, r: float, cfg: IntegrationConfig | None = None) -> Estimate:
             out[pos] = c[pos] * np.maximum(-np.log(c[pos]), 0.0) ** r
         return out
 
-    return _integrate_cdf(model, transform, cfg)
+    return _integrate((model,), transform, cfg)
 
 
 def ccigf(model, s: float, cfg: IntegrationConfig | None = None) -> Estimate:
     """Information generating function, the integral of C^s for s > 0."""
-    if s <= 0.0:
+    if not s > 0:  # written so that NaN fails it
         raise ValueError("generating-function order s must be positive")
-    return _integrate_cdf(model, lambda c: c ** s, cfg)
+    return _integrate((model,), lambda c: c ** s, cfg)
 
 
 def b_k(model, cfg: IntegrationConfig | None = None) -> Estimate:
     """Integral of C over the cube (the concordance building block)."""
-    return _integrate_cdf(model, lambda c: c, cfg)
+    return _integrate((model,), lambda c: c, cfg)
 
 
 def spearman_rho_minus(model, cfg: IntegrationConfig | None = None) -> Estimate:

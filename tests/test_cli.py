@@ -162,6 +162,16 @@ class TestCommands:
                      "--params", "1", "--stat", "cce", "--tol", "nan"]) == EXIT_ERROR
         assert "ValueError: abs_tol must be positive" in caplog.text
 
+    @pytest.mark.parametrize("name", ["", "never.csv"])
+    def test_unreadable_data_exit_code(self, tmp_path, name, capsys, caplog):
+        """A directory or a missing file is an error, not a rejection."""
+        assert main(["gof", "--data", str(tmp_path / name), "--cols", "a,b",
+                     "--family", "frank", "--reps", "100"]) == EXIT_ERROR
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert ("IsADirectoryError" if not name else "FileNotFoundError") \
+            in errors[0].getMessage()
+
     @pytest.mark.parametrize("sizes", ["-5,20", "1,20", "0", "20,31"])
     def test_curve_sizes_outside_2_to_n_exit_code(self, normal4_csv, sizes,
                                                   capsys, caplog):
@@ -409,10 +419,9 @@ def _beta(k):
 
 class TestEmpiricalEngine:
     """Every measure of the empirical beta copula, and ``cckl`` when either
-    copula is one, integrates on the tensor grid at k = 2 and 3, whether
-    called from the API or the CLI.  From k = 4 the beta copula's own
-    measures run Sobol (``sobol_dim`` 4); parametric models and ``cckl``
-    keep cubature's default switch at k = 5, as before the grid."""
+    copula is one, integrates on the tensor grid at k = 2 and 3 and by
+    Sobol from k = 4, whether called from the API or the CLI.  Measures of
+    parametric models alone subdivide below k = 5 and run Sobol from it."""
 
     def test_cli_uses_the_api_engine_rule(self, normal4_csv, capsys, engines):
         """The dumped curve included."""
@@ -438,11 +447,11 @@ class TestEmpiricalEngine:
         assert engines == ["grid", "grid"]
 
     def test_cckl_and_parametric_models_unchanged(self, engines):
-        """Subdivision below k = 5 and Sobol from it, with or without a
-        beta copula at k = 4."""
+        """Sobol for a beta copula at k = 4; for parametric models alone,
+        subdivision below k = 5 and Sobol from it."""
         cckl(_beta(4), CopulaModel("product", 4))
         cce(CopulaModel("clayton", 4, (1.0,)))
         cckl(CopulaModel("clayton", 3, (1.0,)), CopulaModel("product", 3))
         cce(CopulaModel("clayton", 2, (1.0,)))
         cce(CopulaModel("product", 5))
-        assert engines == ["adaptive"] * 4 + ["qmc"]
+        assert engines == ["qmc"] + ["adaptive"] * 3 + ["qmc"]

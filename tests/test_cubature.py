@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from copulameasures import IntegrationConfig, integrate_unit_cube, xlog_ratio, xlogx
-from copulameasures.cubature import _grid_axis
+from copulameasures.cubature import (_QMC_FIRST_BATCH, _QMC_SEED, _grid_axis,
+                                     _integrate_qmc)
 from copulameasures.errors import (DimensionUnsupported, NonFiniteIntegrand,
                                    ToleranceNotReached)
 
@@ -49,7 +50,7 @@ def test_deterministic_bit_identical():
 def test_qmc_adaptive_agreement_k3():
     f = lambda p: xlogx(p.prod(axis=1))
     a = integrate_unit_cube(f, 3)
-    q = integrate_unit_cube(f, 3, sobol_dim=3)
+    q = _integrate_qmc(f, 3, _QMC_SEED, _QMC_FIRST_BATCH, 1e-4, 1e-6, 10_000_000)
     assert abs(a.value - q.value) <= 3.0 * (a.error + q.error)
 
 
@@ -135,7 +136,7 @@ def test_config_rejects_nan_and_nonpositive_limits(field, value):
 
 class TestGrid:
     """The tensor-grid engine, which runs when the caller passes the
-    integrand on a grid and k <= 3."""
+    integrand on a grid and k <= 3; such an integrand runs Sobol above."""
 
     @pytest.mark.parametrize("k,exact", [(2, 0.25), (3, 3.0 / 16.0)])
     @pytest.mark.parametrize("abs_tol", [1e-6, None])
@@ -173,10 +174,13 @@ class TestGrid:
             integrate_unit_cube(None, 2, on_grid=_tensor(bad, 2))
 
     def test_grid_ignored_from_k4(self):
+        """From k = 4 a grid-form integrand runs Sobol, not subdivision."""
         def f(p):
             return _product_entropy(p)
-        assert integrate_unit_cube(f, 4, on_grid=_tensor(f, 4)) == \
-            integrate_unit_cube(f, 4)
+        got = integrate_unit_cube(f, 4, on_grid=_tensor(f, 4))
+        assert got == _integrate_qmc(f, 4, _QMC_SEED, _QMC_FIRST_BATCH,
+                                     1e-4, 1e-6, 10_000_000)
+        assert got != integrate_unit_cube(f, 4)
 
 
 class TestXlogx:

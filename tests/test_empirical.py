@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.special import betaln, gammaln
+from scipy.stats import qmc
 
 from copulameasures import (
     CopulaModel,
@@ -271,13 +272,15 @@ class TestBinomialSurvival:
         rs = rank_with_random_ties(
             CopulaModel("frank", 3, (5.0,)).sample(724, seed=8), 2)
         c = EmpiricalBetaCopula(rs)
-        assert np.allclose(c.cdf_at_pseudo_observations(),
-                           c.cdf_many(rs.pseudo_observations()),
-                           rtol=0.0, atol=1e-12)
+        assert np.array_equal(c.cdf_at_pseudo_observations(),
+                              c.cdf_many(rs.pseudo_observations()))
 
 
 class TestPseudoObsBlocks:
-    """T_N's beta-copula values, formed a block of rows at a time."""
+    """The rank product behind all three estimators, formed a block of
+    rows at a time, against the dense product of all rows at once.  Each
+    estimator is evaluated at N points, so the sizes give the blocks
+    their shapes."""
 
     @staticmethod
     def _dense(rs):
@@ -289,16 +292,49 @@ class TestPseudoObsBlocks:
             prod *= basis[np.ix_(c, c)]
         return prod.mean(axis=1)
 
+    @staticmethod
+    def _dense_cdf(rs, U):
+        """The survival rows of all points, their whole product, then the
+        row means."""
+        prod = np.ones((len(U), rs.n))
+        for j in range(rs.k):
+            prod *= _binomial_survival(U[:, j], rs.n)[:, rs.ranks[:, j] - 1]
+        return np.clip(prod.mean(axis=1), 0.0, 1.0)
+
+    @staticmethod
+    def _sample(n, k):
+        rng = np.random.default_rng(1000 * n + k)
+        ranks = np.column_stack([rng.permutation(n) + 1 for _ in range(k)])
+        rs = RankedSample(ranks=ranks, tie_seed=0, ties_broken=(0,) * k)
+        sobol = qmc.Sobol(k, seed=n).random_base2(max(1, n - 1).bit_length())[:n]
+        shared = rng.integers(0, 8, size=(n, k)) / 7.0  # 8 values per axis
+        return rs, (sobol, shared)
+
     SIZES = (1, 2, 100, 250, 724, 2000)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("n", SIZES)
     def test_equals_dense_product_bitwise(self, n, k):
-        rng = np.random.default_rng(1000 * n + k)
-        ranks = np.column_stack([rng.permutation(n) + 1 for _ in range(k)])
-        rs = RankedSample(ranks=ranks, tie_seed=0, ties_broken=(0,) * k)
+        rs, _ = self._sample(n, k)
         got = EmpiricalBetaCopula(rs).cdf_at_pseudo_observations()
         assert np.array_equal(got, self._dense(rs))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_cdf_many_equals_dense_product_bitwise(self, n, k):
+        rs, points = self._sample(n, k)
+        c = EmpiricalBetaCopula(rs)
+        for U in points:
+            assert np.array_equal(c.cdf_many(U), self._dense_cdf(rs, U))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_step_function_equals_broadcast_bitwise(self, n, k):
+        rs, points = self._sample(n, k)
+        e = rs.pseudo_observations()
+        for U in (*points, e):
+            dense = (e[None, :, :] <= U[:, None, :]).all(axis=2).mean(axis=1)
+            assert np.array_equal(empirical_copula_cdf_many(rs, U), dense)
 
     def test_sizes_cover_block_shapes(self):
         """One block, several full blocks, and a short last block."""
@@ -321,6 +357,20 @@ class TestPseudoObsBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 4e6              # one dense N x N product is 32 MB
+
+    def test_cdf_many_memory_bounded(self):
+        """4,096 points at N = 2000 need a few (rows, N) blocks, not the
+        (4096, N) survival rows of each coordinate."""
+        rs, _ = self._sample(2000, 3)
+        c = EmpiricalBetaCopula(rs)
+        U = qmc.Sobol(3, seed=0).random_base2(12)
+        tracemalloc.start()
+        try:
+            c.cdf_many(U)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6              # one (4096, N) float array is 66 MB
 
 
 
@@ -347,6 +397,20 @@ class TestPluginMeasures:
         ref = integrate_unit_cube(
             lambda U: xlog_ratio(c.cdf_many(U), np.maximum(joe.cdf_many(U), 1e-300)),
             2, IntegrationConfig(abs_tol=1e-9))
+        assert abs(est.value - ref.value) <= est.error
+
+    def test_k4_divergence_within_error_of_subdivision(self):
+        """From k = 4 a divergence with a beta copula runs Sobol; a tight
+        subdivision of the point integrand agrees within its error."""
+        X = np.random.default_rng(5).normal(size=(30, 4))
+        c = EmpiricalBetaCopula(rank_with_random_ties(X, 0))
+        clayton = CopulaModel("clayton", 4, (1.0,))
+        est = cckl(c, clayton)
+        assert est.evals % (16 * 1024) == 0      # Sobol rounds
+        ref = integrate_unit_cube(
+            lambda U: xlog_ratio(c.cdf_many(U),
+                                 np.maximum(clayton.cdf_many(U), 1e-300)),
+            4, IntegrationConfig(abs_tol=1e-6))
         assert abs(est.value - ref.value) <= est.error
 
     def test_thousand_product_samples_close(self):

@@ -99,6 +99,12 @@ class TestCcigf:
         with pytest.raises(ValueError):
             ccigf(P2, 0.0)
 
+    def test_nan_order_rejected(self):
+        with pytest.raises(ValueError):
+            ccigf(CopulaModel("clayton", 2, (1.0,)), np.nan)
+        with pytest.raises(ValueError):
+            closed_form_ccigf(P2, np.nan)
+
 
 class TestSpearman:
     def test_product_is_zero(self):
