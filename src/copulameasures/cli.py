@@ -12,8 +12,8 @@ select     rank candidate families by divergence from the data
 
 Every randomized run is controlled by explicit ``--seed`` and
 ``--tie-seed`` flags with fixed defaults; reports echo the full argv and
-all derived seeds so a replay is byte-identical.  ``COPULAMEASURES_THREADS``
-overrides the worker count used for bootstrap replicates.
+all derived seeds so a replay is byte-identical.  Bootstrap replicates run
+on ``--workers`` processes, else on ``COPULAMEASURES_THREADS``, else on one.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, ndtr, ndtri
+from scipy.special import gamma, logsumexp, ndtr, ndtri, poch
 
 from . import mvnorm
 from .errors import (
@@ -122,7 +122,7 @@ class Copula(ABC):
     def cdf_grid(self, x) -> np.ndarray:
         """C on the tensor grid x^dim, shape (len(x),) * dim, from
         ``cdf_many`` at most _GRID_CHUNK points at a time, so that the
-        temporaries of a CDF like the trivariate normal's stay bounded."""
+        point matrix stays bounded at n^dim grid points."""
         x = np.asarray(x, dtype=float).ravel()
         shape = (len(x),) * self.dim
         out = np.empty(len(x) ** self.dim)
@@ -330,30 +330,18 @@ def _frailty(family: str, param: float, rng, n: int) -> np.ndarray:
             v[bad] = np.exp(np.log(np.sin(al * tb)) - np.log(np.sin(tb)) / al
                             + (1.0 - al) / al * np.log(np.sin((1.0 - al) * tb) / wb))
         return v
-    # Sibuya(alpha), alpha = 1/theta, by bisection on the survival function
-    # S(m) = Gamma(m+1-alpha) / (Gamma(1-alpha) m!), cheap at any m via
-    # log-gamma; bisection over 1..2^60 inverts it exactly in doubles
+    # Sibuya(alpha), alpha = 1/theta, by inversion (Hofert 2011, CSDA 55:57):
+    # V is the smallest m with S(m) = Gamma(m+1-alpha) / (Gamma(1-alpha) m!)
+    # <= 1 - U, so V = 1 where U <= alpha.  Otherwise Gautschi's inequality
+    # puts V at floor(G) or floor(G) + 1, G = ((1-U) Gamma(1-alpha))^(-1/alpha);
+    # poch forms Gamma(m+1-alpha) / m! without a log-gamma difference
     alpha = 1.0 / param
-    tail = np.log1p(-rng.random(n))  # smallest m with log S(m) <= tail
-    lg1a = gammaln(1.0 - alpha)
-
-    def log_s(m):
-        # gammaln differences cancel catastrophically for huge m; switch
-        # to the exact-enough tail asymptotic S(m) ~ m^-alpha / G(1-a)
-        direct = gammaln(m + 1.0 - alpha) - lg1a - gammaln(m + 1.0)
-        return np.where(m < 1e12, direct,
-                        -alpha * np.log(np.maximum(m, 1.0)) - lg1a)
-
-    lo = np.zeros(n)            # log S(lo) > tail by convention, S(0)=1
-    hi = np.full(n, 2.0 ** 60)
-    for _ in range(80):
-        mid = np.floor((lo + hi) / 2.0)
-        take_hi = log_s(mid) <= tail
-        hi = np.where(take_hi, mid, hi)
-        lo = np.where(take_hi, lo, mid)
-        if np.all(hi - lo <= 1.0):
-            break
-    return hi
+    u = rng.random(n)
+    g1a = gamma(1.0 - alpha)
+    with np.errstate(over="ignore"):  # G passes the double range from theta ~ 100
+        f = np.floor(((1.0 - u) * g1a) ** (-1.0 / alpha))
+    v = np.where(poch(f + 1.0, -alpha) / g1a <= 1.0 - u, f, f + 1.0)
+    return np.where(u <= alpha, 1.0, v)
 
 
 def _logseries_kemp(theta: float, rng, n: int) -> np.ndarray:

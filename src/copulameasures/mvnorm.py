@@ -30,6 +30,7 @@ from .errors import (CorrelationNotPD, DimensionMismatch, DimensionUnsupported,
 _INTERNAL_QMC_SEED = 0x6D764E
 _X_CLIP = 38.0  # ndtr saturates to 0/1 beyond this
 _ABS_TOL = 1e-8  # of one QMC value, k >= 4
+_TVN_BLOCK = 1 << 14  # rows per tvn_cdf call, whose temporaries are (rows, nodes)
 
 
 def cholesky_corr(corr: np.ndarray) -> np.ndarray:
@@ -134,7 +135,7 @@ def tvn_cdf(x: np.ndarray, corr: np.ndarray) -> np.ndarray:
 
 
 def _mvn_qmc(x: np.ndarray, corr: np.ndarray, abs_tol: float) -> Estimate:
-    """Separation-of-variables QMC estimate of P(Z <= x), k >= 3."""
+    """Separation-of-variables QMC estimate of P(Z <= x), k >= 4."""
     k = len(x)
     order = np.argsort(x)
     L = np.linalg.cholesky(corr[np.ix_(order, order)])
@@ -192,7 +193,10 @@ def mvn_cdf_many(corr: np.ndarray, X: np.ndarray) -> np.ndarray:
     if k == 2:
         return np.asarray(bvn_cdf(X[:, 0], X[:, 1], float(corr[0, 1])))
     if k == 3:
-        return tvn_cdf(X, corr)
+        out = np.empty(len(X))
+        for lo in range(0, len(X), _TVN_BLOCK):
+            out[lo:lo + _TVN_BLOCK] = tvn_cdf(X[lo:lo + _TVN_BLOCK], corr)
+        return out
     try:
         return np.array([_mvn_qmc(x, corr, _ABS_TOL).value for x in X])
     except ToleranceNotReached as exc:  # a CDF value, not the caller's estimate

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import pickle
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.stats import kstest, logser
 
 from copulameasures import (CopulaModel, EmpiricalBetaCopula, MixtureCopula,
                             archimedean_generator, rank_with_random_ties)
-from copulameasures.copulas import FAMILIES, _logseries_kemp
+from copulameasures.copulas import FAMILIES, _frailty, _logseries_kemp
 from copulameasures.errors import (
     CorrelationNotPD,
     DimensionMismatch,
@@ -17,7 +18,7 @@ from copulameasures.errors import (
     ParamOutOfRange,
     SamplerUnavailable,
 )
-from copulameasures.fit import frank_tau, kendall_tau
+from copulameasures.fit import frank_tau, joe_tau, kendall_tau
 
 from conftest import model_zoo
 
@@ -500,7 +501,7 @@ SAMPLE_PINS = [
     ("joe", 2, (2.5,), 17,
      "be21f282a787c3df5328f3f5540296831f43fd2fa1e786541d986561a4e240c3"),
     ("joe", 3, (3.0,), 18,
-     "ae44c4d2d56347732cbdb8df26ac9debcb9bce6b2870387d761addaba05c6f0b"),
+     "32cfed896468a67421065958a087deebe5b14e4817d0d06e2c6ee37f8f36d4a8"),
     ("fgm", 2, (0.0,), 19,
      "390baee7e8b778e3f04a50fd471b1575c32d9da8fb57f90d4aa9cd520374e5dc"),
     ("fgm", 2, (-1.0,), 20,
@@ -515,6 +516,8 @@ SAMPLE_PINS = [
      "c37b09d0318819c6e3b3338eae98d09631dab75ff428a4d79e539b12bc95249d"),
     ("frank", 3, (37.0,), 25,
      "82aa84deec431a76cb71fa0547030f5efdeee78cca902d429ef33ff4b54d46aa"),
+    ("joe", 2, (50.0,), 26,
+     "e539442c7057b5f82ba36181c2936d34c97bce6d786f31c3d69ea15d426fdd41"),
 ]
 
 
@@ -550,16 +553,62 @@ class TestSamplerRange:
             assert abs(np.mean(v == m) - pmf) <= 4.0 * se, m
 
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_frank_tau_beyond_logser_range(self, dim):
+    @pytest.mark.parametrize("fam,theta,n,tau_of", [
         # -expm1(-50) rounds to 1, so the frailty comes from Kemp's LK
-        model = CopulaModel("frank", dim, (50.0,))
+        ("frank", 50.0, 500, frank_tau),
+        # Sibuya frailties reach far above 1e12, and from theta ~ 100 beyond
+        # the double range
+        ("joe", 50.0, 2000, joe_tau),
+        ("joe", 100.0, 2000, joe_tau),
+    ])
+    def test_tau_at_strong_dependence(self, fam, theta, n, tau_of, dim):
+        model = CopulaModel(fam, dim, (theta,))
         taus = []
         for seed in range(20):
-            X = model.sample(500, seed)
+            X = model.sample(n, seed)
             taus.append(np.mean([kendall_tau(X[:, i], X[:, j])
                                  for i in range(dim) for j in range(i)]))
         se = np.std(taus, ddof=1) / np.sqrt(len(taus))
-        assert abs(np.mean(taus) - frank_tau(50.0)) <= 3.0 * se
+        assert abs(np.mean(taus) - tau_of(theta)) <= 3.0 * se
+
+
+class TestJoeFrailty:
+    """The Sibuya frailty V of Joe's sampler: V is the smallest m with
+    S(m) = Gamma(m+1-alpha) / (Gamma(1-alpha) m!) <= 1 - U, alpha = 1/theta."""
+
+    @pytest.mark.parametrize("theta", [1.3, 3.0, 5.0])
+    def test_draws_are_the_exact_quantile(self, theta):
+        # S(m) - S(m+1) is only alpha/m of S(m), so the ~1e-15 relative
+        # error of poch can flip the last unit as m nears 1e12 (one draw at
+        # 4.5e11 in 20 seeds x 20,000 at theta = 5): from 1e10 on, V is
+        # checked to within 1 + 1e-12 V of the exact quantile
+        mpmath = pytest.importorskip("mpmath")
+
+        def s(m):  # 40 digits past those the log-gamma of m spends
+            with mpmath.workdps(42 + int(mpmath.log10(m * mpmath.log(m)))):
+                a = 1 / mpmath.mpf(theta)
+                return (mpmath.gamma(m + 1 - a)
+                        / (mpmath.gamma(1 - a) * mpmath.gamma(m + 1)))
+
+        checked = 0
+        for seed in range(3):
+            v = _frailty("joe", theta, np.random.default_rng(seed), 20000)
+            u = np.random.default_rng(seed).random(20000)
+            for vi, ui in zip(v[v >= 1e6], u[v >= 1e6]):
+                t, m = 1 - mpmath.mpf(ui), mpmath.mpf(vi)
+                slack = 0 if vi < 1e10 else mpmath.ceil(1 + 1e-12 * m)
+                assert s(m - slack - 1) > t >= s(m + slack), (seed, vi)
+                checked += 1
+        assert checked > 0
+
+    def test_sibuya_pmf(self):
+        # alpha = 1/2: S(m) = C(2m, m) / 4^m
+        v = _frailty("joe", 2.0, np.random.default_rng(9), 200_000)
+        surv = [math.comb(2 * m, m) / 4.0 ** m for m in range(9)]
+        for m in range(1, 9):
+            pmf = surv[m - 1] - surv[m]
+            se = np.sqrt(pmf * (1.0 - pmf) / len(v))
+            assert abs(np.mean(v == m) - pmf) <= 4.0 * se, m
 
 
 class TestMixture:

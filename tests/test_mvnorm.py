@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,26 @@ def test_vectorized_matches_scalar():
     many = mvn_cdf_many(corr, X)
     for i in range(0, 40, 7):
         assert many[i] == pytest.approx(mvn_cdf(corr, X[i]).value, abs=1e-9)
+
+
+def test_trivariate_row_blocks_equal_one_call():
+    corr = np.array([[1.0, 0.6, 0.2], [0.6, 1.0, 0.4], [0.2, 0.4, 1.0]])
+    X = np.random.default_rng(10).normal(size=(40_001, 3))  # three row blocks
+    assert np.array_equal(mvn_cdf_many(corr, X), tvn_cdf(X, corr))
+
+
+def test_trivariate_memory_bounded():
+    """200,000 points need a few (rows, nodes) blocks, not one (200,000,
+    nodes) temporary per path term."""
+    model = CopulaModel("gaussian", 3, (0.3, 0.2, 0.5))
+    U = np.random.default_rng(11).random((200_000, 3))
+    tracemalloc.start()
+    try:
+        model.cdf_many(U)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6  # one call over every row peaks above 300 MB
 
 
 def test_not_positive_definite_rejected():
