@@ -6,7 +6,12 @@ Three regimes, all deterministic:
 * k = 3: the bivariate value is corrected by two one-dimensional
   quadratures along a correlation path (the derivative of the CDF with
   respect to an off-diagonal correlation is a bivariate density times a
-  conditional univariate CDF).  Vectorized over evaluation points.
+  conditional univariate CDF).  Vectorized over evaluation points.  Each
+  path's Gauss-Legendre node count doubles from 8 until two successive
+  rules agree within 1e-13 on a set of probe scores, once per
+  correlation, so the value lies within the stated 5e-10; a correlation
+  that needs more than 1024 nodes a path (near-singular, smallest
+  eigenvalue below about 1e-5) raises ToleranceNotReached.
 * k >= 4: separation-of-variables transform to the unit cube, integrated
   with scrambled Sobol points under a fixed internal seed.
 
@@ -31,6 +36,13 @@ _INTERNAL_QMC_SEED = 0x6D764E
 _X_CLIP = 38.0  # ndtr saturates to 0/1 beyond this
 _ABS_TOL = 1e-8  # of one QMC value, k >= 4
 _TVN_BLOCK = 1 << 14  # rows per tvn_cdf call, whose temporaries are (rows, nodes)
+_TVN_AGREE = 1e-13  # of the CDF, between the n- and 2n-node path terms
+_TVN_NODES = (8, 16, 32, 64, 128, 256, 512, 1024)  # per path; then raise
+# the probe lattice of _tvn_probe: (b_i, b_m) pairs, then (b_i, b_j, b_m)
+_TVN_PROBE_IM = np.array([(i, m) for i in range(-6, 7, 3)
+                          for m in range(-6, 7, 3)], dtype=float)
+_TVN_LATTICE = np.array([(i, j, m) for i, m in _TVN_PROBE_IM
+                         for j in range(-8, 9, 2)])
 
 
 def cholesky_corr(corr: np.ndarray) -> np.ndarray:
@@ -70,15 +82,9 @@ def bvn_cdf(x1, x2, rho: float):
     return np.clip(p, 0.0, 1.0)
 
 
-@lru_cache(maxsize=64)
-def _tvn_path_rule(r_ij, r_base, r_other, n_nodes):
-    """The node-only vectors of one path integral: weights, sin and cos^2
-    of the path angle, the conditional-mean coefficients and the
-    conditional spread.  They depend on the correlations alone, so every
-    chunk of points on one copula reuses them."""
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    half = 0.5 * np.arcsin(r_ij)
-    theta, w = half * (x + 1.0), half * w  # nodes on [0, arcsin r_ij]
+def _tvn_path_nodes(theta, r_ij, r_base, r_other):
+    """sin and cos^2 of the path angle ``theta``, the conditional-mean
+    coefficients and the conditional spread at it."""
     sin_t = np.sin(theta)
     cos2 = np.cos(theta) ** 2
     t = sin_t / r_ij  # path position in [0, 1]
@@ -86,14 +92,88 @@ def _tvn_path_rule(r_ij, r_base, r_other, n_nodes):
     c_a = (r_base - t * r_other * sin_t) / det
     c_b = (t * r_other - sin_t * r_base) / det
     s2 = np.sqrt(np.clip(1.0 - c_a * r_base - c_b * t * r_other, 1e-14, None))
-    rule = (w, sin_t, cos2, c_a, c_b, s2)
+    return sin_t, cos2, c_a, c_b, s2
+
+
+@lru_cache(maxsize=None)  # n_nodes is one of _TVN_NODES
+def _legendre(n_nodes):
+    """Gauss-Legendre nodes and weights on [-1, 1]; leggauss solves an
+    eigenproblem, which costs more than a path term on a few hundred
+    points."""
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _tvn_gauss_rule(r_ij, r_base, r_other, n_nodes):
+    """The n-node Gauss-Legendre rule of one path integral: weights, then
+    the node vectors of ``_tvn_path_nodes``."""
+    x, w = _legendre(n_nodes)
+    half = 0.5 * np.arcsin(r_ij)
+    theta, w = half * (x + 1.0), half * w  # nodes on [0, arcsin r_ij]
+    return (w, *_tvn_path_nodes(theta, r_ij, r_base, r_other))
+
+
+def _tvn_probe(r_ij, r_base, r_other):
+    """Scores (b_i, b_j, b_m) on which a path rule is checked.
+
+    A lattice: b_j in steps of 2 over [-8, 8], b_i and b_m in steps of 3
+    over [-6, 6], since from |b_i| or |b_m| = 8 on the density factor is
+    below exp(-32).  A near-singular correlation makes the integrand sharp
+    only where b_j lies within a few conditional spreads of its
+    conditional mean at the path's end, a slab the lattice misses; so the
+    scores one spread above and below that mean, at each (b_i, b_m) of
+    the lattice, join it.
+    """
+    end = np.arcsin(r_ij)
+    _, _, c_a, c_b, s2 = _tvn_path_nodes(end, r_ij, r_base, r_other)
+    b_i, b_m = _TVN_PROBE_IM.T
+    mean = c_a * b_i + c_b * b_m
+    return np.concatenate([_TVN_LATTICE] + [
+        np.column_stack([b_i, mean + d * s2, b_m]) for d in (-1.0, 1.0)])
+
+
+@lru_cache(maxsize=64)
+def _tvn_path_rule(r_ij, r_base, r_other):
+    """The Gauss-Legendre rule of one path integral, with its node count
+    chosen from the error that ``mvn_cdf`` states.
+
+    The count doubles along ``_TVN_NODES`` until the n- and 2n-node terms
+    agree within ``_TVN_AGREE`` of the CDF on the probe scores, and the
+    2n rule is kept: Gauss-Legendre converges geometrically on this
+    analytic integrand, so the 2n rule is far inside 5e-10.  The rule
+    depends on the correlations alone, so every chunk of points on one
+    copula reuses it.  A zero path correlation contributes nothing and
+    gets no nodes.  Raises ToleranceNotReached when the last two rules
+    still disagree.
+    """
+    if r_ij == 0.0:
+        rule = (np.empty(0),) * 6
+    else:
+        b_i, b_j, b_m = _tvn_probe(r_ij, r_base, r_other).T
+        rules = (_tvn_gauss_rule(r_ij, r_base, r_other, n) for n in _TVN_NODES)
+        prev = _tvn_path_term(b_i, b_j, b_m, next(rules))
+        for rule in rules:
+            cur = _tvn_path_term(b_i, b_j, b_m, rule)
+            gap = np.max(np.abs(cur - prev)) / (2.0 * np.pi)
+            if gap <= _TVN_AGREE:
+                break
+            prev = cur
+        else:
+            raise ToleranceNotReached(
+                f"trivariate normal CDF: {_TVN_NODES[-2]}- and "
+                f"{_TVN_NODES[-1]}-node path rules differ by {gap:.1e} (of "
+                f"{_TVN_AGREE:.0e}) at correlation {r_ij!r} with {r_base!r}, "
+                f"{r_other!r}")
     for a in rule:  # shared by every caller
         a.setflags(write=False)
     return rule
 
 
-def _tvn_path_term(b_i, b_j, b_m, r_ij, r_base, r_other, n_nodes):
-    """One correlation-path integral for the trivariate CDF.
+def _tvn_path_term(b_i, b_j, b_m, rule):
+    """One correlation-path integral for the trivariate CDF, by the
+    ``_tvn_path_rule`` of its correlations.
 
     Integrates the derivative of Phi_3 with respect to the (i,j)
     correlation from 0 to r_ij, with the (i,j)=(1,2) base correlation
@@ -101,10 +181,7 @@ def _tvn_path_term(b_i, b_j, b_m, r_ij, r_base, r_other, n_nodes):
     scaled in lockstep.  Uses the sine substitution that cancels the
     1/sqrt(1-r^2) factor of the bivariate density.
     """
-    if r_ij == 0.0:
-        return 0.0
-    w, sin_t, cos2, c_a, c_b, s2 = _tvn_path_rule(
-        float(r_ij), float(r_base), float(r_other), n_nodes)
+    w, sin_t, cos2, c_a, c_b, s2 = rule
     # (points, nodes) broadcast
     expo = -(b_i[:, None] ** 2 - 2.0 * sin_t * b_i[:, None] * b_m[:, None]
              + b_m[:, None] ** 2) / (2.0 * cos2)
@@ -113,24 +190,27 @@ def _tvn_path_term(b_i, b_j, b_m, r_ij, r_base, r_other, n_nodes):
     return vals @ w
 
 
-def tvn_cdf(x: np.ndarray, corr: np.ndarray) -> np.ndarray:
-    """P(Z <= x) for trivariate standard normals, vectorized over rows."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+def _tvn_plan(corr):
+    """The variable order, the base correlation and the two path rules."""
     r21, r31, r32 = corr[0, 1], corr[0, 2], corr[1, 2]
     # Put the strongest pair in the base slot; the path integrals then
     # carry the two weaker correlations.
     perm_by_pair = {0: (0, 1, 2), 1: (0, 2, 1), 2: (1, 2, 0)}
     pair = int(np.argmax([abs(r21), abs(r31), abs(r32)]))
     p = perm_by_pair[pair]
-    b = x[:, p]
     c = corr[np.ix_(p, p)]
-    rb, ra, rc = c[0, 1], c[0, 2], c[1, 2]  # base, path(1,3), path(2,3)
+    rb, ra, rc = float(c[0, 1]), float(c[0, 2]), float(c[1, 2])  # base, paths
+    return p, rb, (_tvn_path_rule(ra, rb, rc), _tvn_path_rule(rc, rb, ra))
 
+
+def tvn_cdf(x: np.ndarray, corr: np.ndarray) -> np.ndarray:
+    """P(Z <= x) for trivariate standard normals, vectorized over rows."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    p, rb, (rule_a, rule_c) = _tvn_plan(corr)
+    b = x[:, p]
     base = bvn_cdf(b[:, 0], b[:, 1], rb) * ndtr(b[:, 2])
-    rmax = max(abs(ra), abs(rc))
-    nodes = 48 if rmax <= 0.8 else (96 if rmax <= 0.95 else 256)
-    t1 = _tvn_path_term(b[:, 0], b[:, 1], b[:, 2], ra, rb, rc, nodes)
-    t2 = _tvn_path_term(b[:, 1], b[:, 0], b[:, 2], rc, rb, ra, nodes)
+    t1 = _tvn_path_term(b[:, 0], b[:, 1], b[:, 2], rule_a)
+    t2 = _tvn_path_term(b[:, 1], b[:, 0], b[:, 2], rule_c)
     return np.clip(base + (t1 + t2) / (2.0 * np.pi), 0.0, 1.0)
 
 
@@ -180,8 +260,9 @@ def mvn_cdf(corr: np.ndarray, x, abs_tol: float = _ABS_TOL) -> Estimate:
             raise CorrelationNotPD("invalid bivariate correlation matrix")
         return Estimate(float(mvn_cdf_many(corr, x)[0]), 5e-15, 1)
     cholesky_corr(corr)
-    if k == 3:
-        return Estimate(float(mvn_cdf_many(corr, x)[0]), 5e-10, 512)
+    if k == 3:  # evaluations: the nodes of both path rules
+        evals = sum(len(rule[0]) for rule in _tvn_plan(corr)[2])
+        return Estimate(float(mvn_cdf_many(corr, x)[0]), 5e-10, evals)
     return _mvn_qmc(np.clip(x, -_X_CLIP, _X_CLIP), corr, abs_tol)
 
 

@@ -1,13 +1,15 @@
+import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
 from copulameasures import (CopulaModel, IntegrationConfig, cce,
-                            integrate_unit_cube, mvn_cdf, mvn_cdf_many)
+                            integrate_unit_cube, mvn_cdf, mvn_cdf_many, mvnorm)
 from copulameasures.errors import (CorrelationNotPD, DimensionMismatch,
                                    DimensionUnsupported, ToleranceNotReached)
-from copulameasures.mvnorm import tvn_cdf
+from copulameasures.mvnorm import _tvn_plan, tvn_cdf
 
 
 def density_box_probability(corr, x, lo=-8.5, abs_tol=1e-10, rel_tol=1e-9):
@@ -105,6 +107,117 @@ def test_trivariate_against_density_cubature():
     ours = mvn_cdf(corr, x)
     assert ours.value == pytest.approx(density_box_probability(corr, x),
                                        abs=2e-8)
+
+
+def corr3(r12, r13, r23):
+    return np.array([[1.0, r12, r13], [r12, 1.0, r23], [r13, r23, 1.0]])
+
+
+def plackett_tvn(x, r12, r13, r23):
+    """Independent oracle: Phi_3 at 20 digits by Plackett's identity.
+
+    From independence, r12 grows to its value for the bivariate base;
+    then r13 and r23 grow together as t r13, t r23.  Each derivative is a
+    bivariate density times the conditional CDF of the third score.
+    """
+    with mpmath.workdps(20):
+        x1, x2, x3 = (mpmath.mpf(float(v)) for v in x)
+        r12, r13, r23 = mpmath.mpf(r12), mpmath.mpf(r13), mpmath.mpf(r23)
+
+        def dens(a, b, r):
+            q = (a * a - 2 * r * a * b + b * b) / (1 - r * r)
+            norm = 2 * mpmath.pi * mpmath.sqrt(1 - r * r)
+            return mpmath.exp(-q / 2) / norm
+
+        def cond(xk, xi, xj, rki, rkj, rij):  # P(Z_k <= xk | Z_i, Z_j)
+            ci = (rki - rij * rkj) / (1 - rij * rij)
+            cj = (rkj - rij * rki) / (1 - rij * rij)
+            spread = mpmath.sqrt(1 - ci * rki - cj * rkj)
+            return mpmath.ncdf((xk - ci * xi - cj * xj) / spread)
+
+        def path(t):
+            a, b = t * r13, t * r23
+            return (r13 * dens(x1, x3, a) * cond(x2, x1, x3, r12, b, a)
+                    + r23 * dens(x2, x3, b) * cond(x1, x2, x3, r12, a, b))
+
+        base = mpmath.ncdf(x1) * mpmath.ncdf(x2) + mpmath.quad(
+            lambda t: r12 * dens(x1, x2, t * r12), [0, 1])
+        # near-singular correlations sharpen the integrand as t nears 1
+        return float(base * mpmath.ncdf(x3)
+                     + mpmath.quad(path, [0, 0.5, 0.9, 0.99, 1]))
+
+
+@pytest.mark.parametrize("r", [(-0.5, 0.1, 0.8111), (0.3, 0.1, 0.9791)])
+def test_trivariate_near_singular_within_stated_error(r):
+    """Smallest eigenvalues 4.8e-4 and 5.6e-5: a node table keyed on the
+    largest path correlation missed 5e-10 by 1.5e-8 and 8.4e-9 at
+    (0, -0.2, -0.2)."""
+    X = np.array([(a, b, c) for a in (-0.2, 0.0, 0.7) for b in (-0.2, 0.7)
+                  for c in (-0.2, 0.7)] + [(0.0, -0.2, -0.2)])
+    ref = np.array([plackett_tvn(x, *r) for x in X])
+    assert np.max(np.abs(tvn_cdf(X, corr3(*r)) - ref)) <= 5e-10
+
+
+def test_trivariate_beyond_node_cap_raises_promptly():
+    """Smallest eigenvalue 5.1e-7: 512 and 1024 nodes still differ by
+    7.5e-11, so no value within 5e-10 can be vouched for."""
+    corr = corr3(0.3, 0.1, 0.979157)
+    start = time.perf_counter()
+    with pytest.raises(ToleranceNotReached) as exc:
+        mvn_cdf(corr, [0.0, -0.2, -0.2])
+    assert time.perf_counter() - start < 10.0
+    assert exc.value.estimate is None
+    with pytest.raises(ToleranceNotReached):
+        tvn_cdf(np.zeros((1, 3)), corr)
+
+
+@pytest.mark.parametrize("r", [(0.5, 0.3, 0.4), (0.1, 0.2, 0.3),
+                               (0.3, 0.2, 0.5)])
+def test_trivariate_ordinary_correlation_costs_16_nodes(r):
+    """Guards the speed: the old table spent 48 nodes a path here."""
+    rules = _tvn_plan(corr3(*r))[2]
+    assert max(len(rule[0]) for rule in rules) <= 16
+
+
+@pytest.mark.parametrize("r,evals", [((0.5, 0.3, 0.4), 2 * 16),
+                                     ((-0.5, 0.1, 0.8111), 2 * 256)])
+def test_trivariate_reports_the_evaluations_spent(r, evals):
+    """Each point costs one evaluation per node of each path rule."""
+    est = mvn_cdf(corr3(*r), [0.0, -0.2, -0.2])
+    assert est.error == 5e-10
+    assert est.evals == evals
+    assert est.evals == sum(len(rule[0]) for rule in _tvn_plan(corr3(*r))[2])
+
+
+def test_trivariate_seeded_sweep_within_stated_error(monkeypatch):
+    """200 correlations with smallest eigenvalue log-uniform in [1e-4, 1]:
+    each chosen rule lies within 5e-10 of rules with four times its
+    nodes."""
+    rng = np.random.default_rng(0)
+    X = np.concatenate([rng.normal(size=(60, 3)) * 2.0,
+                        rng.uniform(-8.0, 8.0, (40, 3)), [[0.0, -0.2, -0.2]]])
+    chosen = mvnorm._tvn_path_rule
+
+    def finer(r_ij, r_base, r_other):
+        n_nodes = len(chosen(r_ij, r_base, r_other)[0])
+        if n_nodes == 0:
+            return chosen(r_ij, r_base, r_other)
+        return mvnorm._tvn_gauss_rule(r_ij, r_base, r_other, 4 * n_nodes)
+
+    for _ in range(200):
+        lam = 10.0 ** rng.uniform(-4.0, 0.0)
+        while True:  # shrink a random correlation to smallest eigenvalue lam
+            corr = corr3(*rng.uniform(-1.0, 1.0, 3))
+            low = np.linalg.eigvalsh(corr)[0]
+            if low > lam:
+                shift = (low - lam) / (1.0 - lam)
+                corr = (corr - shift * np.eye(3)) / (1.0 - shift)
+                break
+        got = tvn_cdf(X, corr)
+        with monkeypatch.context() as m:
+            m.setattr(mvnorm, "_tvn_path_rule", finer)
+            ref = tvn_cdf(X, corr)
+        assert np.max(np.abs(got - ref)) <= 5e-10, (corr, lam)
 
 
 def test_k4_qmc_against_density_cubature():
