@@ -7,11 +7,14 @@ Three regimes, all deterministic:
   quadratures along a correlation path (the derivative of the CDF with
   respect to an off-diagonal correlation is a bivariate density times a
   conditional univariate CDF).  Vectorized over evaluation points.  Each
-  path's Gauss-Legendre node count doubles from 8 until two successive
-  rules agree within 1e-13 on a set of probe scores, once per
-  correlation, so the value lies within the stated 5e-10; a correlation
-  that needs more than 1024 nodes a path (near-singular, smallest
-  eigenvalue below about 1e-5) raises ToleranceNotReached.
+  path is split into panels that halve toward its end, as many as the
+  distance from the end to the integrand's nearest singularity asks (none
+  for ordinary correlations); the Gauss-Legendre node count per panel
+  doubles from 8 until two successive rules agree within 1e-13 on a set
+  of probe scores, once per correlation, so the value lies within the
+  stated 5e-10.  A correlation whose rule would need more than 1024
+  nodes a path, or more than 40 halvings (some with smallest eigenvalue
+  below 1e-12), raises ToleranceNotReached.
 * k >= 4: separation-of-variables transform to the unit cube, integrated
   with scrambled Sobol points under a fixed internal seed.
 
@@ -37,7 +40,9 @@ _X_CLIP = 38.0  # ndtr saturates to 0/1 beyond this
 _ABS_TOL = 1e-8  # of one QMC value, k >= 4
 _TVN_BLOCK = 1 << 14  # rows per tvn_cdf call, whose temporaries are (rows, nodes)
 _TVN_AGREE = 1e-13  # of the CDF, between the n- and 2n-node path terms
-_TVN_NODES = (8, 16, 32, 64, 128, 256, 512, 1024)  # per path; then raise
+_TVN_NODES = (8, 16, 32, 64, 128, 256, 512, 1024)  # per panel of a path
+_TVN_CAP = 1024  # nodes per path; a rule that needs more raises
+_TVN_DEPTH = 40  # halvings toward a path's end; a nearer singularity raises
 # the probe lattice of _tvn_probe: (b_i, b_m) pairs, then (b_i, b_j, b_m)
 _TVN_PROBE_IM = np.array([(i, m) for i in range(-6, 7, 3)
                           for m in range(-6, 7, 3)], dtype=float)
@@ -106,13 +111,37 @@ def _legendre(n_nodes):
     return x, w
 
 
-def _tvn_gauss_rule(r_ij, r_base, r_other, n_nodes):
-    """The n-node Gauss-Legendre rule of one path integral: weights, then
-    the node vectors of ``_tvn_path_nodes``."""
+def _tvn_depth(r_ij, r_base, r_other):
+    """Halvings of a path's panels toward its end.
+
+    The path integrand is analytic in the angle except where cos(theta)
+    or the conditional variance vanishes: where sin^2(theta) is 1 or
+    r_ij^2 (1 - r_base^2) / q, with q = r_ij^2 + r_other^2 -
+    2 r_base r_ij r_other.  Both lie past the path's end, and a
+    near-singular correlation brings them close to it.  Gauss-Legendre
+    converges geometrically on a panel at a rate set by the
+    singularity's distance relative to the panel's length, so the panels
+    [0, 1/2], [1/2, 3/4], ... of the path halve until the last is no
+    longer than that distance; ordinary correlations get one panel.
+    """
+    q = r_ij * r_ij + r_other * r_other - 2.0 * r_base * r_ij * r_other
+    reach = min(1.0, abs(r_ij) * np.sqrt((1.0 - r_base * r_base) / q))
+    end = np.arcsin(abs(r_ij))
+    gap = (np.arcsin(reach) - end) / end  # in lengths of the path
+    return max(0, int(np.ceil(-np.log2(gap)))) if gap > 0.0 else np.inf
+
+
+def _tvn_gauss_rule(r_ij, r_base, r_other, n_nodes, depth=0):
+    """The composite Gauss-Legendre rule of one path integral, n nodes on
+    each of its depth + 1 panels: weights, then the node vectors of
+    ``_tvn_path_nodes``."""
     x, w = _legendre(n_nodes)
-    half = 0.5 * np.arcsin(r_ij)
-    theta, w = half * (x + 1.0), half * w  # nodes on [0, arcsin r_ij]
-    return (w, *_tvn_path_nodes(theta, r_ij, r_base, r_other))
+    edges = np.append(1.0 - 0.5 ** np.arange(depth + 1), 1.0)
+    end = np.arcsin(r_ij)
+    half = (0.5 * np.diff(edges) * end)[:, None]
+    theta = edges[:-1, None] * end + half * (x + 1.0)  # on [0, arcsin r_ij]
+    return ((half * w).ravel(),
+            *_tvn_path_nodes(theta.ravel(), r_ij, r_base, r_other))
 
 
 def _tvn_probe(r_ij, r_base, r_other):
@@ -137,35 +166,40 @@ def _tvn_probe(r_ij, r_base, r_other):
 @lru_cache(maxsize=64)
 def _tvn_path_rule(r_ij, r_base, r_other):
     """The Gauss-Legendre rule of one path integral, with its node count
-    chosen from the error that ``mvn_cdf`` states.
+    chosen from the error that ``mvn_cdf`` states, or the reason no rule
+    within the cap serves.
 
-    The count doubles along ``_TVN_NODES`` until the n- and 2n-node terms
-    agree within ``_TVN_AGREE`` of the CDF on the probe scores, and the
-    2n rule is kept: Gauss-Legendre converges geometrically on this
-    analytic integrand, so the 2n rule is far inside 5e-10.  The rule
-    depends on the correlations alone, so every chunk of points on one
-    copula reuses it.  A zero path correlation contributes nothing and
-    gets no nodes.  Raises ToleranceNotReached when the last two rules
-    still disagree.
+    The panels come from ``_tvn_depth``.  The count per panel doubles
+    along ``_TVN_NODES`` until the n- and 2n-node terms agree within
+    ``_TVN_AGREE`` of the CDF on the probe scores, and the 2n rule is
+    kept: Gauss-Legendre converges geometrically on each panel, so the
+    2n rule is far inside 5e-10.  The rule depends on the correlations
+    alone, so every chunk of points on one copula reuses it; a failure
+    is cached too, so a repeated call raises at once.  A zero path
+    correlation contributes nothing and gets no nodes.
     """
     if r_ij == 0.0:
         rule = (np.empty(0),) * 6
     else:
+        where = f"at correlation {r_ij!r} with {r_base!r}, {r_other!r}"
+        depth = _tvn_depth(r_ij, r_base, r_other)
+        if depth > _TVN_DEPTH:
+            return (f"trivariate normal CDF: a singularity lies within "
+                    f"2^-{_TVN_DEPTH} of the path's end {where}")
         b_i, b_j, b_m = _tvn_probe(r_ij, r_base, r_other).T
-        rules = (_tvn_gauss_rule(r_ij, r_base, r_other, n) for n in _TVN_NODES)
-        prev = _tvn_path_term(b_i, b_j, b_m, next(rules))
-        for rule in rules:
+        gap, prev = np.inf, None
+        for n in _TVN_NODES:
+            if (depth + 1) * n > _TVN_CAP:
+                return (f"trivariate normal CDF: path rules of up to "
+                        f"{_TVN_CAP} nodes differ by {gap:.1e} (of "
+                        f"{_TVN_AGREE:.0e}) {where}")
+            rule = _tvn_gauss_rule(r_ij, r_base, r_other, n, depth)
             cur = _tvn_path_term(b_i, b_j, b_m, rule)
-            gap = np.max(np.abs(cur - prev)) / (2.0 * np.pi)
-            if gap <= _TVN_AGREE:
-                break
+            if prev is not None:
+                gap = np.max(np.abs(cur - prev)) / (2.0 * np.pi)
+                if gap <= _TVN_AGREE:
+                    break
             prev = cur
-        else:
-            raise ToleranceNotReached(
-                f"trivariate normal CDF: {_TVN_NODES[-2]}- and "
-                f"{_TVN_NODES[-1]}-node path rules differ by {gap:.1e} (of "
-                f"{_TVN_AGREE:.0e}) at correlation {r_ij!r} with {r_base!r}, "
-                f"{r_other!r}")
     for a in rule:  # shared by every caller
         a.setflags(write=False)
     return rule
@@ -200,7 +234,11 @@ def _tvn_plan(corr):
     p = perm_by_pair[pair]
     c = corr[np.ix_(p, p)]
     rb, ra, rc = float(c[0, 1]), float(c[0, 2]), float(c[1, 2])  # base, paths
-    return p, rb, (_tvn_path_rule(ra, rb, rc), _tvn_path_rule(rc, rb, ra))
+    rules = (_tvn_path_rule(ra, rb, rc), _tvn_path_rule(rc, rb, ra))
+    for rule in rules:
+        if isinstance(rule, str):
+            raise ToleranceNotReached(rule)
+    return p, rb, rules
 
 
 def tvn_cdf(x: np.ndarray, corr: np.ndarray) -> np.ndarray:

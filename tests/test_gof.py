@@ -5,9 +5,11 @@ from copulameasures import (
     CopulaModel,
     EmpiricalBetaCopula,
     GofConfig,
+    IntegrationConfig,
     RankedSample,
     bootstrap_test,
     calibrate_percentile,
+    cce,
     percentile_index,
     power_study,
     rank_with_random_ties,
@@ -15,7 +17,9 @@ from copulameasures import (
     t_statistic,
     xlog_ratio,
 )
+from copulameasures.copulas import corr_from_upper_triangle
 from copulameasures.errors import DimensionMismatch, NotFittable
+from copulameasures.fit import estimate
 
 from conftest import FULL
 
@@ -90,6 +94,22 @@ class TestBootstrapTest:
         assert rep.p_value in {i / 200 for i in range(201)}
         assert rep.percentile == np.sort(rep.replicates)[percentile_index(200, 0.05) - 1]
         assert rep.reject == (rep.observed_t >= rep.percentile)
+
+    def test_gaussian_fit_projected_to_the_eigenvalue_floor(self):
+        # Z3 = Z1 - Z2 puts the sample taus on the edge of the feasible
+        # set, where sin(pi tau / 2) is singular; the fit projects it to
+        # smallest eigenvalue 1e-6, and its measures and test still run
+        rng = np.random.default_rng(0)
+        x1, x2 = rng.exponential(size=(2, 120))
+        data = np.column_stack([x1, x2, x1 - x2])
+        model = estimate("gaussian", data).model
+        corr = corr_from_upper_triangle(3, np.array(model.params))
+        assert np.linalg.eigvalsh(corr)[0] < 1.01e-6
+        est = cce(model, IntegrationConfig(abs_tol=1e-5))
+        assert 0.0 < est.value < np.exp(-1.0)
+        rep = bootstrap_test(data, "gaussian", GofConfig(reps=100, seed=1))
+        assert rep.replicates.shape == (100,)
+        assert np.all(np.isfinite(rep.replicates))
 
     def test_deterministic_and_worker_invariant(self):
         data = CopulaModel("clayton", 2, (1.0,)).sample(80, seed=6)

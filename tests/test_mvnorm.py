@@ -9,6 +9,7 @@ from copulameasures import (CopulaModel, IntegrationConfig, cce,
                             integrate_unit_cube, mvn_cdf, mvn_cdf_many, mvnorm)
 from copulameasures.errors import (CorrelationNotPD, DimensionMismatch,
                                    DimensionUnsupported, ToleranceNotReached)
+from copulameasures.fit import nearest_pd_correlation
 from copulameasures.mvnorm import _tvn_plan, tvn_cdf
 
 
@@ -147,28 +148,78 @@ def plackett_tvn(x, r12, r13, r23):
                      + mpmath.quad(path, [0, 0.5, 0.9, 0.99, 1]))
 
 
-@pytest.mark.parametrize("r", [(-0.5, 0.1, 0.8111), (0.3, 0.1, 0.9791)])
+def slab_points(corr, others=(0.0, -0.2)):
+    """For each score, the points one conditional spread either side of
+    its conditional mean given the other two, where a near-singular
+    correlation makes the CDF steep."""
+    pts = []
+    for k in range(3):
+        o = [i for i in range(3) if i != k]
+        w = np.linalg.solve(corr[np.ix_(o, o)], corr[o, k])
+        spread = np.sqrt(1.0 - corr[o, k] @ w)
+        for d in (-1.0, 1.0):
+            x = np.empty(3)
+            x[o], x[k] = others, w @ others + d * spread
+            pts.append(x)
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("r", [(-0.5, 0.1, 0.8111), (0.3, 0.1, 0.9791),
+                               (0.3, 0.1, 0.979157),
+                               (0.3, 0.1, 0.9791575211732825)])
 def test_trivariate_near_singular_within_stated_error(r):
-    """Smallest eigenvalues 4.8e-4 and 5.6e-5: a node table keyed on the
-    largest path correlation missed 5e-10 by 1.5e-8 and 8.4e-9 at
-    (0, -0.2, -0.2)."""
+    """Smallest eigenvalues 4.8e-4, 5.6e-5, 5.1e-7 and 9.8e-14.  A node
+    table keyed on the largest path correlation missed 5e-10 by 1.5e-8
+    and 8.4e-9 at (0, -0.2, -0.2) on the first two; one Gauss-Legendre
+    panel a path could not reach the last two within 1024 nodes."""
     X = np.array([(a, b, c) for a in (-0.2, 0.0, 0.7) for b in (-0.2, 0.7)
                   for c in (-0.2, 0.7)] + [(0.0, -0.2, -0.2)])
+    X = np.concatenate([X, slab_points(corr3(*r))])
     ref = np.array([plackett_tvn(x, *r) for x in X])
     assert np.max(np.abs(tvn_cdf(X, corr3(*r)) - ref)) <= 5e-10
 
 
-def test_trivariate_beyond_node_cap_raises_promptly():
-    """Smallest eigenvalue 5.1e-7: 512 and 1024 nodes still differ by
-    7.5e-11, so no value within 5e-10 can be vouched for."""
-    corr = corr3(0.3, 0.1, 0.979157)
+def test_trivariate_projected_fit_evaluates():
+    """The Gaussian fit clips a correlation's eigenvalues at 1e-6; the
+    trivariate CDF serves such a correlation within its stated error."""
+    corr = np.array([[1.0, 0.95, -0.5], [0.95, 1.0, 0.6], [-0.5, 0.6, 1.0]])
+    corr = nearest_pd_correlation(corr)
+    assert np.linalg.eigvalsh(corr)[0] < 1e-6
+    X = np.array([(0.0, -0.2, -0.2), (0.5, 0.4, -0.3)])
+    X = np.concatenate([X, slab_points(corr, (0.5, 0.4))])
+    ref = np.array([plackett_tvn(x, corr[0, 1], corr[0, 2], corr[1, 2])
+                    for x in X])
+    assert np.max(np.abs(tvn_cdf(X, corr) - ref)) <= 5e-10
+
+
+def test_trivariate_beyond_reach_raises_promptly_and_again_at_once():
+    """Smallest eigenvalue 9.9e-15: the nearest singularity lies within
+    2^-40 of the path's end, so no value within 5e-10 can be vouched
+    for.  The failure is cached, so the second call skips the search."""
+    corr = corr3(0.3, 0.1, 0.9791575211733725)
     start = time.perf_counter()
     with pytest.raises(ToleranceNotReached) as exc:
         mvn_cdf(corr, [0.0, -0.2, -0.2])
     assert time.perf_counter() - start < 10.0
     assert exc.value.estimate is None
+    misses = mvnorm._tvn_path_rule.cache_info().misses
     with pytest.raises(ToleranceNotReached):
         tvn_cdf(np.zeros((1, 3)), corr)
+    assert mvnorm._tvn_path_rule.cache_info().misses == misses
+
+
+def test_trivariate_beyond_node_cap_raises(monkeypatch):
+    """A rule that needs more nodes than the cap raises, and so does
+    every later call on its correlation: (-0.5, 0.1, 0.8111) needs 176
+    nodes a path."""
+    mvnorm._tvn_path_rule.cache_clear()
+    monkeypatch.setattr(mvnorm, "_TVN_CAP", 128)
+    try:
+        for _ in range(2):
+            with pytest.raises(ToleranceNotReached, match="up to 128 nodes"):
+                tvn_cdf(np.zeros((1, 3)), corr3(-0.5, 0.1, 0.8111))
+    finally:
+        mvnorm._tvn_path_rule.cache_clear()
 
 
 @pytest.mark.parametrize("r", [(0.5, 0.3, 0.4), (0.1, 0.2, 0.3),
@@ -180,7 +231,7 @@ def test_trivariate_ordinary_correlation_costs_16_nodes(r):
 
 
 @pytest.mark.parametrize("r,evals", [((0.5, 0.3, 0.4), 2 * 16),
-                                     ((-0.5, 0.1, 0.8111), 2 * 256)])
+                                     ((-0.5, 0.1, 0.8111), 2 * 11 * 16)])
 def test_trivariate_reports_the_evaluations_spent(r, evals):
     """Each point costs one evaluation per node of each path rule."""
     est = mvn_cdf(corr3(*r), [0.0, -0.2, -0.2])
@@ -190,9 +241,9 @@ def test_trivariate_reports_the_evaluations_spent(r, evals):
 
 
 def test_trivariate_seeded_sweep_within_stated_error(monkeypatch):
-    """200 correlations with smallest eigenvalue log-uniform in [1e-4, 1]:
-    each chosen rule lies within 5e-10 of rules with four times its
-    nodes."""
+    """200 correlations with smallest eigenvalue log-uniform in [1e-12, 1]:
+    each chosen rule lies within 5e-10 of rules with four times its nodes
+    a panel and four more halvings toward the path's end."""
     rng = np.random.default_rng(0)
     X = np.concatenate([rng.normal(size=(60, 3)) * 2.0,
                         rng.uniform(-8.0, 8.0, (40, 3)), [[0.0, -0.2, -0.2]]])
@@ -202,10 +253,12 @@ def test_trivariate_seeded_sweep_within_stated_error(monkeypatch):
         n_nodes = len(chosen(r_ij, r_base, r_other)[0])
         if n_nodes == 0:
             return chosen(r_ij, r_base, r_other)
-        return mvnorm._tvn_gauss_rule(r_ij, r_base, r_other, 4 * n_nodes)
+        depth = mvnorm._tvn_depth(r_ij, r_base, r_other)
+        return mvnorm._tvn_gauss_rule(r_ij, r_base, r_other,
+                                      4 * n_nodes // (depth + 1), depth + 4)
 
     for _ in range(200):
-        lam = 10.0 ** rng.uniform(-4.0, 0.0)
+        lam = 10.0 ** rng.uniform(-12.0, 0.0)
         while True:  # shrink a random correlation to smallest eigenvalue lam
             corr = corr3(*rng.uniform(-1.0, 1.0, 3))
             low = np.linalg.eigvalsh(corr)[0]
@@ -213,10 +266,10 @@ def test_trivariate_seeded_sweep_within_stated_error(monkeypatch):
                 shift = (low - lam) / (1.0 - lam)
                 corr = (corr - shift * np.eye(3)) / (1.0 - shift)
                 break
-        got = tvn_cdf(X, corr)
+        got = tvn_cdf(np.concatenate([X, slab_points(corr)]), corr)
         with monkeypatch.context() as m:
             m.setattr(mvnorm, "_tvn_path_rule", finer)
-            ref = tvn_cdf(X, corr)
+            ref = tvn_cdf(np.concatenate([X, slab_points(corr)]), corr)
         assert np.max(np.abs(got - ref)) <= 5e-10, (corr, lam)
 
 
