@@ -2,9 +2,9 @@
 
 A :class:`CopulaModel` is an immutable (family, dimension, parameters)
 triple.  Construction validates the parameter ranges; the resulting
-object is safe to share across threads.  ``cdf_many`` is the vectorized
-evaluation used by every integrand in the package, ``sample`` draws
-exact i.i.d. observations with an explicit seed.
+object is safe to share across threads.  ``cdf_many`` and ``cdf_grid``
+are the evaluations used by every integrand in the package, ``sample``
+draws exact i.i.d. observations with an explicit seed.
 
 Family names are lowercase strings.  Parameters are positional; their
 rules are the table ``_PARAMS``:
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -78,8 +79,7 @@ FAMILIES = tuple(_PARAMS)
 _PARAM_FREE = frozenset(f for f, rule in _PARAMS.items() if rule.count == 0)
 
 _SAMPLE_EPS = 1e-15
-# points per cdf_many call of the default cdf_grid
-_GRID_CHUNK = 1 << 14
+_GRID_BLOCK = 1 << 14  # grid points per block of CopulaModel.cdf_grid
 
 
 def corr_from_upper_triangle(dim: int, entries) -> np.ndarray:
@@ -97,9 +97,9 @@ def corr_from_upper_triangle(dim: int, entries) -> np.ndarray:
 
 class Copula(ABC):
     """Interface of every copula in the package: ``dim``,
-    ``has_zero_region`` and the vectorized ``cdf_many``, whose points all
-    pass the one check ``_points``.  ``cdf`` and ``cdf_grid`` are defined
-    here.  Its measures integrate by subdivision below
+    ``has_zero_region``, the vectorized ``cdf_many``, whose points all
+    pass the one check ``_points``, and ``cdf_grid``, C on a tensor grid.
+    ``cdf`` is defined here.  Its measures integrate by subdivision below
     ``cubature.SOBOL_DIM`` and by Sobol sampling from it; a copula that
     sets ``tensor_grid``, whose ``cdf_grid`` costs far less than
     ``cdf_many`` at as many points, has them integrate on the tensor grid
@@ -119,18 +119,9 @@ class Copula(ABC):
         u = np.asarray(point, dtype=float).ravel()
         return float(self.cdf_many(u[None, :])[0])
 
+    @abstractmethod
     def cdf_grid(self, x) -> np.ndarray:
-        """C on the tensor grid x^dim, shape (len(x),) * dim, from
-        ``cdf_many`` at most _GRID_CHUNK points at a time, so that the
-        point matrix stays bounded at n^dim grid points."""
-        x = np.asarray(x, dtype=float).ravel()
-        shape = (len(x),) * self.dim
-        out = np.empty(len(x) ** self.dim)
-        for lo in range(0, out.size, _GRID_CHUNK):
-            idx = np.unravel_index(np.arange(lo, min(lo + _GRID_CHUNK, out.size)),
-                                   shape)
-            out[lo:lo + _GRID_CHUNK] = self.cdf_many(np.column_stack([x[i] for i in idx]))
-        return out.reshape(shape)
+        """C on the tensor grid x^dim, shape (len(x),) * dim."""
 
     def _points(self, U) -> np.ndarray:
         """U as an (m, dim) float array clipped into [0, 1]; raises
@@ -146,7 +137,8 @@ class Copula(ABC):
 
 @dataclass(frozen=True, eq=True)
 class CopulaModel(Copula):
-    """Validated copula model; raises on construction if invalid."""
+    """Validated copula model; raises on construction if invalid.  One
+    formula per family (``_cdf_positive``) serves cdf_many and cdf_grid."""
 
     family: str
     dim: int
@@ -202,55 +194,67 @@ class CopulaModel(Copula):
 
     def cdf_many(self, U: np.ndarray) -> np.ndarray:
         """Vectorized C(u) over the rows of U, clamped into [0, 1]."""
-        U = self._points(U)
-        out = np.zeros(len(U))
-        interior = ~(U <= 0.0).any(axis=1)
-        if interior.any():
-            # divide guards log(0) at coordinates equal to 1, which the
-            # generator forms turn into the correct boundary values
-            with np.errstate(over="ignore", under="ignore", divide="ignore"):
-                out[interior] = self._cdf_positive(U[interior])
-        return np.clip(out, 0.0, 1.0)
+        return self._cdf(list(np.ascontiguousarray(self._points(U).T)))
 
-    def _cdf_positive(self, U: np.ndarray) -> np.ndarray:
-        """C(u) with every coordinate in (0, 1]."""
+    def cdf_grid(self, x) -> np.ndarray:
+        """C on the tensor grid x^dim, shape (len(x),) * dim, in blocks of
+        grid rows, so each coordinate term runs per row or node, not per point."""
+        x = self._points(np.repeat(np.ravel(x)[:, None], self.dim, axis=1))[:, 0]
+        n, k = len(x), self.dim
+        out = np.empty((n ** (k - 1), n))
+        step = max(1, _GRID_BLOCK // max(n, 1))
+        for lo in range(0, len(out), step):
+            idx = np.unravel_index(np.arange(lo, min(lo + step, len(out))), (n,) * (k - 1))
+            out[lo:lo + step] = self._cdf([x[i][:, None] for i in idx] + [x])
+        return out.reshape((n,) * k)
+
+    def _cdf(self, u: list) -> np.ndarray:
+        """C on the broadcast of the coordinate arrays u, clamped into [0, 1]."""
+        zero = reduce(np.logical_or, [c <= 0.0 for c in u])
+        if zero.any():  # C = 0 there; at 1e-300 every formula is finite and cheap
+            u = [np.where(c > 0.0, c, 1e-300) for c in u]
+        # divide guards log(0) at coordinates equal to 1, which the
+        # generator forms turn into the correct boundary values
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            c = self._cdf_positive(u)
+        return np.clip(np.where(zero, 0.0, c), 0.0, 1.0)
+
+    def _cdf_positive(self, u: list) -> np.ndarray:
+        """C on the broadcast of the coordinate arrays u, each in (0, 1]."""
         fam, k = self.family, self.dim
         if fam == "product":
-            return U.prod(axis=1)
+            return reduce(np.multiply, u)
         if fam == "min":
-            return U.min(axis=1)
+            return reduce(np.minimum, u)
         if fam == "lower_bound_w":
-            return np.maximum(U.sum(axis=1) - 1.0, 0.0)
+            return np.maximum(_sum(u) - 1.0, 0.0)
         if fam in ("frank", "joe", "nelsen_4212"):
             psi, psi_inv = archimedean_generator(self)
-            return psi(psi_inv(U).sum(axis=1))
+            return psi(_sum([psi_inv(c) for c in u]))
         if fam == "clayton":
             # one formula for both signs; alpha < 0 has no generator here
             a = self.params[0]
-            inner = np.maximum((U ** -a).sum(axis=1) - (k - 1), 0.0)
+            inner = np.maximum(_sum([c ** -a for c in u]) - (k - 1), 0.0)
             return inner ** (-1.0 / a)
         if fam == "gumbel_hougaard":
             # log-sum-exp: (-ln u)^phi overflows at large phi, e.g. u < 0.13 at 1e3
             phi = self.params[0]
-            with np.errstate(divide="ignore"):
-                logl = np.log(-np.log(U))  # -inf where u = 1
-            return np.exp(-np.exp(logsumexp(phi * logl, axis=1) / phi))
+            logl = _stack([phi * np.log(-np.log(c)) for c in u])  # -inf at u = 1
+            return np.exp(-np.exp(logsumexp(logl, axis=-1) / phi))
         if fam == "gaussian":
-            return mvnorm.mvn_cdf_many(self._corr, ndtri(np.clip(U, 1e-300, 1.0)))
+            z = _stack([ndtri(np.clip(c, 1e-300, 1.0)) for c in u])
+            return mvnorm.mvn_cdf_many(self._corr, z.reshape(-1, k)).reshape(z.shape[:-1])
+        if fam == "cuadras_auge":
+            return (np.sort(_stack(u), axis=-1) ** self._ca_thetas).prod(axis=-1)
+        u, v = u  # the rest are bivariate
         if fam == "fgm":
             th = self.params[0]
-            u, v = U[:, 0], U[:, 1]
             return u * v * (1.0 + th * (1.0 - u) * (1.0 - v))
         if fam == "marshall_olkin":
             a1, a2 = self.params
-            u, v = U[:, 0], U[:, 1]
             return u ** (1 - a1) * v ** (1 - a2) * np.minimum(u ** a1, v ** a2)
-        if fam == "cuadras_auge":
-            S = np.sort(U, axis=1)
-            return (S ** self._ca_thetas).prod(axis=1)
         if fam == "gumbel_barnett":
             th = self.params[0]
-            u, v = U[:, 0], U[:, 1]
             return u * v * np.exp(-th * np.log(u) * np.log(v))
         raise AssertionError(fam)
 
@@ -379,11 +383,24 @@ class MixtureCopula(Copula):
         return all(c.has_zero_region for c in self.components)
 
     def cdf_many(self, U: np.ndarray) -> np.ndarray:
-        U = self._points(U)
-        out = np.zeros(len(U))
-        for w, c in zip(self.weights, self.components):
-            out = out + w * c.cdf_many(U)
-        return np.clip(out, 0.0, 1.0)
+        return self._mix(c.cdf_many(U) for c in self.components)
+
+    def cdf_grid(self, x) -> np.ndarray:
+        return self._mix(c.cdf_grid(x) for c in self.components)
+
+    def _mix(self, values) -> np.ndarray:
+        """The weighted sum of the components' values, clamped into [0, 1]."""
+        return np.clip(sum(w * v for w, v in zip(self.weights, values)), 0.0, 1.0)
+
+
+def _stack(u: list) -> np.ndarray:
+    """The coordinate arrays u broadcast and stacked on a last axis."""
+    return np.stack(np.broadcast_arrays(*u), axis=-1)
+
+
+def _sum(terms: list) -> np.ndarray:
+    """Sum of the terms in the order of numpy's row sum, pairwise from 8."""
+    return reduce(np.add, terms) if len(terms) < 8 else _stack(terms).sum(axis=-1)
 
 
 def _log1mexp(x):
@@ -413,15 +430,15 @@ def archimedean_generator(model: CopulaModel) -> tuple[Callable, Callable]:
                 lambda u: np.asarray(u, dtype=float) ** -a - 1.0)
     if fam == "frank":
         t0 = model.params[0]
+        c0 = _log1mexp(t0) if t0 > 0 else np.expm1(-t0)
         def psi(t):
             t = np.asarray(t, dtype=float)
             if t0 > 0:
                 return -np.log(-np.expm1(-t) + np.exp(-t0 - t)) / t0
-            return -np.log1p(np.exp(-t) * np.expm1(-t0)) / t0
+            return -np.log1p(np.exp(-t) * c0) / t0
         def psi_inv(u):
             u = np.asarray(u, dtype=float)
-            return -(_log1mexp(t0 * u) - _log1mexp(t0)) \
-                if t0 > 0 else -np.log(np.expm1(-t0 * u) / np.expm1(-t0))
+            return -(_log1mexp(t0 * u) - c0) if t0 > 0 else -np.log(np.expm1(-t0 * u) / c0)
         return psi, psi_inv
     if fam == "gumbel_hougaard":
         phi = model.params[0]

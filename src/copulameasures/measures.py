@@ -119,12 +119,13 @@ def cckl(model1, model2, cfg: IntegrationConfig | None = None) -> Estimate:
 
 
 def concordance_leq_on_grid(model1, model2, grid_pts: int = 17) -> bool:
-    """True iff C1 <= C2 + 1e-9 on the uniform grid with grid_pts per axis."""
+    """True iff C1 <= C2 + 1e-9 on the uniform grid with grid_pts per axis,
+    at least 3, so that the grid has an interior node."""
     if model1.dim != model2.dim:
         raise DimensionMismatch("concordance needs copulas of equal dimension")
-    k = model1.dim
-    if grid_pts ** k > 2 * 10 ** 7:
+    if not isinstance(grid_pts, (int, np.integer)) or grid_pts < 3:
+        raise ValueError(f"grid_pts must be an integer >= 3, got {grid_pts!r}")
+    if grid_pts ** model1.dim > 2 * 10 ** 7:
         raise ValueError("grid too large")
     axis = np.linspace(0.0, 1.0, grid_pts)
-    grid = np.stack(np.meshgrid(*([axis] * k), indexing="ij"), axis=-1).reshape(-1, k)
-    return bool(np.all(model1.cdf_many(grid) <= model2.cdf_many(grid) + _GRID_TOL))
+    return bool(np.all(model1.cdf_grid(axis) <= model2.cdf_grid(axis) + _GRID_TOL))

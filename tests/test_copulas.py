@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.stats import kstest, logser
 from copulameasures import (CopulaModel, EmpiricalBetaCopula, MixtureCopula,
                             archimedean_generator, rank_with_random_ties)
 from copulameasures.copulas import FAMILIES, _frailty, _logseries_kemp
+from copulameasures.cubature import _grid_axis
 from copulameasures.errors import (
     CorrelationNotPD,
     DimensionMismatch,
@@ -248,6 +250,14 @@ class TestCdf:
                 u[rng.integers(k)] = 0.0
                 assert m.cdf(u) == 0.0
 
+    def test_zero_coordinate_needs_no_normal_cdf_integration(self):
+        # at k >= 4 each Gaussian row is a QMC integral; a row with u_j = 0
+        # must still give C = 0 rather than a tolerance failure
+        m = CopulaModel("gaussian", 4, (0.3,) * 6)
+        U = np.random.default_rng(0).random((10, 4))
+        U[:, 0] = 0.0
+        assert np.array_equal(m.cdf_many(U), np.zeros(10))
+
     def test_frechet_sandwich_on_grid(self, zoo):
         for m in zoo:
             k = m.dim
@@ -289,6 +299,44 @@ class TestCdf:
         rng = np.random.default_rng(3)
         U = rng.random((100, 3))
         assert np.allclose(m3.cdf_many(U), p3.cdf_many(U), atol=1e-8)
+
+
+def _grid_cases():
+    mixtures = [MixtureCopula((CopulaModel("clayton", k, (2.0,)),
+                               CopulaModel("gaussian", k, (0.5, 0.3, 0.4)[:k * (k - 1) // 2])),
+                              (0.3, 0.7)) for k in (2, 3)]
+    models = model_zoo(np.random.default_rng(20240801)) + _range_models() + mixtures
+    return [pytest.param(m, id=repr(m)) for m in models]
+
+
+class TestCdfGrid:
+    @pytest.mark.parametrize("m", _grid_cases())
+    def test_bit_identical_to_cdf_many(self, m):
+        # the grid and the point path run one formula, term by term alike
+        k = m.dim
+        for x in (_grid_axis(3)[0], np.array([0.0, 1e-300, 0.2, 0.5, 0.9, 1.0]),
+                  np.array([])):
+            pts = np.stack(np.meshgrid(*[x] * k, indexing="ij"), axis=-1).reshape(-1, k)
+            want = m.cdf_many(pts).reshape((len(x),) * k)
+            assert np.array_equal(m.cdf_grid(x), want), len(x)
+
+    @pytest.mark.parametrize("m", [CopulaModel("gaussian", 3, (0.5, 0.3, 0.4)),
+                                   CopulaModel("frank", 3, (4.0,))], ids=repr)
+    def test_peak_memory_near_the_output(self, m):
+        # blocks write into one preallocated output; joining them would double it
+        x = _grid_axis(6)[0]
+        assert len(x) == 184
+        tracemalloc.start()
+        try:
+            out = m.cdf_grid(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * out.nbytes, (peak, out.nbytes)
+
+    def test_out_of_cube_rejected(self):
+        with pytest.raises(ValueError):
+            CopulaModel("frank", 2, (4.0,)).cdf_grid([0.5, 1.5])
 
 
 class TestGenerator:

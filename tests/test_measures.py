@@ -188,6 +188,17 @@ class TestConcordanceGrid:
         assert concordance_leq_on_grid(nelsen, M2, grid_pts=33)
         assert cce(nelsen).value > cce(M2).value
 
+    @pytest.mark.parametrize("grid_pts", [0, 1, 2, 3.0, 17.5])
+    def test_grid_without_interior_node_rejected(self, grid_pts):
+        # 0, 1 or 2 points an axis leave no interior node, so every pair
+        # would pass, M <= W among them
+        with pytest.raises(ValueError):
+            concordance_leq_on_grid(M2, W, grid_pts=grid_pts)
+
+    def test_grid_too_large(self):
+        with pytest.raises(ValueError):
+            concordance_leq_on_grid(P3, P3, grid_pts=272)
+
 
 class TestClosedFormCcigf:
     def test_cuadras_auge_reduces_to_product(self):
