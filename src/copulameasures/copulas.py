@@ -123,6 +123,10 @@ class Copula(ABC):
     def cdf_grid(self, x) -> np.ndarray:
         """C on the tensor grid x^dim, shape (len(x),) * dim."""
 
+    def _axis(self, x) -> np.ndarray:
+        """The nodes x of a tensor grid as a 1-D array, checked as by ``_points``."""
+        return self._points(np.repeat(np.ravel(x)[:, None], self.dim, axis=1))[:, 0]
+
     def _points(self, U) -> np.ndarray:
         """U as an (m, dim) float array clipped into [0, 1]; raises
         DimensionMismatch, and ValueError for NaN or u over 1e-12 outside it."""
@@ -194,69 +198,64 @@ class CopulaModel(Copula):
 
     def cdf_many(self, U: np.ndarray) -> np.ndarray:
         """Vectorized C(u) over the rows of U, clamped into [0, 1]."""
-        return self._cdf(list(np.ascontiguousarray(self._points(U).T)))
+        u = list(self._points(U).T)
+        interior = reduce(np.logical_and, [c > 0.0 for c in u])
+        out = np.zeros(len(interior))
+        out[interior] = self._cdf_positive([c[interior] for c in u])
+        return np.clip(out, 0.0, 1.0, out=out)
 
     def cdf_grid(self, x) -> np.ndarray:
-        """C on the tensor grid x^dim, shape (len(x),) * dim, in blocks of
-        grid rows, so each coordinate term runs per row or node, not per point."""
-        x = self._points(np.repeat(np.ravel(x)[:, None], self.dim, axis=1))[:, 0]
-        n, k = len(x), self.dim
-        out = np.empty((n ** (k - 1), n))
-        step = max(1, _GRID_BLOCK // max(n, 1))
-        for lo in range(0, len(out), step):
-            idx = np.unravel_index(np.arange(lo, min(lo + step, len(out))), (n,) * (k - 1))
-            out[lo:lo + step] = self._cdf([x[i][:, None] for i in idx] + [x])
-        return out.reshape((n,) * k)
-
-    def _cdf(self, u: list) -> np.ndarray:
-        """C on the broadcast of the coordinate arrays u, clamped into [0, 1]."""
-        zero = reduce(np.logical_or, [c <= 0.0 for c in u])
-        if zero.any():  # C = 0 there; at 1e-300 every formula is finite and cheap
-            u = [np.where(c > 0.0, c, 1e-300) for c in u]
-        # divide guards log(0) at coordinates equal to 1, which the
-        # generator forms turn into the correct boundary values
-        with np.errstate(over="ignore", under="ignore", divide="ignore"):
-            c = self._cdf_positive(u)
-        return np.clip(np.where(zero, 0.0, c), 0.0, 1.0)
+        """C on the tensor grid x^dim, shape (len(x),) * dim: 0 at nodes 0, else
+        blocks of grid rows against the positive nodes, a coordinate term per node."""
+        x = self._axis(x)
+        pos = np.flatnonzero(x > 0.0)
+        xp, out = x[pos], np.zeros((len(x),) * self.dim)
+        for _, idx in _grid_rows((len(pos),) * (self.dim - 1), _GRID_BLOCK // max(len(pos), 1)):
+            out[tuple(pos[i][:, None] for i in idx) + (pos,)] = self._cdf_positive(
+                [xp[i][:, None] for i in idx] + [xp])
+        return np.clip(out, 0.0, 1.0, out=out)
 
     def _cdf_positive(self, u: list) -> np.ndarray:
         """C on the broadcast of the coordinate arrays u, each in (0, 1]."""
-        fam, k = self.family, self.dim
-        if fam == "product":
-            return reduce(np.multiply, u)
-        if fam == "min":
-            return reduce(np.minimum, u)
-        if fam == "lower_bound_w":
-            return np.maximum(_sum(u) - 1.0, 0.0)
-        if fam in ("frank", "joe", "nelsen_4212"):
-            psi, psi_inv = archimedean_generator(self)
-            return psi(_sum([psi_inv(c) for c in u]))
-        if fam == "clayton":
-            # one formula for both signs; alpha < 0 has no generator here
-            a = self.params[0]
-            inner = np.maximum(_sum([c ** -a for c in u]) - (k - 1), 0.0)
-            return inner ** (-1.0 / a)
-        if fam == "gumbel_hougaard":
-            # log-sum-exp: (-ln u)^phi overflows at large phi, e.g. u < 0.13 at 1e3
-            phi = self.params[0]
-            logl = _stack([phi * np.log(-np.log(c)) for c in u])  # -inf at u = 1
-            return np.exp(-np.exp(logsumexp(logl, axis=-1) / phi))
-        if fam == "gaussian":
-            z = _stack([ndtri(np.clip(c, 1e-300, 1.0)) for c in u])
-            return mvnorm.mvn_cdf_many(self._corr, z.reshape(-1, k)).reshape(z.shape[:-1])
-        if fam == "cuadras_auge":
-            return (np.sort(_stack(u), axis=-1) ** self._ca_thetas).prod(axis=-1)
-        u, v = u  # the rest are bivariate
-        if fam == "fgm":
-            th = self.params[0]
-            return u * v * (1.0 + th * (1.0 - u) * (1.0 - v))
-        if fam == "marshall_olkin":
-            a1, a2 = self.params
-            return u ** (1 - a1) * v ** (1 - a2) * np.minimum(u ** a1, v ** a2)
-        if fam == "gumbel_barnett":
-            th = self.params[0]
-            return u * v * np.exp(-th * np.log(u) * np.log(v))
-        raise AssertionError(fam)
+        # divide guards log(0) at coordinates equal to 1, which the
+        # generator forms turn into the correct boundary values
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            fam, k = self.family, self.dim
+            if fam == "product":
+                return reduce(np.multiply, u)
+            if fam == "min":
+                return reduce(np.minimum, u)
+            if fam == "lower_bound_w":
+                return np.maximum(_sum(u) - 1.0, 0.0)
+            if fam in ("frank", "joe", "nelsen_4212"):
+                psi, psi_inv = archimedean_generator(self)
+                return psi(_sum([psi_inv(c) for c in u]))
+            if fam == "clayton":
+                # one formula for both signs; alpha < 0 has no generator here
+                a = self.params[0]
+                inner = np.maximum(_sum([c ** -a for c in u]) - (k - 1), 0.0)
+                return inner ** (-1.0 / a)
+            if fam == "gumbel_hougaard":
+                # log-sum-exp: (-ln u)^phi overflows at large phi, e.g. u < 0.13 at 1e3
+                phi = self.params[0]
+                logl = _stack([phi * np.log(-np.log(c)) for c in u])  # -inf at u = 1
+                return np.exp(-np.exp(logsumexp(logl, axis=-1) / phi))
+            if fam == "gaussian":
+                z = _stack([ndtri(np.clip(c, 1e-300, 1.0)) for c in u])
+                return mvnorm.mvn_cdf_many(self._corr, z.reshape(-1, k)).reshape(z.shape[:-1])
+            if fam == "cuadras_auge":
+                return (np.sort(_stack(u), axis=-1) ** self._ca_thetas).prod(axis=-1)
+            u, v = u  # the rest are bivariate
+            if fam == "fgm":
+                th = self.params[0]
+                return u * v * (1.0 + th * (1.0 - u) * (1.0 - v))
+            if fam == "marshall_olkin":
+                a1, a2 = self.params
+                return u ** (1 - a1) * v ** (1 - a2) * np.minimum(u ** a1, v ** a2)
+            if fam == "gumbel_barnett":
+                th = self.params[0]
+                return u * v * np.exp(-th * np.log(u) * np.log(v))
+            raise AssertionError(fam)
 
     # -- sampling ------------------------------------------------------
 
@@ -399,8 +398,18 @@ def _stack(u: list) -> np.ndarray:
 
 
 def _sum(terms: list) -> np.ndarray:
-    """Sum of the terms in the order of numpy's row sum, pairwise from 8."""
+    """The terms summed in numpy's row-sum order: by a fold below 8 terms,
+    at a tenth of the cost of a sum over a short stacked axis, and on a
+    stacked axis from 8 on, where numpy sums a row pairwise."""
     return reduce(np.add, terms) if len(terms) < 8 else _stack(terms).sum(axis=-1)
+
+
+def _grid_rows(shape: tuple, step: int):
+    """(rows, idx) for the rows of a grid of the given shape, step at a
+    time: rows the slice of their flat positions, idx their indices."""
+    total, step = int(np.prod(shape)), max(1, step)
+    for lo in range(0, total, step):
+        yield slice(lo, lo + step), np.unravel_index(np.arange(lo, min(lo + step, total)), shape)
 
 
 def _log1mexp(x):

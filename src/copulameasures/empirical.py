@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
-from .copulas import Copula
+from .copulas import Copula, _grid_rows
 from .errors import DimensionMismatch, NonFiniteData
 
 # elements per row block of the rank product: rows = max(1, this // N),
@@ -163,15 +163,12 @@ def _grid_contract(factors: list) -> np.ndarray:
     each block times F_k^T in one matmul (the whole grid at k = 2)."""
     *heads, last = factors
     shape = tuple(len(f) for f in heads)
-    rows = int(np.prod(shape))
-    out = np.empty((rows, len(last)))
-    step = max(1, _GRID_BLOCK // last.shape[1])
-    for lo in range(0, rows, step):
-        idx = np.unravel_index(np.arange(lo, min(lo + step, rows)), shape)
+    out = np.empty((int(np.prod(shape)), len(last)))
+    for rows, idx in _grid_rows(shape, _GRID_BLOCK // last.shape[1]):
         block = heads[0][idx[0]]
         for f, i in zip(heads[1:], idx[1:]):
             block *= f[i]
-        acc = out[lo:lo + step]
+        acc = out[rows]
         acc[:] = block[:, :_GRID_INNER] @ last[:, :_GRID_INNER].T
         for c in range(_GRID_INNER, block.shape[1], _GRID_INNER):
             acc += block[:, c:c + _GRID_INNER] @ last[:, c:c + _GRID_INNER].T
@@ -219,7 +216,7 @@ class EmpiricalBetaCopula(Copula):
         gathered by each rank column into an (n, N) factor, then
         contracted over the observations by matmul (``_grid_contract``),
         one (n x N)(N x n) product at k = 2 and n^2 rows in blocks at k = 3."""
-        x = self._points(np.repeat(np.ravel(x)[:, None], self.dim, axis=1))[:, 0]
+        x = self._axis(x)
         s = _binomial_survival(x, self.rs.n)                # (n, N) over r
         s[s < _GRID_TINY] = 0.0
         factors = [s[:, r - 1] for r in self.rs.ranks.T]

@@ -9,9 +9,9 @@ import pytest
 from scipy.stats import kstest, logser
 
 from copulameasures import (CopulaModel, EmpiricalBetaCopula, MixtureCopula,
-                            archimedean_generator, rank_with_random_ties)
-from copulameasures.copulas import FAMILIES, _frailty, _logseries_kemp
-from copulameasures.cubature import _grid_axis
+                            archimedean_generator, mvnorm, rank_with_random_ties)
+from copulameasures.copulas import FAMILIES, _frailty, _logseries_kemp, _sum
+from copulameasures.cubature import Estimate, _grid_axis
 from copulameasures.errors import (
     CorrelationNotPD,
     DimensionMismatch,
@@ -250,13 +250,20 @@ class TestCdf:
                 u[rng.integers(k)] = 0.0
                 assert m.cdf(u) == 0.0
 
-    def test_zero_coordinate_needs_no_normal_cdf_integration(self):
-        # at k >= 4 each Gaussian row is a QMC integral; a row with u_j = 0
-        # must still give C = 0 rather than a tolerance failure
+    def test_zero_coordinate_runs_no_normal_cdf_integration(self, monkeypatch):
+        # at k >= 4 each Gaussian point is a QMC integral; rows and grid
+        # nodes with u_j = 0 have C = 0 without one
+        calls = []
+        monkeypatch.setattr(mvnorm, "_mvn_qmc",
+                            lambda *a: calls.append(a) or Estimate(0.25, 0.0, 1))
         m = CopulaModel("gaussian", 4, (0.3,) * 6)
         U = np.random.default_rng(0).random((10, 4))
-        U[:, 0] = 0.0
-        assert np.array_equal(m.cdf_many(U), np.zeros(10))
+        U[:7, 0] = 0.0
+        assert m.cdf_many(U).tolist() == [0.0] * 7 + [0.25] * 3
+        assert len(calls) == 3
+        grid = m.cdf_grid([0.0, 0.5])
+        assert len(calls) == 4
+        assert grid[1, 1, 1, 1] == 0.25 and np.count_nonzero(grid) == 1
 
     def test_frechet_sandwich_on_grid(self, zoo):
         for m in zoo:
@@ -333,6 +340,13 @@ class TestCdfGrid:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * out.nbytes, (peak, out.nbytes)
+
+    @pytest.mark.parametrize("k", range(2, 12))
+    def test_sum_in_numpy_row_order(self, k):
+        # a fold is numpy's row-sum order only below 8 terms
+        rng = np.random.default_rng(k)
+        terms = [rng.random(2000) * 10.0 ** rng.uniform(-5, 5) for _ in range(k)]
+        assert np.array_equal(_sum(terms), np.stack(terms, axis=-1).sum(axis=-1))
 
     def test_out_of_cube_rejected(self):
         with pytest.raises(ValueError):
