@@ -104,11 +104,16 @@ class Copula(ABC):
     sets ``tensor_grid``, whose ``cdf_grid`` costs far less than
     ``cdf_many`` at as many points, has them integrate on the tensor grid
     up to ``cubature.GRID_MAX_DIM`` and by Sobol sampling above it, as
-    does any divergence it enters."""
+    does any divergence it enters.  A copula that sets ``diagonal_kinks``,
+    whose C is symmetric in its coordinates and kinked only where two of
+    them meet, has its measures, and the divergences between such
+    copulas, subdivide on the ordered simplex u_1 <= ... <= u_k, where
+    those kinks lie on the boundary."""
 
     dim: int
     has_zero_region: bool
     tensor_grid: bool = False
+    diagonal_kinks: bool = False
 
     @abstractmethod
     def cdf_many(self, U: np.ndarray) -> np.ndarray:
@@ -195,6 +200,12 @@ class CopulaModel(Copula):
         """True when C vanishes on a positive-measure interior set."""
         return self.family == "lower_bound_w" or (
             self.family == "clayton" and self.params[0] < 0.0)
+
+    @property
+    def diagonal_kinks(self) -> bool:
+        """True for min and Cuadras-Auge: C depends on the sorted u alone
+        and is smooth on each ordered simplex."""
+        return self.family in ("min", "cuadras_auge")
 
     def cdf_many(self, U: np.ndarray) -> np.ndarray:
         """Vectorized C(u) over the rows of U, clamped into [0, 1]."""
@@ -380,6 +391,10 @@ class MixtureCopula(Copula):
     @property
     def has_zero_region(self) -> bool:
         return all(c.has_zero_region for c in self.components)
+
+    @property
+    def diagonal_kinks(self) -> bool:
+        return all(c.diagonal_kinks for c in self.components)
 
     def cdf_many(self, U: np.ndarray) -> np.ndarray:
         return self._mix(c.cdf_many(U) for c in self.components)

@@ -10,7 +10,10 @@ The engine follows from k and the copulas, by one rule in
 the empirical beta copula, and ``cckl`` when either copula is one,
 integrates on the tensor grid at k = 2 and 3 and by Sobol sampling from
 k = 4; every other measure integrates by subdivision below k = 5 and by
-Sobol sampling from it.
+Sobol sampling from it.  When every copula sets ``diagonal_kinks`` (min,
+Cuadras-Auge and mixtures of them), the integrand is symmetric, and
+subdivision folds it onto the ordered simplex, where its kinks lie on
+the boundary.
 
 Measures:
 
@@ -41,7 +44,8 @@ def spearman_n(k: int) -> float:
 
 def _integrate(models, transform, cfg) -> Estimate:
     """Cubature of transform(C_1, ...) over the unit cube, with the grid
-    form when one of the copulas sets ``tensor_grid``."""
+    form when one of the copulas sets ``tensor_grid``, and declared
+    symmetric when all of them set ``diagonal_kinks``."""
     def f(U):
         return transform(*(m.cdf_many(U) for m in models))
 
@@ -50,7 +54,8 @@ def _integrate(models, transform, cfg) -> Estimate:
 
     gridded = any(m.tensor_grid for m in models)
     return integrate_unit_cube(f, models[0].dim, cfg,
-                               on_grid if gridded else None)
+                               on_grid if gridded else None,
+                               symmetric=all(m.diagonal_kinks for m in models))
 
 
 def cce(model, cfg: IntegrationConfig | None = None) -> Estimate:

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from copulameasures import (CopulaModel, EmpiricalBetaCopula, Estimate, b_k,
-                            cce, ccigf, cckl, cubature, fcce, mvn_cdf,
-                            rank_with_random_ties)
+from copulameasures import (CopulaModel, EmpiricalBetaCopula, Estimate,
+                            MixtureCopula, b_k, cce, ccigf, cckl, cubature,
+                            fcce, mvn_cdf, rank_with_random_ties)
 from copulameasures.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECT, load_csv, main
 from copulameasures.errors import ColumnMissing, NoCompleteRows
 
@@ -250,7 +250,11 @@ _GOF_SEEDS = {"seed": 3, "tie_seed": 10968187914866821265,
 # the old error bar of the old one and within its own of a reference at
 # abs_tol 1e-11.  The gaussian k=3 rho error was re-recorded when the
 # trivariate normal's node count came to follow its stated error (its
-# CDF values moved by at most 1.1e-16); its value did not move.
+# CDF values moved by at most 1.1e-16); its value did not move.  The min
+# k=3 fcce:0.5 and cuadras_auge k=3 bk entries were re-recorded when
+# subdivision came to fold min and Cuadras-Auge onto the ordered simplex;
+# each new value lies within its error of its closed form, 0.24899399208492085
+# (1.5e-8 off, error 2.2e-7) and 0.16717748676511562 (5.2e-10 off, 1.5e-7).
 GOLDEN = [
     (_measure("product", 2, "cce"), EXIT_OK,
      _measured("product", 2, [], "cce",
@@ -258,7 +262,7 @@ GOLDEN = [
                 "method": "cubature", "closed_form": 0.25})),
     (_measure("min", 3, "fcce:0.5"), EXIT_OK,
      _measured("min", 3, [], "fcce:0.5",
-               {"value": 0.24899400959938, "error": 2.2587751458207264e-07,
+               {"value": 0.248994007442297, "error": 2.226988810237559e-07,
                 "method": "cubature", "closed_form": 0.24899399208492085},
                ["min-copula fractional entropy uses exponent (x+2)^(r+1), "
                 "forced by the r = 1 limit"])),
@@ -282,7 +286,7 @@ GOLDEN = [
                 "method": "cubature", "closed_form": None})),
     (_measure("cuadras_auge", 3, "bk", "0.3,0.5,0.7"), EXIT_OK,
      _measured("cuadras_auge", 3, [0.3, 0.5, 0.7], "bk",
-               {"value": 0.16717751088797372, "error": 1.6428503531068977e-07,
+               {"value": 0.16717748728455656, "error": 1.5313882839920998e-07,
                 "method": "cubature", "closed_form": 0.16717748676511562})),
     (_measure("clayton", 2, "fcce:0", "1.5"), EXIT_OK,
      _measured("clayton", 2, [1.5], "fcce:0",
@@ -403,12 +407,13 @@ class TestGoldenReports:
 
 @pytest.fixture
 def engines(monkeypatch):
-    """The engine each integration runs, "grid", "adaptive" or "qmc", with
-    every engine stubbed out behind ``integrate_unit_cube``'s dispatch."""
+    """The engine each integration runs, "grid", "adaptive", "folded"
+    (subdivision on the ordered simplex) or "qmc", with every engine
+    stubbed out behind ``integrate_unit_cube``'s dispatch."""
     seen = []
     for name in ("grid", "adaptive", "qmc"):
-        def record(*args, name=name):
-            seen.append(name)
+        def record(*args, name=name, symmetric=False):
+            seen.append("folded" if symmetric else name)
             return Estimate(0.1, 0.0, 1)
         monkeypatch.setattr(cubature, f"_integrate_{name}", record)
     return seen
@@ -457,3 +462,45 @@ class TestEmpiricalEngine:
         cce(CopulaModel("clayton", 2, (1.0,)))
         cce(CopulaModel("product", 5))
         assert engines == ["qmc"] + ["adaptive"] * 3 + ["qmc"]
+
+
+_CA3 = CopulaModel("cuadras_auge", 3, (0.3, 0.5, 0.7))
+
+
+class TestFoldedEngine:
+    """Subdivision folds onto the ordered simplex exactly when every copula
+    of the integrand sets ``diagonal_kinks``: min, Cuadras-Auge and
+    mixtures of them.  The grid and Sobol sampling never fold."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_flagged_models_fold(self, k, engines):
+        ca = CopulaModel("cuadras_auge", k, (0.4,) * (k * (k - 1) // 2))
+        for model in (CopulaModel("min", k), ca):
+            cce(model), fcce(model, 0.5), ccigf(model, 2.0), b_k(model)
+        cckl(CopulaModel("min", k), ca), cckl(ca, CopulaModel("min", k))
+        assert engines == ["folded"] * 10
+
+    def test_flagged_mixture_folds(self, engines):
+        mix = MixtureCopula((CopulaModel("min", 3), _CA3), (0.4, 0.6))
+        cce(mix), cckl(mix, CopulaModel("min", 3))
+        cce(MixtureCopula((CopulaModel("min", 3), CopulaModel("product", 3)),
+                          (0.4, 0.6)))
+        assert engines == ["folded", "folded", "adaptive"]
+
+    def test_a_divergence_with_an_unflagged_copula_does_not(self, engines):
+        cckl(_CA3, CopulaModel("frank", 3, (4.0,)))
+        cckl(CopulaModel("product", 3), CopulaModel("min", 3))
+        assert engines == ["adaptive", "adaptive"]
+
+    def test_only_min_and_cuadras_auge_fold(self, zoo, engines):
+        for model in zoo:
+            engines.clear()
+            cce(model)
+            folded = model.family in ("min", "cuadras_auge")
+            assert engines == ["folded" if folded else "adaptive"], model
+
+    def test_grid_and_sobol_do_not_fold(self, engines):
+        cce(CopulaModel("min", 5))
+        cckl(_beta(3), CopulaModel("min", 3))
+        cckl(_beta(4), CopulaModel("min", 4))
+        assert engines == ["qmc", "grid", "qmc"]

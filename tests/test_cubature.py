@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -37,6 +39,34 @@ def test_monomials_up_to_degree_five_exact(k):
         exact = np.prod(1.0 / (powers + 1.0))
         est = integrate_unit_cube(lambda p: (p ** powers).prod(axis=1), k)
         assert abs(est.value - exact) < 1e-12
+
+
+def test_exact_polynomial_within_its_error():
+    """The rule integrates u_1^3 exactly but for rounding, which the error
+    must still cover: 0.24999999999999992 against 0.25."""
+    for k in (2, 3):
+        est = integrate_unit_cube(lambda p: p[:, 0] ** 3, k)
+        assert abs(est.value - 0.25) <= est.error <= 1e-12
+
+
+class TestSymmetricFold:
+    """A symmetric integrand folded onto the ordered simplex."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_kinked_min_entropy(self, k):
+        exact = k * sum(math.comb(k - 1, x) * (-1.0) ** x / (x + 2.0) ** 2
+                        for x in range(k))
+        f = lambda p: xlogx(p.min(axis=1))
+        folded = integrate_unit_cube(f, k, symmetric=True)
+        assert abs(folded.value - exact) <= folded.error
+        assert folded.error <= max(1e-7, 1e-6 * exact)
+        assert folded.evals < integrate_unit_cube(f, k).evals / 10
+
+    def test_starts_from_the_half_cubes(self):
+        """A constant stops at the first step: 2^k regions of 57 points at k = 4."""
+        est = integrate_unit_cube(lambda p: np.ones(len(p)), 4, symmetric=True)
+        assert est.value == pytest.approx(1.0, abs=1e-14)
+        assert est.evals == 16 * 57
 
 
 def test_deterministic_bit_identical():

@@ -267,3 +267,62 @@ class TestEvaluationCounts:
     def test_spearman_carries_b_k_evals(self):
         model = CopulaModel("gaussian", 3, (0.5, 0.3, 0.4))
         assert spearman_rho_minus(model).evals == b_k(model).evals > 0
+
+
+def _sweep_models():
+    """min and Cuadras-Auge at k = 2 to 4, the latter's weights drawn
+    from seed 7."""
+    rng = np.random.default_rng(7)
+    return ([CopulaModel("min", k) for k in (2, 3, 4)]
+            + [CopulaModel("cuadras_auge", k, tuple(rng.random(k * (k - 1) // 2)))
+               for k in (2, 3, 4)])
+
+
+# stat: (measure(model, cfg), closed form(model)); fcce's closed form
+# covers min alone
+_SWEEP_STATS = {
+    "cce": (cce, closed_form_cce),
+    "bk": (b_k, closed_form_bk),
+    "ccigf:2": (lambda m, cfg: ccigf(m, 2.0, cfg),
+                lambda m: closed_form_ccigf(m, 2.0)),
+    "ccigf:0.5": (lambda m, cfg: ccigf(m, 0.5, cfg),
+                  lambda m: closed_form_ccigf(m, 0.5)),
+    "fcce:0.5": (lambda m, cfg: fcce(m, 0.5, cfg),
+                 lambda m: closed_form_fcce(m, 0.5)),
+}
+
+
+class TestDiagonalKinksSweep:
+    """The families kinked only where two coordinates meet, folded onto
+    the ordered simplex, against their closed forms: every estimate lies
+    within its error, at the default tolerance, 1e-6 and 1e-5."""
+
+    TOLS = (None, 1e-6, 1e-5)
+
+    def test_every_estimate_within_its_error(self):
+        misses = []
+        for model in _sweep_models():
+            for stat, (measure, exact) in _SWEEP_STATS.items():
+                if stat == "fcce:0.5" and model.family != "min":
+                    continue
+                for tol in self.TOLS:
+                    est = measure(model, IntegrationConfig(abs_tol=tol))
+                    if not abs(est.value - exact(model)) <= est.error:
+                        misses.append((model, stat, tol, est))
+        assert not misses
+
+    def test_cuadras_auge_divergence_from_min(self):
+        for model in _sweep_models()[3:]:
+            exact = closed_form_cckl(model, CopulaModel("min", model.dim))
+            for tol in self.TOLS:
+                est = cckl(model, CopulaModel("min", model.dim),
+                           IntegrationConfig(abs_tol=tol))
+                assert abs(est.value - exact) <= est.error
+
+    def test_cuadras_auge_k4_entropy(self):
+        """The sweep's case that ran out of the 10M-evaluation budget on
+        the unfolded cube."""
+        model = _sweep_models()[-1]
+        est = cce(model)
+        assert abs(est.value - closed_form_cce(model)) <= est.error
+        assert est.error <= max(1e-7, 1e-6 * est.value)
