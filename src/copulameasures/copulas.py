@@ -99,16 +99,11 @@ class Copula(ABC):
     """Interface of every copula in the package: ``dim``,
     ``has_zero_region``, the vectorized ``cdf_many``, whose points all
     pass the one check ``_points``, and ``cdf_grid``, C on a tensor grid.
-    ``cdf`` is defined here.  Its measures integrate by subdivision below
-    ``cubature.SOBOL_DIM`` and by Sobol sampling from it; a copula that
-    sets ``tensor_grid``, whose ``cdf_grid`` costs far less than
-    ``cdf_many`` at as many points, has them integrate on the tensor grid
-    up to ``cubature.GRID_MAX_DIM`` and by Sobol sampling above it, as
-    does any divergence it enters.  A copula that sets ``diagonal_kinks``,
-    whose C is symmetric in its coordinates and kinked only where two of
-    them meet, has its measures, and the divergences between such
-    copulas, subdivide on the ordered simplex u_1 <= ... <= u_k, where
-    those kinks lie on the boundary."""
+    ``cdf`` is defined here.  A copula sets ``tensor_grid`` when its
+    ``cdf_grid`` costs far less than ``cdf_many`` at as many points, and
+    ``diagonal_kinks`` when its C is symmetric in its coordinates and
+    kinked only where two of them meet; :mod:`~copulameasures.cubature`
+    states how the flags pick the engine of its measures."""
 
     dim: int
     has_zero_region: bool

@@ -10,17 +10,18 @@ Three engines sit behind one entry point, :func:`integrate_unit_cube`:
 * scrambled Sobol sampling with an error band taken across independent
   randomizations.
 
-One rule picks the engine from k and whether the caller supplies the
-integrand on a tensor grid (measures do so for the empirical beta
-copula).  An integrand with a grid form runs on the grid up to
-GRID_MAX_DIM and by Sobol above it, never by subdivision, which needs
-far more evaluations of the beta copula than Sobol does.  Any other
-integrand runs by subdivision below SOBOL_DIM and by Sobol from there
-on, where the region count of subdivision explodes.  An integrand the
-caller declares symmetric in its coordinates (measures do so when every
-copula is kinked only where two coordinates meet) is folded, under
-subdivision only, onto the ordered simplex u_1 <= ... <= u_k, on which
-its kinks lie on the boundary.
+One rule picks the engine from k and two declarations of the caller.
+An integrand also given on a tensor grid (``on_grid``: measures give it
+when one copula sets ``tensor_grid``, as the empirical beta copula does)
+runs on the grid up to GRID_MAX_DIM and by Sobol above it, never by
+subdivision, which needs far more evaluations of the beta copula than
+Sobol does.  Any other integrand runs by subdivision below SOBOL_DIM and
+by Sobol from there on, where the region count of subdivision explodes.
+An integrand declared symmetric in its coordinates (``symmetric``:
+measures declare it when every copula sets ``diagonal_kinks``, as min,
+Cuadras-Auge and their mixtures do) is folded, under subdivision only:
+k! f on the ordered simplex u_1 <= ... <= u_k, from the 2^k half-cubes,
+so that kinks on the planes u_i = u_j lie on its boundary.
 Integrands must be vectorized: they receive an (m, k) array of points
 and return m values; on every engine a wrong shape raises ValueError and
 NaN or infinity raises NonFiniteIntegrand.  ``max_evals`` caps every
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
+from itertools import combinations, count, product
 from math import factorial
 from typing import Callable
 
@@ -170,94 +171,61 @@ def _corners(k: int) -> np.ndarray:
     return ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(float)
 
 
-# Genz-Malik degree-7 rule with embedded degree-5 rule, per-point weights
-# on a volume-normalized reference cube.
-
+# Genz-Malik degree-7 rule with its embedded degree-5 rule on [-1, 1]^k:
+# the center, +/-lambda2 and +/-lambda4 on each axis, +/-lambda4 on each
+# pair of axes and the 2^k corners at +/-lambda5, one weight per group for
+# the volume-normalized integral.
 _L2 = np.sqrt(9.0 / 70.0)
 _L4 = np.sqrt(9.0 / 10.0)
 _L5 = np.sqrt(9.0 / 19.0)
 _FD_RATIO = (_L2 * _L2) / (_L4 * _L4)  # fourth-difference weight ratio
 
 
-def _gm_weights(k: int):
-    w = np.array([
-        (12824.0 - 9120.0 * k + 400.0 * k * k) / 19683.0,
-        980.0 / 6561.0,
-        (1820.0 - 400.0 * k) / 19683.0,
-        200.0 / 19683.0,
-        6859.0 / 19683.0 / (1 << k),
-    ])
-    we = np.array([
-        (729.0 - 950.0 * k + 50.0 * k * k) / 729.0,
-        245.0 / 486.0,
-        (265.0 - 100.0 * k) / 1458.0,
-        25.0 / 729.0,
-    ])
-    return w, we
-
-
-def _gm_offsets(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-cube offsets of all rule points and their group labels."""
-    pts = [np.zeros((1, k))]
-    groups = [np.array([0])]
+@lru_cache(maxsize=8)
+def _gm_rule(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Offsets of the rule's points, the group 0-4 of each, and the
+    degree-7 and degree-5 weights of groups 0-4 and 0-3."""
     eye = np.eye(k)
-    for lam, g in ((_L2, 1), (_L4, 2)):
-        block = np.concatenate([lam * eye, -lam * eye])
-        pts.append(block)
-        groups.append(np.full(2 * k, g))
-    pairs = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            for si in (1.0, -1.0):
-                for sj in (1.0, -1.0):
-                    p = np.zeros(k)
-                    p[i] = si * _L4
-                    p[j] = sj * _L4
-                    pairs.append(p)
-    if pairs:
-        pts.append(np.array(pairs))
-        groups.append(np.full(len(pairs), 3))
-    corners = _L5 * (2.0 * _corners(k) - 1.0)
-    pts.append(corners)
-    groups.append(np.full(1 << k, 4))
-    return np.concatenate(pts), np.concatenate(groups)
+    pairs = np.zeros((2 * k * (k - 1), k))
+    ij_signs = product(combinations(range(k), 2), product((_L4, -_L4), repeat=2))
+    for row, ((i, j), signs) in enumerate(ij_signs):
+        pairs[row, [i, j]] = signs
+    blocks = [np.zeros((1, k)), _L2 * eye, -_L2 * eye, _L4 * eye, -_L4 * eye,
+              pairs, _L5 * (2.0 * _corners(k) - 1.0)]
+    offsets = np.concatenate(blocks)
+    groups = np.repeat([0, 1, 1, 2, 2, 3, 4], [len(b) for b in blocks])
+    w7 = np.array([(12824.0 - 9120.0 * k + 400.0 * k * k) / 19683.0,
+                   980.0 / 6561.0, (1820.0 - 400.0 * k) / 19683.0,
+                   200.0 / 19683.0, 6859.0 / 19683.0 / (1 << k)])
+    w5 = np.array([(729.0 - 950.0 * k + 50.0 * k * k) / 729.0, 245.0 / 486.0,
+                   (265.0 - 100.0 * k) / 1458.0, 25.0 / 729.0])
+    for a in (offsets, groups, w7, w5):
+        a.setflags(write=False)
+    return offsets, groups, w7, w5
 
 
-class _GenzMalikRule:
-    def __init__(self, k: int):
-        self.offsets, self.groups = _gm_offsets(k)
-        self.w, self.we = _gm_weights(k)
-        self.npts = len(self.offsets)
-        # per-point index sets for the fourth differences along each axis;
-        # the center is point 0
-        self.i_l2 = np.array([[1 + a, 1 + k + a] for a in range(k)])  # +/- lambda2
-        self.i_l4 = np.array([[1 + 2 * k + a, 1 + 3 * k + a] for a in range(k)])
-
-    def apply(self, f, centers: np.ndarray, halfw: np.ndarray):
-        """Evaluate the 7/5 rule on a batch of boxes.
-
-        Returns (values, errors, split_dims, integrals of |f|), the last
-        from the mean of |f| over the rule's points.
-        """
-        m, k = centers.shape
-        pts = centers[:, None, :] + halfw[:, None, :] * self.offsets[None, :, :]
-        fv = _values(f, pts.reshape(m * self.npts, k), (m * self.npts,))
-        fv = fv.reshape(m, self.npts)
-
-        vol = np.prod(2.0 * halfw, axis=1)
-        sums = np.stack([fv[:, self.groups == g].sum(axis=1) for g in range(5)], axis=1)
-        res7 = vol * (sums @ self.w)
-        res5 = vol * (sums[:, :4] @ self.we)
-        err = np.abs(res7 - res5)
-
-        fc = fv[:, :1]
-        d2 = fv[:, self.i_l2].sum(axis=2) - 2.0 * fc  # (m, k)
-        d4 = fv[:, self.i_l4].sum(axis=2) - 2.0 * fc
-        fourth = np.abs(d2 - _FD_RATIO * d4)
-        # Prefer the largest fourth difference; break ties by widest side.
-        score = fourth * halfw
-        split = np.argmax(score, axis=1)
-        return res7, err, split, vol * np.abs(fv).mean(axis=1)
+def _gm_apply(f, centers: np.ndarray, halfw: np.ndarray):
+    """The 7/5 rule on a batch of boxes: their values, errors, split axes
+    and integrals of |f|, the last from the mean of |f| over the points."""
+    m, k = centers.shape
+    offsets, groups, w7, w5 = _gm_rule(k)
+    n = len(offsets)
+    pts = centers[:, None, :] + halfw[:, None, :] * offsets
+    fv = _values(f, pts.reshape(m * n, k), (m * n,)).reshape(m, n)
+    vol = np.prod(2.0 * halfw, axis=1)
+    # A boolean gather sums each group left to right; a slice would sum
+    # the pair and corner groups pairwise and move the errors' last bits.
+    sums = np.stack([fv[:, groups == g].sum(axis=1) for g in range(5)], axis=1)
+    res7 = vol * (sums @ w7)
+    err = np.abs(res7 - vol * (sums[:, :4] @ w5))
+    # fourth differences along each axis from the +/-lambda2 and
+    # +/-lambda4 points; the center is point 0
+    d2 = fv[:, 1:1 + k] + fv[:, 1 + k:1 + 2 * k] - 2.0 * fv[:, :1]
+    d4 = fv[:, 1 + 2 * k:1 + 3 * k] + fv[:, 1 + 3 * k:1 + 4 * k] - 2.0 * fv[:, :1]
+    # Split the axis whose fourth difference times its half-width is
+    # largest, the first of them on a tie.
+    split = np.argmax(np.abs(d2 - _FD_RATIO * d4) * halfw, axis=1)
+    return res7, err, split, vol * np.abs(fv).mean(axis=1)
 
 
 def _folded(f, k):
@@ -272,8 +240,9 @@ def _folded(f, k):
     return g
 
 
-def _estimate(vals, errs, absints, evals) -> Estimate:
+def _estimate(regions, evals) -> Estimate:
     """The regions' sum, with an error no smaller than the rounding floor."""
+    _, _, vals, errs, _, absints = regions
     return Estimate(float(vals.sum()),
                     max(float(errs.sum()), _FLOOR * float(absints.sum())), evals)
 
@@ -281,47 +250,37 @@ def _estimate(vals, errs, absints, evals) -> Estimate:
 def _integrate_adaptive(f, k, abs_tol, rel_tol, max_evals, symmetric=False):
     """Genz-Malik subdivision from the whole cube, or, for a symmetric f,
     of f folded onto the ordered simplex from the 2^k half-cubes."""
-    rule = _GenzMalikRule(k)
+    npts = len(_gm_rule(k)[0])
     if symmetric:
         f = _folded(f, k)
-        centers = 0.25 + 0.5 * _corners(k)
-        halfw = np.full((1 << k, k), 0.25)
+        centers, halfw = 0.25 + 0.5 * _corners(k), np.full((1 << k, k), 0.25)
     else:
-        centers = np.full((1, k), 0.5)
-        halfw = np.full((1, k), 0.5)
-    # the first step fits any budget: at most 401 points at k = 8, and
-    # 16 * 57 = 912 from the half-cubes at k = 4
-    vals, errs, splits, absints = rule.apply(f, centers, halfw)
-    est = _estimate(vals, errs, absints, len(centers) * rule.npts)
+        centers, halfw = np.full((1, k), 0.5), np.full((1, k), 0.5)
+    # The region table: centers, half-widths, values, errors, split axes
+    # and integrals of |f|, one row per region.  The first step fits any
+    # budget: at most 401 points at k = 8, and 16 * 57 = 912 from the
+    # half-cubes at k = 4.
+    regions = (centers, halfw, *_gm_apply(f, centers, halfw))
+    est = _estimate(regions, len(centers) * npts)
     # a step splits at least one region in two
-    while not _converged(est, abs_tol, rel_tol, est.evals + 2 * rule.npts, max_evals):
+    while not _converged(est, abs_tol, rel_tol, est.evals + 2 * npts, max_evals):
         # Split the worst regions in one vectorized batch.
-        budget = (max_evals - est.evals) // (2 * rule.npts)
+        centers, halfw, _, errs, splits, _ = regions
+        budget = (max_evals - est.evals) // (2 * npts)
         nbatch = min(len(errs), max(1, len(errs) // 8), budget, 256)
         worst = np.argpartition(errs, -nbatch)[-nbatch:]
         worst = worst[np.argsort(errs[worst])[::-1]]
-
-        c_w, h_w, s_w = centers[worst], halfw[worst], splits[worst]
-        h_child = h_w.copy()
-        h_child[np.arange(nbatch), s_w] *= 0.5
-        c_lo = c_w.copy()
-        c_lo[np.arange(nbatch), s_w] -= h_child[np.arange(nbatch), s_w]
-        c_hi = c_w.copy()
-        c_hi[np.arange(nbatch), s_w] += h_child[np.arange(nbatch), s_w]
-
-        new_c = np.concatenate([c_lo, c_hi])
-        new_h = np.concatenate([h_child, h_child])
-        nv, ne, ns, na = rule.apply(f, new_c, new_h)
-
-        keep = np.ones(len(errs), dtype=bool)
-        keep[worst] = False
-        centers = np.concatenate([centers[keep], new_c])
-        halfw = np.concatenate([halfw[keep], new_h])
-        vals = np.concatenate([vals[keep], nv])
-        errs = np.concatenate([errs[keep], ne])
-        splits = np.concatenate([splits[keep], ns])
-        absints = np.concatenate([absints[keep], na])
-        est = _estimate(vals, errs, absints, est.evals + len(new_c) * rule.npts)
+        cut = np.arange(nbatch), splits[worst]
+        h, lo, hi = halfw[worst], centers[worst], centers[worst]
+        h[cut] *= 0.5
+        lo[cut] -= h[cut]
+        hi[cut] += h[cut]
+        new_c, new_h = np.concatenate([lo, hi]), np.concatenate([h, h])
+        kept = np.delete(np.arange(len(errs)), worst)
+        children = (new_c, new_h, *_gm_apply(f, new_c, new_h))
+        regions = tuple(np.concatenate([old[kept], new])
+                        for old, new in zip(regions, children))
+        est = _estimate(regions, est.evals + len(new_c) * npts)
     return est
 
 
@@ -390,17 +349,13 @@ def integrate_unit_cube(f: Callable[[np.ndarray], np.ndarray], k: int,
                         cfg: IntegrationConfig | None = None,
                         on_grid: Callable[[np.ndarray], np.ndarray] | None = None,
                         symmetric: bool = False) -> Estimate:
-    """Integrate a bounded vectorized integrand over [0,1]^k.  With
-    ``on_grid`` it runs on the tensor grid for k <= GRID_MAX_DIM and by
-    Sobol sampling above; without, by subdivision for k < SOBOL_DIM and
-    by Sobol sampling from there on.
+    """Integrate a bounded vectorized integrand over [0,1]^k on the
+    engine that the rule of the module docstring picks.
 
     ``on_grid``, if given, is the same integrand on a tensor grid: it maps
     the nodes x of one axis to the values on x^k, shape (len(x),)*k.
-    ``symmetric`` declares f symmetric in its coordinates: subdivision
-    then integrates k! f on the ordered simplex u_1 <= ... <= u_k, from
-    the 2^k half-cubes, so that kinks on the planes u_i = u_j lie on its
-    boundary.  The grid and Sobol sampling ignore it.
+    ``symmetric`` declares f symmetric in its coordinates, which
+    subdivision folds onto the ordered simplex from the 2^k half-cubes.
     Raises :class:`DimensionUnsupported` outside 2 <= k <= 8,
     :class:`ToleranceNotReached` (carrying the best estimate, None if no
     step fits) before a step that would pass ``cfg.max_evals``,

@@ -5,9 +5,9 @@ tie-breaking and an audit trail).  From it, :func:`empirical_copula_cdf`
 evaluates the step-function estimator and :class:`EmpiricalBetaCopula`
 the smooth rank-binomial one, which is a genuine copula when ranks are
 permutations.  Plug-in estimates are the measures of that copula, e.g.
-``cce(EmpiricalBetaCopula(rs))``; they integrate on the tensor grid at
-k = 2 and 3 and by Sobol sampling from k = 4, one dimension before
-parametric copulas do.  The step function, the beta copula at scattered
+``cce(EmpiricalBetaCopula(rs))``, on the engine that
+:mod:`~copulameasures.cubature` picks for a copula that sets
+``tensor_grid``.  The step function, the beta copula at scattered
 points and the beta copula at the pseudo-observations (for T_N) are one
 rank-product mean, ``_rank_product_mean``, over different rows.
 """
@@ -184,10 +184,8 @@ class EmpiricalBetaCopula(Copula):
     needs the whole survival row over r = 1..N, computed by one
     binomial-pmf pass.  On a tensor grid with n nodes per axis the rows
     are needed at the n nodes only, and C on all n^k points is a BLAS
-    contraction of O(n^k N) flops (``cdf_grid``), so its measures, and
-    any divergence it enters, integrate on the grid at k = 2 and 3
-    (``tensor_grid``) and by Sobol sampling from k = 4, where n^k grows
-    too fast.
+    contraction of O(n^k N) flops (``cdf_grid``); so it sets
+    ``tensor_grid``, whose engine rule is in :mod:`~copulameasures.cubature`.
     """
 
     rs: RankedSample

@@ -151,18 +151,22 @@ def bootstrap_test(data: np.ndarray, family: str, cfg: GofConfig,
     re-estimated with the same tau-inversion estimator.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
-    n, k = data.shape
     if cfg.param_mode == "known_params":
-        fitted = fit.FitResult(_known_model(family, k, params),
+        fitted = fit.FitResult(_known_model(family, data.shape[1], params),
                                "known_params", ())
     else:
         fitted = fit.estimate(family, data)
+    return _bootstrap(data, fitted, cfg)
 
+
+def _bootstrap(data: np.ndarray, fitted: fit.FitResult,
+               cfg: GofConfig) -> GofReport:
+    """:func:`bootstrap_test` of 2-d float data against its null ``fitted``."""
     tie_seed = substream_seed(cfg.seed, _PHASE_TIE)
     rs = rank_with_random_ties(data, tie_seed=tie_seed)
     observed = t_statistic(rs, fitted.model)
 
-    stats = _statistics(fitted.model, fitted.model, n,
+    stats = _statistics(fitted.model, fitted.model, len(data),
                         substream_seed(cfg.seed, _PHASE_REPLICATES), cfg,
                         refit=cfg.param_mode == "estimate_each_rep")
     p_value = float(np.count_nonzero(stats >= observed) / cfg.reps)
@@ -240,7 +244,9 @@ def select_copula(data: np.ndarray, candidate_families, cfg: GofConfig,
         try:
             fitted = fit.estimate(family, data)
             dist = cckl(beta, fitted.model, integration_cfg).value
-            report = bootstrap_test(data, family, sub)
+            report = (_bootstrap(data, fitted, sub)
+                      if sub.param_mode == "estimate_each_rep"
+                      else bootstrap_test(data, family, sub))
         except Exception as exc:  # reported, not dropped
             entries.append(SelectionEntry(family, None, None, None, None,
                                           f"{type(exc).__name__}: {exc}"))

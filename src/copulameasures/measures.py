@@ -5,15 +5,11 @@ Every operation accepts any :class:`~copulameasures.copulas.Copula`
 the cubature :class:`~copulameasures.cubature.Estimate`: the value, its
 error bound and the number of integrand evaluations.
 
-The engine follows from k and the copulas, by one rule in
-:func:`~copulameasures.cubature.integrate_unit_cube`: every measure of
-the empirical beta copula, and ``cckl`` when either copula is one,
-integrates on the tensor grid at k = 2 and 3 and by Sobol sampling from
-k = 4; every other measure integrates by subdivision below k = 5 and by
-Sobol sampling from it.  When every copula sets ``diagonal_kinks`` (min,
-Cuadras-Auge and mixtures of them), the integrand is symmetric, and
-subdivision folds it onto the ordered simplex, where its kinks lie on
-the boundary.
+A measure gives the cubature its integrand on a tensor grid when one
+of its copulas sets ``tensor_grid``, and declares the integrand
+symmetric when every copula sets ``diagonal_kinks``; the rule that picks
+the engine from these and k is stated once, in
+:mod:`~copulameasures.cubature`.
 
 Measures:
 

@@ -40,7 +40,6 @@ _X_CLIP = 38.0  # ndtr saturates to 0/1 beyond this
 _ABS_TOL = 1e-8  # of one QMC value, k >= 4
 _TVN_BLOCK = 1 << 14  # rows per tvn_cdf call, whose temporaries are (rows, nodes)
 _TVN_AGREE = 1e-13  # of the CDF, between the n- and 2n-node path terms
-_TVN_NODES = (8, 16, 32, 64, 128, 256, 512, 1024)  # per panel of a path
 _TVN_CAP = 1024  # nodes per path; a rule that needs more raises
 _TVN_DEPTH = 40  # halvings toward a path's end; a nearer singularity raises
 # the probe lattice of _tvn_probe: (b_i, b_m) pairs, then (b_i, b_j, b_m)
@@ -100,7 +99,7 @@ def _tvn_path_nodes(theta, r_ij, r_base, r_other):
     return sin_t, cos2, c_a, c_b, s2
 
 
-@lru_cache(maxsize=None)  # n_nodes is one of _TVN_NODES
+@lru_cache(maxsize=None)  # n_nodes is a power of two up to _TVN_CAP
 def _legendre(n_nodes):
     """Gauss-Legendre nodes and weights on [-1, 1]; leggauss solves an
     eigenproblem, which costs more than a path term on a few hundred
@@ -170,13 +169,15 @@ def _tvn_path_rule(r_ij, r_base, r_other):
     within the cap serves.
 
     The panels come from ``_tvn_depth``.  The count per panel doubles
-    along ``_TVN_NODES`` until the n- and 2n-node terms agree within
-    ``_TVN_AGREE`` of the CDF on the probe scores, and the 2n rule is
-    kept: Gauss-Legendre converges geometrically on each panel, so the
-    2n rule is far inside 5e-10.  The rule depends on the correlations
-    alone, so every chunk of points on one copula reuses it; a failure
-    is cached too, so a repeated call raises at once.  A zero path
-    correlation contributes nothing and gets no nodes.
+    from 8, while the path's total stays within ``_TVN_CAP``, until the
+    n- and 2n-node terms agree within ``_TVN_AGREE`` of the CDF on the
+    probe scores, and the 2n rule is kept: Gauss-Legendre converges
+    geometrically on each panel, so the 2n rule is far inside 5e-10.  A
+    ladder that ends at the cap without agreeing raises.  The rule
+    depends on the correlations alone, so every chunk of points on one
+    copula reuses it; a failure is cached too, so a repeated call raises
+    at once.  A zero path correlation contributes nothing and gets no
+    nodes.
     """
     if r_ij == 0.0:
         rule = (np.empty(0),) * 6
@@ -187,19 +188,19 @@ def _tvn_path_rule(r_ij, r_base, r_other):
             return (f"trivariate normal CDF: a singularity lies within "
                     f"2^-{_TVN_DEPTH} of the path's end {where}")
         b_i, b_j, b_m = _tvn_probe(r_ij, r_base, r_other).T
-        gap, prev = np.inf, None
-        for n in _TVN_NODES:
-            if (depth + 1) * n > _TVN_CAP:
-                return (f"trivariate normal CDF: path rules of up to "
-                        f"{_TVN_CAP} nodes differ by {gap:.1e} (of "
-                        f"{_TVN_AGREE:.0e}) {where}")
+        gap, prev, n = np.inf, None, 8
+        while (depth + 1) * n <= _TVN_CAP:
             rule = _tvn_gauss_rule(r_ij, r_base, r_other, n, depth)
             cur = _tvn_path_term(b_i, b_j, b_m, rule)
             if prev is not None:
                 gap = np.max(np.abs(cur - prev)) / (2.0 * np.pi)
                 if gap <= _TVN_AGREE:
                     break
-            prev = cur
+            prev, n = cur, 2 * n
+        else:
+            return (f"trivariate normal CDF: path rules of up to "
+                    f"{_TVN_CAP} nodes differ by {gap:.1e} (of "
+                    f"{_TVN_AGREE:.0e}) {where}")
     for a in rule:  # shared by every caller
         a.setflags(write=False)
     return rule

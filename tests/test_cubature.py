@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from copulameasures import IntegrationConfig, integrate_unit_cube, xlog_ratio, xlogx
+from copulameasures import (CopulaModel as C, Estimate, IntegrationConfig,
+                            MixtureCopula, b_k, cce, ccigf, cckl, fcce,
+                            integrate_unit_cube, xlog_ratio, xlogx)
 from copulameasures.cubature import (_QMC_FIRST_BATCH, _QMC_SEED, _grid_axis,
                                      _integrate_qmc)
 from copulameasures.errors import (DimensionUnsupported, NonFiniteIntegrand,
@@ -130,6 +132,140 @@ def _on_engine(engine, g, cfg=None):
     if engine == "grid":
         return integrate_unit_cube(None, k, cfg, on_grid=_tensor(g, k))
     return integrate_unit_cube(g, k, cfg)
+
+
+def _min_entropy(p):
+    return xlogx(p.min(axis=-1))
+
+
+_CA3 = C("cuadras_auge", 3, (0.3, 0.5, 0.7))
+# Subdivision pins: each case with its (value, error, evals) at the default
+# tolerance and at abs_tol 1e-5, compared exactly.  They cover every family
+# but min and Cuadras-Auge unfolded at k = 2-4, those two and their mixture
+# folded at k = 2-4, cckl pairs both unfolded and folded, and raw
+# integrands.  A rewrite of the subdivision engine that keeps its outputs
+# keeps these.
+_SUBDIVISION_PINS = {
+    "clayton2-cce": (
+        lambda cfg: cce(C("clayton", 2, (2.0,)), cfg),
+        (0.28191366610113566, 2.369292851293513e-07, 3077),
+        (0.28191452439371795, 9.736266564635047e-06, 1003)),
+    "frank2-bk": (
+        lambda cfg: b_k(C("frank", 2, (-3.0,)), cfg),
+        (0.2126070807518324, 1.8449545694296634e-07, 731),
+        (0.21260707155796604, 9.40032347453222e-06, 221)),
+    "gaussian2-fcce": (
+        lambda cfg: fcce(C("gaussian", 2, (0.5,)), 0.5, cfg),
+        (0.2644290643876184, 2.0768286052750545e-07, 3859),
+        (0.26442879480715253, 8.59117008591184e-06, 901)),
+    "marshall_olkin2-ccigf": (
+        lambda cfg: ccigf(C("marshall_olkin", 2, (0.3, 0.6)), 2.0, cfg),
+        (0.12820513337926817, 1.1308569896146357e-07, 19771),
+        (0.12820585203839135, 9.307079032047817e-06, 2159)),
+    "fgm2-cce": (
+        lambda cfg: cce(C("fgm", 2, (0.4,)), cfg),
+        (0.2568763973372591, 2.43832769858915e-07, 1547),
+        (0.2568763153396185, 6.979885129962762e-06, 663)),
+    "gumbel_barnett2-fcce": (
+        lambda cfg: fcce(C("gumbel_barnett", 2, (0.5,)), 0.5, cfg),
+        (0.21023135997273446, 1.9250542951782656e-07, 2431),
+        (0.21023130521262182, 8.364372202333478e-06, 663)),
+    "nelsen_4212_2-bk": (
+        lambda cfg: b_k(C("nelsen_4212", 2, (2.0,)), cfg),
+        (0.320621856661045, 2.6584273177846495e-07, 2737),
+        (0.32062212102348053, 9.294360773085149e-06, 901)),
+    "lower_bound_w2-bk": (
+        lambda cfg: b_k(C("lower_bound_w", 2), cfg),
+        (0.1666666573503841, 1.4495666381512303e-07, 56797),
+        (0.1666660264943845, 9.498376804806964e-06, 6919)),
+    "gumbel3-cce": (
+        lambda cfg: cce(C("gumbel_hougaard", 3, (1.5,)), cfg),
+        (0.23413340132038135, 2.250195244027853e-07, 61281),
+        (0.23413318684815485, 9.562804107457988e-06, 7491)),
+    "joe3-ccigf": (
+        lambda cfg: ccigf(C("joe", 3, (1.8,)), 2.0, cfg),
+        (0.05992532820508651, 9.05969306817596e-08, 24057),
+        (0.05992544751113801, 9.570993246855997e-06, 1551)),
+    "gaussian3-bk": (
+        lambda cfg: b_k(C("gaussian", 3, (0.5, 0.3, 0.4)), cfg),
+        (0.1731130503394966, 1.6991081490362524e-07, 43131),
+        (0.17311246657490761, 9.9914772880654e-06, 1749)),
+    "product3-fcce": (
+        lambda cfg: fcce(C("product", 3), 0.5, cfg),
+        (0.1468727538637833, 1.4127339931714416e-07, 11979),
+        (0.14687399753189256, 9.373495537699436e-06, 2145)),
+    "clayton4-cce": (
+        lambda cfg: cce(C("clayton", 4, (1.0,)), cfg),
+        (0.22508715401758908, 1.9944586096693196e-07, 474297),
+        (0.22508794501122514, 8.014530937292088e-06, 83733)),
+    "frank4-fcce": (
+        lambda cfg: fcce(C("frank", 4, (2.0,)), 0.5, cfg),
+        (0.12745361582131165, 1.1900117339850824e-07, 214149),
+        (0.12745264879930848, 9.289402663801579e-06, 8151)),
+    "ca2-cce": (
+        lambda cfg: cce(C("cuadras_auge", 2, (0.4,)), cfg),
+        (0.2623456795264004, 2.0786014258545858e-07, 1326),
+        (0.2623457519412011, 7.191237771535784e-06, 374)),
+    "min3-fcce": (
+        lambda cfg: fcce(C("min", 3), 0.5, cfg),
+        (0.248994007442297, 2.226988810237559e-07, 13200),
+        (0.24899510224808677, 9.386691591177821e-06, 1914)),
+    "ca3-cce": (
+        lambda cfg: cce(_CA3, cfg),
+        (0.22416876941904407, 2.0299441072068862e-07, 9240),
+        (0.22417329549401244, 9.541905911100803e-06, 1056)),
+    "min4-cce": (
+        lambda cfg: cce(C("min", 4), cfg),
+        (0.25666666955430056, 2.5431610097540625e-07, 168492),
+        (0.2566675281144123, 8.538234562227091e-06, 13680)),
+    "ca4-bk": (
+        lambda cfg: b_k(C("cuadras_auge", 4, (0.2, 0.4, 0.6, 0.3, 0.5, 0.7)), cfg),
+        (0.10196361496309858, 9.383356999798035e-08, 82878),
+        (0.10196344745554095, 9.988268354967328e-06, 7296)),
+    "min-ca-mixture3-ccigf": (
+        lambda cfg: ccigf(MixtureCopula((C("min", 3), _CA3), (0.4, 0.6)), 2.0, cfg),
+        (0.07081593651920275, 8.930223265959574e-08, 16698),
+        (0.07081561629196081, 9.32793436291547e-06, 1188)),
+    "cckl-clayton2-frank2": (
+        lambda cfg: cckl(C("clayton", 2, (2.0,)), C("frank", 2, (-3.0,)), cfg),
+        (0.05612016809788023, 6.480300621908899e-08, 3077),
+        (0.05612029891023279, 6.816984003022439e-06, 731)),
+    "cckl-ca3-frank3": (
+        lambda cfg: cckl(_CA3, C("frank", 3, (4.0,)), cfg),
+        (0.0027719234800994324, 9.565697900643477e-08, 494241),
+        (0.0027710849481176747, 9.243021558589682e-06, 19041)),
+    "cckl-min3-ca3": (
+        lambda cfg: cckl(C("min", 3), _CA3, cfg),
+        (0.0286358194820018, 7.110501542456142e-08, 3960),
+        (0.02863574743704125, 7.944640477765852e-06, 594)),
+    "min-entropy-k2": (
+        lambda cfg: integrate_unit_cube(_min_entropy, 2, cfg),
+        (0.27777777133537646, 2.0437417450301202e-07, 35513),
+        (0.2777776290202904, 7.622787943840069e-06, 6171)),
+    "product-entropy-k3": (
+        lambda cfg: integrate_unit_cube(_product_entropy, 3, cfg),
+        (0.1874999991458084, 1.632567556190099e-07, 16929),
+        (0.18749994577491863, 7.09309347718672e-06, 3729)),
+    "product-entropy-k3-folded": (
+        lambda cfg: integrate_unit_cube(_product_entropy, 3, cfg, symmetric=True),
+        (0.1875000059809709, 1.6040850506815266e-07, 10428),
+        (0.18750068657000635, 9.775451639009584e-06, 1518)),
+}
+
+
+@pytest.mark.parametrize("name", list(_SUBDIVISION_PINS))
+def test_subdivision_pins(name):
+    case, *pins = _SUBDIVISION_PINS[name]
+    for abs_tol, pin in zip((None, 1e-5), pins):
+        est = case(IntegrationConfig(abs_tol=abs_tol))
+        assert (est.value, est.error, est.evals) == pin
+
+
+def test_subdivision_pin_under_budget():
+    with pytest.raises(ToleranceNotReached) as exc:
+        integrate_unit_cube(_min_entropy, 4, IntegrationConfig(max_evals=20_000))
+    assert exc.value.estimate == Estimate(0.25689597949654897,
+                                          0.0013143471915133887, 19893)
 
 
 @pytest.mark.parametrize("engine", list(_ENGINE_DIM))

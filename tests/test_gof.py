@@ -221,6 +221,21 @@ class TestSelect:
         assert by_family["gaussian"].cckl_to_empirical is not None
         assert entries[-1].family == "fgm"  # failures sort last
 
+    def test_each_candidate_fitted_once_on_the_data(self, monkeypatch):
+        """The bootstrap reuses the candidate's fit; only the replicates
+        are fitted again."""
+        from copulameasures import fit
+        data = CopulaModel("clayton", 2, (2.0,)).sample(80, seed=34)
+        on_data = []
+
+        def counting(family, X):
+            if np.array_equal(X, data):
+                on_data.append(family)
+            return estimate(family, X)
+        monkeypatch.setattr(fit, "estimate", counting)
+        select_copula(data, ["clayton", "frank", "fgm"], GofConfig(reps=100, seed=6))
+        assert sorted(on_data) == ["clayton", "fgm", "frank"]
+
     def test_dependent_data_prefers_dependent_model(self):
         data = CopulaModel("gaussian", 2, (0.7,)).sample(250, seed=33)
         entries = select_copula(

@@ -222,6 +222,18 @@ def test_trivariate_beyond_node_cap_raises(monkeypatch):
         mvnorm._tvn_path_rule.cache_clear()
 
 
+def test_trivariate_ladder_that_never_agrees_raises(monkeypatch):
+    """With no agreement possible, the ladder ends at the cap and raises
+    rather than keep its last, unchecked rule."""
+    mvnorm._tvn_path_rule.cache_clear()
+    monkeypatch.setattr(mvnorm, "_TVN_AGREE", 0.0)
+    try:
+        with pytest.raises(ToleranceNotReached, match="up to 1024 nodes"):
+            tvn_cdf(np.zeros((1, 3)), corr3(0.5, 0.3, 0.4))
+    finally:
+        mvnorm._tvn_path_rule.cache_clear()
+
+
 @pytest.mark.parametrize("r", [(0.5, 0.3, 0.4), (0.1, 0.2, 0.3),
                                (0.3, 0.2, 0.5)])
 def test_trivariate_ordinary_correlation_costs_16_nodes(r):
