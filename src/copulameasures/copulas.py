@@ -35,7 +35,7 @@ from functools import reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import gamma, logsumexp, ndtr, ndtri, poch
+from scipy.special import gamma, ndtr, ndtri, poch
 
 from . import mvnorm
 from .errors import (
@@ -242,10 +242,18 @@ class CopulaModel(Copula):
                 inner = np.maximum(_sum([c ** -a for c in u]) - (k - 1), 0.0)
                 return inner ** (-1.0 / a)
             if fam == "gumbel_hougaard":
-                # log-sum-exp: (-ln u)^phi overflows at large phi, e.g. u < 0.13 at 1e3
+                # log-sum-exp: (-ln u)^phi overflows at large phi, e.g. u < 0.13
+                # at 1e3.  scipy's real-input formula, folded over the
+                # coordinates: the maxima leave the sum and are counted in m.
                 phi = self.params[0]
-                logl = _stack([phi * np.log(-np.log(c)) for c in u])  # -inf at u = 1
-                return np.exp(-np.exp(logsumexp(logl, axis=-1) / phi))
+                a = [phi * np.log(-np.log(c)) for c in u]  # -inf at u = 1
+                top = reduce(np.maximum, a)
+                tied = [x == top for x in a]
+                m = _sum([t.astype(float) for t in tied])
+                with np.errstate(invalid="ignore"):  # -inf - -inf where all u = 1
+                    s = _sum([np.where(t, 0.0, np.exp(x - top)) for x, t in zip(a, tied)])
+                s = np.where(s == 0, s, s / m)
+                return np.exp(-np.exp((np.log1p(s) + np.log(m) + top) / phi))
             if fam == "gaussian":
                 z = _stack([ndtri(np.clip(c, 1e-300, 1.0)) for c in u])
                 return mvnorm.mvn_cdf_many(self._corr, z.reshape(-1, k)).reshape(z.shape[:-1])

@@ -7,9 +7,12 @@ the smooth rank-binomial one, which is a genuine copula when ranks are
 permutations.  Plug-in estimates are the measures of that copula, e.g.
 ``cce(EmpiricalBetaCopula(rs))``, on the engine that
 :mod:`~copulameasures.cubature` picks for a copula that sets
-``tensor_grid``.  The step function, the beta copula at scattered
-points and the beta copula at the pseudo-observations (for T_N) are one
-rank-product mean, ``_rank_product_mean``, over different rows.
+``tensor_grid``.  The step function and the beta copula at scattered
+points are one rank-product mean, ``_rank_product_mean``, over
+different rows.  The beta copula at its own pseudo-observations (for
+T_N) runs on the observations sorted by their first rank, where the
+first factor is a slice of one cached basis and pairs outside its band
+are skipped (``_band_blocks``).
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from .errors import DimensionMismatch, NonFiniteData
 # elements per row block of the rank product: rows = max(1, this // N),
 # so each block's product and factor are 256 KB and stay in cache
 _TN_BLOCK = 32768
+# basis entries of T_N's first factor at or below this / N are skipped
+_BAND_CUT = 2.0 ** -60
 # elements per row block of the grid contraction's (rows, N) factor: 16 MB,
 # large enough that each matmul runs near BLAS speed on any thread count
 _GRID_BLOCK = 1 << 21
@@ -106,7 +111,8 @@ def _rank_product_mean(ranks: np.ndarray, m: int, table) -> np.ndarray:
     temporaries are a few (rows, N) arrays beside what ``table`` keeps.
     Each row keeps its values and their order, and ``mean(axis=1)``
     reduces a C-ordered row the same way at any block height, so the
-    result is bit-identical to the dense (m, N) product.
+    result is bit-identical to the dense (m, N) product.  It serves the
+    step function and ``EmpiricalBetaCopula.cdf_many``.
     """
     r = ranks - 1
     n, k = r.shape
@@ -155,6 +161,21 @@ def _binomial_survival(u: np.ndarray, n: int) -> np.ndarray:
 def _pseudo_obs_basis(n: int) -> np.ndarray:
     """B[q-1, r-1] = S(q/(N+1); N, r), shared by all rank matrices of size N."""
     return _binomial_survival(np.arange(1, n + 1) / (n + 1.0), n)
+
+
+def _band_blocks(basis: np.ndarray):
+    """(lo, hi, width) for the row blocks of the T_N product: rows lo..hi-1
+    of B need its first ``width`` columns, those above ``_BAND_CUT`` / N.
+
+    B's rows fall in r and its columns rise in q, so row hi - 1 bounds
+    the block; the diagonal is kept whatever its value.
+    """
+    n = len(basis)
+    step = max(1, _TN_BLOCK // n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        width = max(hi, int(np.count_nonzero(basis[hi - 1] > _BAND_CUT / n)))
+        yield lo, hi, width
 
 
 def _grid_contract(factors: list) -> np.ndarray:
@@ -224,13 +245,27 @@ class EmpiricalBetaCopula(Copula):
         """Values at the sample's own pseudo-observations, via the shared
         N x N basis, built on the first call for this N.
 
-        Value i is (1/N) sum_l prod_j B[R_ij - 1, R_lj - 1], the rank
-        product over the basis rows of the sample's own ranks.
+        Value i is (1/N) sum_l prod_j B[R_ij - 1, R_lj - 1].  Rows i and
+        observations l are both taken in the order of their first rank,
+        so the first factor of a block of rows is a slice of B, and only
+        the observations of its band (``_band_blocks``) enter the sum.
+        Each skipped pair has a first factor of at most ``_BAND_CUT`` / N
+        and there are fewer than N of them, so a value moves by at most
+        2^-60 / N against the full sum.
         """
-        basis = _pseudo_obs_basis(self.rs.n)
-        ranks = self.rs.ranks
-        return _rank_product_mean(ranks, self.rs.n,
-                                  lambda rows, j: basis[ranks[rows, j] - 1])
+        n = self.rs.n
+        basis = _pseudo_obs_basis(n)
+        r = self.rs.ranks - 1
+        order = np.empty(n, dtype=np.intp)
+        order[r[:, 0]] = np.arange(n)          # the observation of first rank q
+        rsort = r[order]
+        out = np.empty(n)
+        for lo, hi, width in _band_blocks(basis):
+            prod = basis[lo:hi, :width].copy()
+            for j in range(1, self.rs.k):
+                prod *= np.take(basis[rsort[lo:hi, j]], rsort[:width, j], axis=1)
+            out[order[lo:hi]] = prod.sum(axis=1) / n
+        return out
 
     def mean_integral(self) -> float:
         """Exact integral of the copula over the cube.

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import kstest, logser
 
 from copulameasures import (CopulaModel, EmpiricalBetaCopula, MixtureCopula,
@@ -306,6 +307,25 @@ class TestCdf:
         rng = np.random.default_rng(3)
         U = rng.random((100, 3))
         assert np.allclose(m3.cdf_many(U), p3.cdf_many(U), atol=1e-8)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 8])
+    def test_gumbel_fold_equals_scipy_logsumexp(self, k):
+        """Gumbel-Hougaard's folded log-sum-exp has the bits of
+        ``scipy.special.logsumexp`` on the stacked coordinates, with
+        coordinates 1 and 1e-300 and ties mixed in."""
+        rng = np.random.default_rng(k)
+        for phi in (1.0, 1.05, 1.8, 3.0, 30.0, 1000.0):
+            U = rng.random((20000, k))
+            pick = rng.random((20000, k))
+            U[pick < 0.05] = 1.0
+            U[(pick >= 0.05) & (pick < 0.1)] = 1e-300
+            tie = rng.random(20000) < 0.1
+            U[tie, 1] = U[tie, 0]
+            with np.errstate(divide="ignore", under="ignore"):
+                lse = logsumexp(phi * np.log(-np.log(U)), axis=-1)
+            want = np.clip(np.exp(-np.exp(lse / phi)), 0.0, 1.0)
+            got = CopulaModel("gumbel_hougaard", k, (phi,)).cdf_many(U)
+            assert np.array_equal(got, want), phi
 
 
 def _grid_cases():

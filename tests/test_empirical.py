@@ -22,8 +22,8 @@ from copulameasures import (
     t_statistic,
     xlog_ratio,
 )
-from copulameasures.empirical import (_TN_BLOCK, _binomial_survival,
-                                      _pseudo_obs_basis,
+from copulameasures.empirical import (_TN_BLOCK, _band_blocks,
+                                      _binomial_survival, _pseudo_obs_basis,
                                       empirical_copula_cdf_many)
 from copulameasures.errors import DimensionMismatch, NonFiniteData
 
@@ -269,18 +269,22 @@ class TestBinomialSurvival:
             assert np.all(err[big] <= 1e-10 * ref[big]), u
 
     def test_basis_path_equals_kernel_path(self):
+        """T_N's banded sum over the basis against ``cdf_many``, which
+        forms the dense product at the pseudo-observations bit for bit."""
         rs = rank_with_random_ties(
             CopulaModel("frank", 3, (5.0,)).sample(724, seed=8), 2)
         c = EmpiricalBetaCopula(rs)
-        assert np.array_equal(c.cdf_at_pseudo_observations(),
-                              c.cdf_many(rs.pseudo_observations()))
+        want = c.cdf_many(rs.pseudo_observations())
+        assert np.all(np.abs(c.cdf_at_pseudo_observations() - want)
+                      <= 1e-14 * want)
 
 
 class TestPseudoObsBlocks:
-    """The rank product behind all three estimators, formed a block of
-    rows at a time, against the dense product of all rows at once.  Each
-    estimator is evaluated at N points, so the sizes give the blocks
-    their shapes."""
+    """The rank products of the three estimators, formed a block of rows
+    at a time, against the dense product of all rows at once: bit for bit
+    for ``cdf_many`` and the step function, and within the band's bound
+    for T_N, whose sum runs in first-rank order.  Each estimator is
+    evaluated at N points, so the sizes give the blocks their shapes."""
 
     @staticmethod
     def _dense(rs):
@@ -314,10 +318,44 @@ class TestPseudoObsBlocks:
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("n", SIZES)
-    def test_equals_dense_product_bitwise(self, n, k):
+    def test_equals_dense_product_within_1e14(self, n, k):
         rs, _ = self._sample(n, k)
         got = EmpiricalBetaCopula(rs).cdf_at_pseudo_observations()
-        assert np.array_equal(got, self._dense(rs))
+        want = self._dense(rs)
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_band_skips_only_entries_below_cut(self, n):
+        """Every basis entry left out of a block's first factor is at most
+        2^-60 / N; the blocks cover the rows once and keep the diagonal."""
+        basis = _pseudo_obs_basis(n)
+        blocks = list(_band_blocks(basis))
+        assert [lo for lo, _, _ in blocks] == [0] + [hi for _, hi, _ in blocks[:-1]]
+        assert blocks[-1][1] == n
+        for lo, hi, width in blocks:
+            assert hi <= width <= n
+            assert np.all(basis[lo:hi, width:] <= 2.0 ** -60 / n)
+        if n >= 724:   # the band is narrower than N where it pays
+            assert min(width for _, _, width in blocks) < n // 2
+
+    @pytest.mark.parametrize("n", [724, 2000])
+    @pytest.mark.parametrize("data", ["clayton", "comonotone"])
+    def test_t_statistic_within_1e12_of_dense(self, n, data, monkeypatch):
+        """T_N cancels to about 1e-4 of the values it is formed from, so
+        its relative bound is looser than theirs.  Clayton(8) and
+        comonotone ranks put the most mass near the diagonal, where the
+        band's edge lies."""
+        model = CopulaModel("clayton", 3, (8.0,))
+        if data == "clayton":
+            rs = rank_with_random_ties(model.sample(n, seed=n), 1)
+        else:
+            ranks = np.repeat(np.arange(1, n + 1)[:, None], 3, axis=1)
+            rs = RankedSample(ranks=ranks, tie_seed=0, ties_broken=(0, 0, 0))
+        got = t_statistic(rs, model)
+        monkeypatch.setattr(EmpiricalBetaCopula, "cdf_at_pseudo_observations",
+                            lambda c: self._dense(c.rs))
+        want = t_statistic(rs, model)
+        assert abs(got - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("n", SIZES)
