@@ -12,18 +12,22 @@ points are one rank-product mean, ``_rank_product_mean``, over
 different rows.  The beta copula at its own pseudo-observations (for
 T_N) runs on the observations sorted by their first rank, where the
 first factor is a slice of one cached basis and pairs outside its band
-are skipped (``_band_blocks``).
+are skipped (``_band_blocks``).  A beta copula keeps the grids it builds
+on the grid engine's levels; concurrent callers may build one grid twice,
+but get equal arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import count
 
 import numpy as np
 from scipy.special import gammaln
 
 from .copulas import Copula, _grid_rows
+from .cubature import _grid_axis
 from .errors import DimensionMismatch, NonFiniteData
 
 # elements per row block of the rank product: rows = max(1, this // N),
@@ -196,6 +200,15 @@ def _grid_contract(factors: list) -> np.ndarray:
     return out.reshape(*shape, len(last))
 
 
+def _is_level_axis(key: bytes, n: int) -> bool:
+    """True iff the n nodes whose bytes are key are those of a level of
+    the grid engine, whose grids the copula's next measure reads again."""
+    for level in count():
+        nodes = _grid_axis(level)[0]
+        if len(nodes) >= n:
+            return len(nodes) == n and nodes.tobytes() == key
+
+
 @dataclass(frozen=True)
 class EmpiricalBetaCopula(Copula):
     """Smooth copula built from rank-binomial survival functions.
@@ -207,9 +220,19 @@ class EmpiricalBetaCopula(Copula):
     are needed at the n nodes only, and C on all n^k points is a BLAS
     contraction of O(n^k N) flops (``cdf_grid``); so it sets
     ``tensor_grid``, whose engine rule is in :mod:`~copulameasures.cubature`.
+
+    The instance keeps each grid it builds on the nodes of a grid-engine
+    level (``_is_level_axis``), keyed by the axis, so the measures and
+    candidate divergences of one sample share one grid per level; a grid
+    on any other axis is built and not kept.  Grids are read-only.  The
+    levels are fixed and an integration stops before it passes its
+    ``max_evals``, so the kept grids hold no more values than the
+    costliest of its measures evaluated: at most its ``max_evals`` doubles.
     """
 
     rs: RankedSample
+    _grids: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
     tensor_grid = True
 
     @property
@@ -234,12 +257,23 @@ class EmpiricalBetaCopula(Copula):
         """C on the tensor grid x^k: the survival rows at the n nodes,
         gathered by each rank column into an (n, N) factor, then
         contracted over the observations by matmul (``_grid_contract``),
-        one (n x N)(N x n) product at k = 2 and n^2 rows in blocks at k = 3."""
+        one (n x N)(N x n) product at k = 2 and n^2 rows in blocks at k = 3.
+
+        The grid is read-only.  On the nodes of a grid-engine level it is
+        built once and kept, n^k doubles: later calls with the same nodes
+        return the same array."""
         x = self._axis(x)
-        s = _binomial_survival(x, self.rs.n)                # (n, N) over r
-        s[s < _GRID_TINY] = 0.0
-        factors = [s[:, r - 1] for r in self.rs.ranks.T]
-        return np.clip(_grid_contract(factors) / self.rs.n, 0.0, 1.0)
+        key = x.tobytes()
+        grid = self._grids.get(key)
+        if grid is None:
+            s = _binomial_survival(x, self.rs.n)            # (n, N) over r
+            s[s < _GRID_TINY] = 0.0
+            factors = [s[:, r - 1] for r in self.rs.ranks.T]
+            grid = np.clip(_grid_contract(factors) / self.rs.n, 0.0, 1.0)
+            grid.setflags(write=False)
+            if _is_level_axis(key, len(x)):
+                self._grids[key] = grid
+        return grid
 
     def cdf_at_pseudo_observations(self) -> np.ndarray:
         """Values at the sample's own pseudo-observations, via the shared

@@ -22,6 +22,7 @@ from .copulas import CopulaModel, corr_from_upper_triangle
 from .errors import (
     DegenerateColumn,
     NoConvergence,
+    NonFiniteData,
     NotFittable,
     TauOutOfRange,
 )
@@ -141,13 +142,16 @@ def nearest_pd_correlation(corr: np.ndarray) -> np.ndarray:
 
 
 def estimate(family: str, data: np.ndarray) -> FitResult:
-    """Fit one family to raw data columns by tau inversion."""
+    """Fit one family to raw data columns by tau inversion; raises
+    NonFiniteData for NaN or infinity in the data."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
     n, k = data.shape
     if k < 2:
         raise ValueError("need at least two columns")
     if family not in FITTABLE_FAMILIES:
         raise NotFittable(f"{family} has no rank-inversion estimator")
+    if not np.all(np.isfinite(data)):
+        raise NonFiniteData("data contains NaN or infinity")
     if family == "product":
         return FitResult(CopulaModel("product", k), "tau_inversion", ())
 

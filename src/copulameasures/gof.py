@@ -14,13 +14,16 @@ read the percentile and p-value off the resampled statistics.
 
 Replicate r of outer seed s uses the derived stream ``substream(s, r)``;
 replicates are embarrassingly parallel and results do not depend on the
-worker count.
+worker count.  With more than one worker each public call runs its
+replicates in one process pool; ``select_copula`` shares one pool across
+its candidates.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -111,22 +114,31 @@ def _replicate_task(args):
     return t_statistic(rs, eval_model)
 
 
-def _run(task, args: list, workers: int, chunksize: int) -> list:
-    """[task(a) for a in args], in one process pool when workers > 1."""
+def _pool(workers: int):
+    """A context that gives a pool of ``workers`` processes, or None (run
+    serially) for one worker."""
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(task, args, chunksize=chunksize))
-    return [task(a) for a in args]
+        return ProcessPoolExecutor(max_workers=workers)
+    return nullcontext()
+
+
+def _run(task, args: list, pool: ProcessPoolExecutor | None,
+         chunksize: int) -> list:
+    """[task(a) for a in args], in ``pool`` unless it is None."""
+    if pool is None:
+        return [task(a) for a in args]
+    return list(pool.map(task, args, chunksize=chunksize))
 
 
 def _statistics(sample_model: CopulaModel, eval_model: CopulaModel, n: int,
-                base: int, cfg: GofConfig, refit: bool) -> np.ndarray:
+                base: int, cfg: GofConfig, refit: bool,
+                pool: ProcessPoolExecutor | None) -> np.ndarray:
     """T_N of cfg.reps size-n samples of sample_model, replicate r drawn
     from ``substream(base, r)`` and scored against eval_model, or against
-    its family re-fitted to the replicate when ``refit``."""
+    its family re-fitted to the replicate when ``refit``; run in pool."""
     tasks = [(sample_model, eval_model, n, substream_seed(base, r), refit)
              for r in range(cfg.reps)]
-    return np.array(_run(_replicate_task, tasks, cfg.workers, chunksize=32))
+    return np.array(_run(_replicate_task, tasks, pool, chunksize=32))
 
 
 def _percentile(stats: np.ndarray, cfg: GofConfig) -> float:
@@ -134,12 +146,13 @@ def _percentile(stats: np.ndarray, cfg: GofConfig) -> float:
     return float(np.sort(stats)[percentile_index(cfg.reps, cfg.alpha) - 1])
 
 
-def _known_model(family: str, k: int, params: tuple | None) -> CopulaModel:
+def _known_null(family: str, k: int, params: tuple | None) -> fit.FitResult:
     """The null that known_params mode holds fixed; it needs parameters
     unless the family has none."""
     if params is None and family not in _PARAM_FREE:
         raise NotFittable("known_params mode needs explicit parameters")
-    return CopulaModel(family, k, tuple(params or ()))
+    return fit.FitResult(CopulaModel(family, k, tuple(params or ())),
+                         "known_params", ())
 
 
 def bootstrap_test(data: np.ndarray, family: str, cfg: GofConfig,
@@ -151,24 +164,23 @@ def bootstrap_test(data: np.ndarray, family: str, cfg: GofConfig,
     re-estimated with the same tau-inversion estimator.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
-    if cfg.param_mode == "known_params":
-        fitted = fit.FitResult(_known_model(family, data.shape[1], params),
-                               "known_params", ())
-    else:
-        fitted = fit.estimate(family, data)
-    return _bootstrap(data, fitted, cfg)
+    fitted = (_known_null(family, data.shape[1], params)
+              if cfg.param_mode == "known_params" else fit.estimate(family, data))
+    with _pool(cfg.workers) as pool:
+        return _bootstrap(data, fitted, cfg, pool)
 
 
-def _bootstrap(data: np.ndarray, fitted: fit.FitResult,
-               cfg: GofConfig) -> GofReport:
-    """:func:`bootstrap_test` of 2-d float data against its null ``fitted``."""
+def _bootstrap(data: np.ndarray, fitted: fit.FitResult, cfg: GofConfig,
+               pool: ProcessPoolExecutor | None) -> GofReport:
+    """:func:`bootstrap_test` of 2-d float data against its null ``fitted``,
+    its replicates run in ``pool``."""
     tie_seed = substream_seed(cfg.seed, _PHASE_TIE)
     rs = rank_with_random_ties(data, tie_seed=tie_seed)
     observed = t_statistic(rs, fitted.model)
 
     stats = _statistics(fitted.model, fitted.model, len(data),
                         substream_seed(cfg.seed, _PHASE_REPLICATES), cfg,
-                        refit=cfg.param_mode == "estimate_each_rep")
+                        refit=cfg.param_mode == "estimate_each_rep", pool=pool)
     p_value = float(np.count_nonzero(stats >= observed) / cfg.reps)
     return GofReport(observed_t=observed, percentile=_percentile(stats, cfg),
                      p_value=p_value, reps=cfg.reps, alpha=cfg.alpha,
@@ -180,8 +192,9 @@ def _bootstrap(data: np.ndarray, fitted: fit.FitResult,
 def calibrate_percentile(model: CopulaModel, n: int, cfg: GofConfig) -> float:
     """(1 - alpha) empirical quantile of T_N under a known-parameter null."""
     base = substream_seed(cfg.seed, _PHASE_CALIBRATE)
-    return _percentile(_statistics(model, model, n, base, cfg, refit=False),
-                       cfg)
+    with _pool(cfg.workers) as pool:
+        stats = _statistics(model, model, n, base, cfg, refit=False, pool=pool)
+    return _percentile(stats, cfg)
 
 
 def power_study(null_family: str, true_model: CopulaModel, n: int,
@@ -194,16 +207,18 @@ def power_study(null_family: str, true_model: CopulaModel, n: int,
     """
     data_base = substream_seed(cfg.seed, _PHASE_POWER_DATA)
     if cfg.param_mode == "known_params":
-        null_model = _known_model(null_family, true_model.dim, null_params)
+        null_model = _known_null(null_family, true_model.dim, null_params).model
         pct = calibrate_percentile(null_model, n, cfg)
-        stats = _statistics(true_model, null_model, n, data_base, cfg,
-                            refit=False)
+        with _pool(cfg.workers) as pool:
+            stats = _statistics(true_model, null_model, n, data_base, cfg,
+                                refit=False, pool=pool)
         return 100.0 * float(np.mean(stats >= pct))
     # one pool over the datasets; each nested bootstrap runs serially
     tasks = [(true_model, null_family, n,
               replace(cfg, seed=substream_seed(data_base, r), workers=1))
              for r in range(cfg.reps)]
-    rejections = _run(_power_task, tasks, cfg.workers, chunksize=1)
+    with _pool(cfg.workers) as pool:
+        rejections = _run(_power_task, tasks, pool, chunksize=1)
     return 100.0 * sum(rejections) / cfg.reps
 
 
@@ -232,6 +247,8 @@ def select_copula(data: np.ndarray, candidate_families, cfg: GofConfig,
     integrated, and a bootstrap p-value attached.  Candidates that fail
     to fit are reported with the failure, never dropped.  The list is
     sorted ascending by divergence; the head is the recommendation.
+    All divergences read one beta copula, and with more than one worker
+    all bootstraps run in one process pool.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     rs = rank_with_random_ties(data, substream_seed(cfg.seed, _PHASE_TIE))
@@ -239,20 +256,21 @@ def select_copula(data: np.ndarray, candidate_families, cfg: GofConfig,
 
     entries = []
     select_base = substream_seed(cfg.seed, _PHASE_SELECT)
-    for i, family in enumerate(candidate_families):
-        sub = replace(cfg, seed=substream_seed(select_base, i))
-        try:
-            fitted = fit.estimate(family, data)
-            dist = cckl(beta, fitted.model, integration_cfg).value
-            report = (_bootstrap(data, fitted, sub)
-                      if sub.param_mode == "estimate_each_rep"
-                      else bootstrap_test(data, family, sub))
-        except Exception as exc:  # reported, not dropped
-            entries.append(SelectionEntry(family, None, None, None, None,
-                                          f"{type(exc).__name__}: {exc}"))
-            continue
-        entries.append(SelectionEntry(family, fitted, dist, report.p_value,
-                                      report))
+    with _pool(cfg.workers) as pool:
+        for i, family in enumerate(candidate_families):
+            sub = replace(cfg, seed=substream_seed(select_base, i))
+            try:
+                fitted = fit.estimate(family, data)
+                dist = cckl(beta, fitted.model, integration_cfg).value
+                null = (_known_null(family, data.shape[1], None)
+                        if sub.param_mode == "known_params" else fitted)
+                report = _bootstrap(data, null, sub, pool)
+            except Exception as exc:  # reported, not dropped
+                entries.append(SelectionEntry(family, None, None, None, None,
+                                              f"{type(exc).__name__}: {exc}"))
+                continue
+            entries.append(SelectionEntry(family, fitted, dist, report.p_value,
+                                          report))
     entries.sort(key=lambda e: (e.cckl_to_empirical is None,
                                 e.cckl_to_empirical
                                 if e.cckl_to_empirical is not None else 0.0,

@@ -9,11 +9,13 @@ from copulameasures import (
     CopulaModel,
     EmpiricalBetaCopula,
     IntegrationConfig,
+    MixtureCopula,
     RankedSample,
     b_k,
     cce,
     ccigf,
     cckl,
+    concordance_leq_on_grid,
     empirical_copula_cdf,
     estimate,
     fcce,
@@ -22,10 +24,13 @@ from copulameasures import (
     t_statistic,
     xlog_ratio,
 )
+from copulameasures import empirical
+from copulameasures.cubature import _grid_axis
 from copulameasures.empirical import (_TN_BLOCK, _band_blocks,
                                       _binomial_survival, _pseudo_obs_basis,
                                       empirical_copula_cdf_many)
 from copulameasures.errors import DimensionMismatch, NonFiniteData
+from copulameasures.fit import FITTABLE_FAMILIES
 
 
 def _ranked(rows, seed=0):
@@ -410,6 +415,83 @@ class TestPseudoObsBlocks:
             tracemalloc.stop()
         assert peak < 4e6              # one (4096, N) float array is 66 MB
 
+
+
+class TestGridMemo:
+    """A beta copula keeps each grid it builds: a repeated axis reads it
+    back, and every measure and candidate gets the bits a fresh copula
+    would give."""
+
+    AXES = (np.linspace(0.0, 1.0, 9), np.array([0.0, 1e-9, 0.31, 0.999, 1.0]),
+            np.linspace(0.0, 1.0, 9))
+
+    @staticmethod
+    def _copula(n, k, seed=0):
+        data = np.random.default_rng(seed).normal(size=(n, k))
+        data[:, 1:] += data[:, :1]
+        return EmpiricalBetaCopula(rank_with_random_ties(data, 1)), data
+
+    @pytest.mark.parametrize("n,k", [(250, 2), (60, 3)])
+    def test_grids_equal_fresh_copula_bitwise(self, n, k):
+        c, _ = self._copula(n, k)
+        for x in self.AXES:
+            fresh = EmpiricalBetaCopula(c.rs).cdf_grid(x)
+            assert np.array_equal(c.cdf_grid(x), fresh)
+
+    def test_level_axis_contracts_once_other_axes_every_time(self,
+                                                              monkeypatch):
+        c, _ = self._copula(60, 3)
+        calls, original = [], empirical._grid_contract
+
+        def counting(factors):
+            calls.append(len(factors))
+            return original(factors)
+        monkeypatch.setattr(empirical, "_grid_contract", counting)
+        level = _grid_axis(1)[0]
+        first = c.cdf_grid(level)
+        assert c.cdf_grid(level.copy()) is first
+        assert len(calls) == 1
+        x = np.linspace(0.0, 1.0, len(level))
+        assert np.array_equal(c.cdf_grid(x), c.cdf_grid(x))
+        assert c.cdf_grid(level[:-1]).shape == (len(level) - 1,) * 3
+        assert len(calls) == 4
+        assert list(c._grids) == [level.tobytes()]
+
+    @pytest.mark.parametrize("x", [np.linspace(0.0, 1.0, 5), _grid_axis(0)[0]])
+    def test_grid_is_read_only(self, x):
+        c, _ = self._copula(40, 2)
+        grid = c.cdf_grid(x)
+        with pytest.raises(ValueError):
+            grid[1, 1] = 0.5
+
+    def test_concordance_grid_not_kept(self):
+        c, _ = self._copula(60, 3)
+        concordance_leq_on_grid(c, CopulaModel("product", 3), 9)
+        assert c._grids == {}
+
+    @pytest.mark.parametrize("n,k", [(250, 2), (60, 3)])
+    def test_six_divergences_equal_fresh_copula_bitwise(self, n, k):
+        c, data = self._copula(n, k)
+        cfg = IntegrationConfig(abs_tol=1e-5)
+        for family in FITTABLE_FAMILIES:
+            model = estimate(family, data).model
+            shared = cckl(c, model, cfg)
+            fresh = cckl(EmpiricalBetaCopula(c.rs), model, cfg)
+            assert (shared.value, shared.error, shared.evals) == (
+                fresh.value, fresh.error, fresh.evals)
+
+    def test_mixture_holding_the_copula_equals_fresh_bitwise(self):
+        """The mixture's grid reads the copula's kept grids."""
+        c, _ = self._copula(80, 2)
+        cfg = IntegrationConfig(abs_tol=1e-6)
+        cce(c, cfg)                                  # fills the memo
+        clayton = CopulaModel("clayton", 2, (2.0,))
+
+        def divergence(beta):
+            return cckl(MixtureCopula((beta, clayton), (0.4, 0.6)), beta, cfg)
+        mixed, fresh = divergence(c), divergence(EmpiricalBetaCopula(c.rs))
+        assert (mixed.value, mixed.error, mixed.evals) == (
+            fresh.value, fresh.error, fresh.evals)
 
 
 class TestPluginMeasures:

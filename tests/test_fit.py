@@ -6,10 +6,16 @@ import pytest
 from copulameasures import CopulaModel, estimate, kendall_tau, tau_to_param
 from copulameasures.errors import (
     DegenerateColumn,
+    NonFiniteData,
     NotFittable,
     TauOutOfRange,
 )
-from copulameasures.fit import frank_tau, joe_tau, nearest_pd_correlation
+from copulameasures.fit import (
+    FITTABLE_FAMILIES,
+    frank_tau,
+    joe_tau,
+    nearest_pd_correlation,
+)
 
 
 class TestKendallTau:
@@ -110,6 +116,14 @@ class TestEstimate:
         data = np.random.default_rng(0).random((50, 3))
         fr = estimate("product", data)
         assert fr.model.family == "product" and fr.model.params == ()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("family", FITTABLE_FAMILIES)
+    def test_non_finite_data_rejected(self, family, bad):
+        data = CopulaModel("clayton", 3, (2.0,)).sample(100, seed=9)
+        data[17, 2] = bad
+        with pytest.raises(NonFiniteData):
+            estimate(family, data)
 
     def test_comonotone_boundary(self):
         data = np.repeat(np.arange(100.0)[:, None], 2, axis=1)

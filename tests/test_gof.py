@@ -236,6 +236,27 @@ class TestSelect:
         select_copula(data, ["clayton", "frank", "fgm"], GofConfig(reps=100, seed=6))
         assert sorted(on_data) == ["clayton", "fgm", "frank"]
 
+    def test_one_pool_per_select_and_worker_invariant(self, monkeypatch):
+        from copulameasures import gof
+        built = []
+
+        class Counting(gof.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+        monkeypatch.setattr(gof, "ProcessPoolExecutor", Counting)
+        data = CopulaModel("clayton", 2, (2.0,)).sample(60, seed=35)
+        serial, pooled = (
+            select_copula(data, ["clayton", "frank"],
+                          GofConfig(reps=100, seed=8, workers=w))
+            for w in (1, 2))
+        assert built == [2]
+        for a, b in zip(serial, pooled):
+            assert (a.family, a.fitted, a.cckl_to_empirical, a.p_value) == (
+                b.family, b.fitted, b.cckl_to_empirical, b.p_value)
+            assert np.array_equal(a.report.replicates, b.report.replicates)
+            assert a.report == b.report
+
     def test_dependent_data_prefers_dependent_model(self):
         data = CopulaModel("gaussian", 2, (0.7,)).sample(250, seed=33)
         entries = select_copula(
