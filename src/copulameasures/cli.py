@@ -113,10 +113,6 @@ def _parse_stat(text: str) -> tuple[str, tuple]:
     return name, ()
 
 
-def _model_from_args(family: str, dim: int, params: str | None) -> CopulaModel:
-    return CopulaModel(family, dim, _parse_params(params))
-
-
 def _workers(args) -> int:
     env = os.environ.get("COPULAMEASURES_THREADS")
     if args.workers is not None:
@@ -149,16 +145,16 @@ def _notes(key) -> list:
     return [note] if note else []
 
 
-def _gof_cfg(args, param_mode: str = "estimate_each_rep") -> gof.GofConfig:
-    """Bootstrap settings from the shared flags; ``param_mode`` applies
-    to commands without a ``--param-mode`` flag."""
+def _gof_cfg(args) -> gof.GofConfig:
+    """Bootstrap settings from the shared flags and any ``--param-mode``."""
     return gof.GofConfig(reps=args.reps, alpha=args.alpha, seed=args.seed,
-                         param_mode=getattr(args, "param_mode", param_mode),
+                         param_mode=getattr(args, "param_mode",
+                                            "estimate_each_rep"),
                          workers=_workers(args))
 
 
 def cmd_measure(args, argv) -> int:
-    model = _model_from_args(args.family, args.dim, args.params)
+    model = CopulaModel(args.family, args.dim, _parse_params(args.params))
     stat, order = _parse_stat(args.stat)
     spec = _STATS[stat]
     est = spec.measure(model, *order, IntegrationConfig(abs_tol=args.tol))
@@ -172,8 +168,8 @@ def cmd_measure(args, argv) -> int:
 
 
 def cmd_cckl(args, argv) -> int:
-    a = _model_from_args(args.family_a, args.dim, args.params_a)
-    b = _model_from_args(args.family_b, args.dim, args.params_b)
+    a = CopulaModel(args.family_a, args.dim, _parse_params(args.params_a))
+    b = CopulaModel(args.family_b, args.dim, _parse_params(args.params_b))
     est = measures.cckl(a, b, IntegrationConfig(abs_tol=args.tol))
     return _emit(args, argv,
                  {"family_a": a.family, "params_a": list(a.params),
@@ -229,8 +225,8 @@ def cmd_gof(args, argv) -> int:
 
 
 def cmd_calibrate(args, argv) -> int:
-    model = _model_from_args(args.family, args.dim, args.params)
-    cfg = _gof_cfg(args, param_mode="known_params")
+    model = CopulaModel(args.family, args.dim, _parse_params(args.params))
+    cfg = _gof_cfg(args)
     pct = gof.calibrate_percentile(model, args.n, cfg)
     return _emit(args, argv,
                  {"family": model.family, "dim": model.dim,
@@ -241,7 +237,8 @@ def cmd_calibrate(args, argv) -> int:
 
 def cmd_power(args, argv) -> int:
     null_params = _parse_params(args.null_params)
-    true_model = _model_from_args(args.true_family, args.dim, args.true_params)
+    true_model = CopulaModel(args.true_family, args.dim,
+                             _parse_params(args.true_params))
     cfg = _gof_cfg(args)
     pct = gof.power_study(args.null_family, true_model, args.n, cfg,
                           null_params or None)

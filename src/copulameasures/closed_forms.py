@@ -148,16 +148,12 @@ def closed_form_fcce(model: CopulaModel, r: float) -> float:
 
 
 def closed_form_bk(model: CopulaModel) -> float:
-    """Closed-form integral of C over the cube."""
-    fam = model.family
-    if fam in ("product", "min", "lower_bound_w", "cuadras_auge", "fgm",
-               "marshall_olkin"):
+    """Integral of C over the cube: ccigf at s = 1, except Gumbel-Barnett."""
+    if model.family != "gumbel_barnett":
         return closed_form_ccigf(model, 1.0)
-    if fam == "gumbel_barnett":
-        th = model.params[0]
-        # int uv e^{-th ln u ln v} = -(1/th) e^{4/th} Ei(-4/th)
-        return -(1.0 / th) * np.exp(4.0 / th) * expi(-4.0 / th)
-    raise NoClosedForm(f"no closed-form mean for {fam}")
+    th = model.params[0]
+    # int uv e^{-th ln u ln v} = -(1/th) e^{4/th} Ei(-4/th)
+    return -(1.0 / th) * np.exp(4.0 / th) * expi(-4.0 / th)
 
 
 def closed_form_cckl(model1: CopulaModel, model2: CopulaModel) -> float:

@@ -96,17 +96,17 @@ def corr_from_upper_triangle(dim: int, entries) -> np.ndarray:
 
 
 class Copula(ABC):
-    """Interface of every copula in the package: ``dim``,
-    ``has_zero_region``, the vectorized ``cdf_many``, whose points all
-    pass the one check ``_points``, and ``cdf_grid``, C on a tensor grid.
-    ``cdf`` is defined here.  A copula sets ``tensor_grid`` when its
-    ``cdf_grid`` costs far less than ``cdf_many`` at as many points, and
-    ``diagonal_kinks`` when its C is symmetric in its coordinates and
-    kinked only where two of them meet; :mod:`~copulameasures.cubature`
-    states how the flags pick the engine of its measures."""
+    """Interface of every copula: ``dim``, the vectorized ``cdf_many``,
+    whose points all pass ``_unit_points``, and ``cdf_grid``, C on a
+    tensor grid; ``cdf`` is defined here.  A copula sets ``has_zero_region``
+    when C vanishes on a positive-measure interior set, ``tensor_grid``
+    when its ``cdf_grid`` costs far less than ``cdf_many`` at as many
+    points, and ``diagonal_kinks`` when its C is symmetric and kinked only
+    where two coordinates meet; :mod:`~copulameasures.cubature` states how
+    the last two pick the engine of its measures."""
 
     dim: int
-    has_zero_region: bool
+    has_zero_region: bool = False
     tensor_grid: bool = False
     diagonal_kinks: bool = False
 
@@ -124,19 +124,21 @@ class Copula(ABC):
         """C on the tensor grid x^dim, shape (len(x),) * dim."""
 
     def _axis(self, x) -> np.ndarray:
-        """The nodes x of a tensor grid as a 1-D array, checked as by ``_points``."""
-        return self._points(np.repeat(np.ravel(x)[:, None], self.dim, axis=1))[:, 0]
+        """The nodes x of a tensor grid as a 1-D array, checked as points are."""
+        x = np.ravel(x)[:, None]
+        return _unit_points(np.repeat(x, self.dim, axis=1), self.dim)[:, 0]
 
-    def _points(self, U) -> np.ndarray:
-        """U as an (m, dim) float array clipped into [0, 1]; raises
-        DimensionMismatch, and ValueError for NaN or u over 1e-12 outside it."""
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        if U.shape[1] != self.dim:
-            raise DimensionMismatch(
-                f"points have dimension {U.shape[1]}, copula has {self.dim}")
-        if not np.all((U >= -1e-12) & (U <= 1.0 + 1e-12)):
-            raise ValueError("coordinates must lie in [0, 1]")
-        return np.clip(U, 0.0, 1.0)
+
+def _unit_points(U, dim: int) -> np.ndarray:
+    """U as an (m, dim) float array clipped into [0, 1]; raises
+    DimensionMismatch, and ValueError for NaN or u over 1e-12 outside it."""
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    if U.shape[1] != dim:
+        raise DimensionMismatch(
+            f"points have dimension {U.shape[1]}, copula has {dim}")
+    if not np.all((U >= -1e-12) & (U <= 1.0 + 1e-12)):
+        raise ValueError("coordinates must lie in [0, 1]")
+    return np.clip(U, 0.0, 1.0)
 
 
 @dataclass(frozen=True, eq=True)
@@ -204,7 +206,7 @@ class CopulaModel(Copula):
 
     def cdf_many(self, U: np.ndarray) -> np.ndarray:
         """Vectorized C(u) over the rows of U, clamped into [0, 1]."""
-        u = list(self._points(U).T)
+        u = list(_unit_points(U, self.dim).T)
         interior = reduce(np.logical_and, [c > 0.0 for c in u])
         out = np.zeros(len(interior))
         out[interior] = self._cdf_positive([c[interior] for c in u])
@@ -394,6 +396,10 @@ class MixtureCopula(Copula):
     @property
     def has_zero_region(self) -> bool:
         return all(c.has_zero_region for c in self.components)
+
+    @property
+    def tensor_grid(self) -> bool:
+        return any(c.tensor_grid for c in self.components)
 
     @property
     def diagonal_kinks(self) -> bool:

@@ -298,6 +298,13 @@ def _grid_axis(level: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _is_level_axis(key: bytes, n: int) -> bool:
+    """True iff the n nodes whose bytes are key are those of a level of
+    the grid engine, whose grids a copula's next measure reads again."""
+    nodes = next(x for x, _ in map(_grid_axis, count()) if len(x) >= n)
+    return nodes.tobytes() == key
+
+
 def _grid_sum(values: np.ndarray, weights: np.ndarray) -> float:
     """Tensor-rule sum: contract each axis of values with the weights."""
     while values.ndim:

@@ -7,30 +7,29 @@ the smooth rank-binomial one, which is a genuine copula when ranks are
 permutations.  Plug-in estimates are the measures of that copula, e.g.
 ``cce(EmpiricalBetaCopula(rs))``, on the engine that
 :mod:`~copulameasures.cubature` picks for a copula that sets
-``tensor_grid``.  The step function and the beta copula at scattered
-points are one rank-product mean, ``_rank_product_mean``, over
-different rows.  The beta copula at its own pseudo-observations (for
-T_N) runs on the observations sorted by their first rank, where the
-first factor is a slice of one cached basis and pairs outside its band
-are skipped (``_band_blocks``).  A beta copula keeps the grids it builds
-on the grid engine's levels; concurrent callers may build one grid twice,
-but get equal arrays.
+``tensor_grid``.  The step function compares the pseudo-observations
+with a block of points at a time, and the beta copula at scattered
+points gathers the survival rows of a block by the rank columns.  At
+its own pseudo-observations (for T_N) it runs on the observations
+sorted by their first rank, where the first factor is a slice of one
+cached basis and pairs outside its band are skipped (``_band_blocks``).
+A beta copula keeps the grids it builds on the grid engine's levels;
+concurrent callers may build one grid twice, but get equal arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import count
 
 import numpy as np
 from scipy.special import gammaln
 
-from .copulas import Copula, _grid_rows
-from .cubature import _grid_axis
-from .errors import DimensionMismatch, NonFiniteData
+from .copulas import Copula, _grid_rows, _unit_points
+from .cubature import _is_level_axis
+from .errors import NonFiniteData
 
-# elements per row block of the rank product: rows = max(1, this // N),
+# elements per row block of the estimators: rows = max(1, this // N),
 # so each block's product and factor are 256 KB and stay in cache
 _TN_BLOCK = 32768
 # basis entries of T_N's first factor at or below this / N are skipped
@@ -99,36 +98,16 @@ def empirical_copula_cdf(rs: RankedSample, point) -> float:
 
 
 def empirical_copula_cdf_many(rs: RankedSample, U: np.ndarray) -> np.ndarray:
-    U = np.atleast_2d(np.asarray(U, dtype=float))
-    if U.shape[1] != rs.k:
-        raise DimensionMismatch(f"points dimension {U.shape[1]} != {rs.k}")
-    grid = np.arange(1, rs.n + 1) / (rs.n + 1.0)
-    return _rank_product_mean(
-        rs.ranks, len(U), lambda rows, j: grid <= U[rows, j, None])
-
-
-def _rank_product_mean(ranks: np.ndarray, m: int, table) -> np.ndarray:
-    """out[a] = (1/N) sum_l prod_j T_j[a, R_lj - 1] for a < m, where
-    ``table(rows, j)`` returns the rows T_j[rows] for a slice of a.
-
-    The product is formed max(1, _TN_BLOCK // N) rows at a time, so the
-    temporaries are a few (rows, N) arrays beside what ``table`` keeps.
-    Each row keeps its values and their order, and ``mean(axis=1)``
-    reduces a C-ordered row the same way at any block height, so the
-    result is bit-identical to the dense (m, N) product.  It serves the
-    step function and ``EmpiricalBetaCopula.cdf_many``.
-    """
-    r = ranks - 1
-    n, k = r.shape
-    step = max(1, _TN_BLOCK // n)
-    out = np.empty(m)
-    for lo in range(0, m, step):
+    """The step function at the rows of U, checked as every copula's are,
+    max(1, _TN_BLOCK // N) rows at a time; a row's mean is the same at any
+    block height, so the bits are those of one (m, N, k) comparison."""
+    U = _unit_points(U, rs.k)
+    e = rs.pseudo_observations()
+    step = max(1, _TN_BLOCK // rs.n)
+    out = np.empty(len(U))
+    for lo in range(0, len(U), step):
         rows = slice(lo, lo + step)
-        # row: eval point, col: obs; take keeps the block C-ordered
-        prod = np.take(table(rows, 0), r[:, 0], axis=1)
-        for j in range(1, k):
-            prod *= np.take(table(rows, j), r[:, j], axis=1)
-        out[rows] = prod.mean(axis=1)
+        out[rows] = (e <= U[rows, None, :]).all(axis=2).mean(axis=1)
     return out
 
 
@@ -200,15 +179,6 @@ def _grid_contract(factors: list) -> np.ndarray:
     return out.reshape(*shape, len(last))
 
 
-def _is_level_axis(key: bytes, n: int) -> bool:
-    """True iff the n nodes whose bytes are key are those of a level of
-    the grid engine, whose grids the copula's next measure reads again."""
-    for level in count():
-        nodes = _grid_axis(level)[0]
-        if len(nodes) >= n:
-            return len(nodes) == n and nodes.tobytes() == key
-
-
 @dataclass(frozen=True)
 class EmpiricalBetaCopula(Copula):
     """Smooth copula built from rank-binomial survival functions.
@@ -239,29 +209,29 @@ class EmpiricalBetaCopula(Copula):
     def dim(self) -> int:
         return self.rs.k
 
-    @property
-    def has_zero_region(self) -> bool:
-        return False
-
     def cdf_many(self, U: np.ndarray) -> np.ndarray:
-        """C at scattered points: the survival rows of each block of
-        points, computed as the rank product needs them."""
-        U = self._points(U)
-        n = self.rs.n
-        out = _rank_product_mean(
-            self.rs.ranks, len(U),
-            lambda rows, j: _binomial_survival(U[rows, j], n))
+        """C at scattered points, max(1, _TN_BLOCK // N) at a time: each rank
+        column gathers the survival rows of a block, C-ordered, and a row's
+        mean is the same at any block height, so the bits are those of the
+        dense (m, N) product."""
+        U = _unit_points(U, self.dim)
+        n, r = self.rs.n, self.rs.ranks - 1
+        step = max(1, _TN_BLOCK // n)
+        out = np.empty(len(U))
+        for lo in range(0, len(U), step):
+            rows = slice(lo, lo + step)
+            prod = np.take(_binomial_survival(U[rows, 0], n), r[:, 0], axis=1)
+            for j in range(1, self.rs.k):
+                prod *= np.take(_binomial_survival(U[rows, j], n), r[:, j], axis=1)
+            out[rows] = prod.mean(axis=1)
         return np.clip(out, 0.0, 1.0)
 
     def cdf_grid(self, x) -> np.ndarray:
         """C on the tensor grid x^k: the survival rows at the n nodes,
         gathered by each rank column into an (n, N) factor, then
         contracted over the observations by matmul (``_grid_contract``),
-        one (n x N)(N x n) product at k = 2 and n^2 rows in blocks at k = 3.
-
-        The grid is read-only.  On the nodes of a grid-engine level it is
-        built once and kept, n^k doubles: later calls with the same nodes
-        return the same array."""
+        one (n x N)(N x n) product at k = 2 and n^2 rows in blocks at k = 3,
+        kept as the class states."""
         x = self._axis(x)
         key = x.tobytes()
         grid = self._grids.get(key)

@@ -33,10 +33,8 @@ from .copulas import _PARAM_FREE, CopulaModel
 from .cubature import IntegrationConfig, xlog_ratio
 from .empirical import EmpiricalBetaCopula, RankedSample, rank_with_random_ties
 from .errors import DimensionMismatch, NotFittable
-from .measures import cckl
+from .measures import _CCKL_FLOOR, cckl
 from .seeds import substream_seed
-
-_CTHETA_FLOOR = 1e-300
 
 # salts for the independent seed phases of one outer seed
 _PHASE_REPLICATES = 1
@@ -93,7 +91,7 @@ def t_statistic(rs: RankedSample, model) -> float:
             f"model dimension {model.dim} != sample dimension {rs.k}")
     beta = EmpiricalBetaCopula(rs)
     chat = beta.cdf_at_pseudo_observations()
-    ctheta = np.maximum(model.cdf_many(rs.pseudo_observations()), _CTHETA_FLOOR)
+    ctheta = np.maximum(model.cdf_many(rs.pseudo_observations()), _CCKL_FLOOR)
     return float(np.mean(xlog_ratio(chat, ctheta)))
 
 
@@ -191,10 +189,16 @@ def _bootstrap(data: np.ndarray, fitted: fit.FitResult, cfg: GofConfig,
 
 def calibrate_percentile(model: CopulaModel, n: int, cfg: GofConfig) -> float:
     """(1 - alpha) empirical quantile of T_N under a known-parameter null."""
-    base = substream_seed(cfg.seed, _PHASE_CALIBRATE)
     with _pool(cfg.workers) as pool:
-        stats = _statistics(model, model, n, base, cfg, refit=False, pool=pool)
-    return _percentile(stats, cfg)
+        return _calibrate(model, n, cfg, pool)
+
+
+def _calibrate(model: CopulaModel, n: int, cfg: GofConfig,
+               pool: ProcessPoolExecutor | None) -> float:
+    """:func:`calibrate_percentile`, its statistics run in ``pool``."""
+    base = substream_seed(cfg.seed, _PHASE_CALIBRATE)
+    return _percentile(
+        _statistics(model, model, n, base, cfg, refit=False, pool=pool), cfg)
 
 
 def power_study(null_family: str, true_model: CopulaModel, n: int,
@@ -208,8 +212,8 @@ def power_study(null_family: str, true_model: CopulaModel, n: int,
     data_base = substream_seed(cfg.seed, _PHASE_POWER_DATA)
     if cfg.param_mode == "known_params":
         null_model = _known_null(null_family, true_model.dim, null_params).model
-        pct = calibrate_percentile(null_model, n, cfg)
         with _pool(cfg.workers) as pool:
+            pct = _calibrate(null_model, n, cfg, pool)
             stats = _statistics(true_model, null_model, n, data_base, cfg,
                                 refit=False, pool=pool)
         return 100.0 * float(np.mean(stats >= pct))

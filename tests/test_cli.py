@@ -464,6 +464,18 @@ class TestEmpiricalEngine:
         assert engines == ["qmc"] + ["adaptive"] * 3 + ["qmc"]
 
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_mixture_holding_a_beta_copula_on_the_grid(self, k, engines):
+        """A mixture sets ``tensor_grid`` when one of its components does;
+        mixtures of parametric models keep their engines."""
+        clayton = CopulaModel("clayton", k, (2.0,))
+        cce(MixtureCopula((_beta(k), clayton), (0.4, 0.6)))
+        cckl(MixtureCopula((clayton, _beta(k)), (0.5, 0.5)), clayton)
+        parametric = MixtureCopula((clayton, CopulaModel("product", k)),
+                                   (0.4, 0.6))
+        cce(parametric), cckl(parametric, clayton)
+        assert engines == ["grid", "grid", "adaptive", "adaptive"]
+
 _CA3 = CopulaModel("cuadras_auge", 3, (0.3, 0.5, 0.7))
 
 

@@ -87,6 +87,21 @@ class TestEmpiricalCdf:
         with pytest.raises(DimensionMismatch):
             empirical_copula_cdf(_ranked([[1.0, 2.0], [2.0, 1.0]]), [0.5] * 3)
 
+    def test_points_checked_as_a_copula_checks_them(self):
+        """The step function raises where ``EmpiricalBetaCopula`` does, with
+        its message, and clips coordinates within 1e-12 of the cube."""
+        rs = _ranked([[0.1, 0.2], [0.9, 0.8]])
+        cdfs = (lambda u: empirical_copula_cdf(rs, u), EmpiricalBetaCopula(rs).cdf)
+        for cdf in cdfs:
+            for bad in ([np.nan, 0.5], [-3.0, 0.5], [0.5, 1.0 + 1e-9]):
+                with pytest.raises(ValueError, match="must lie in"):
+                    cdf(bad)
+            with pytest.raises(DimensionMismatch,
+                               match="points have dimension 3, copula has 2"):
+                cdf([0.5] * 3)
+        assert empirical_copula_cdf(rs, [-1e-13, 1.0 + 1e-13]) == 0.0
+        assert empirical_copula_cdf(rs, [1.0 + 1e-13, 1.0 + 1e-13]) == 1.0
+
 
 class TestBetaCopula:
     def test_single_observation_is_product(self):
@@ -414,6 +429,19 @@ class TestPseudoObsBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 4e6              # one (4096, N) float array is 66 MB
+
+    def test_step_function_memory_bounded(self):
+        """4,096 points at N = 2000 compare a (rows, N, k) block at a time,
+        96 KB, not the dense (4096, N, k) comparison of 24.6 MB."""
+        rs, _ = self._sample(2000, 3)
+        U = qmc.Sobol(3, seed=0).random_base2(12)
+        tracemalloc.start()
+        try:
+            empirical_copula_cdf_many(rs, U)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 

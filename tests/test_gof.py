@@ -257,6 +257,25 @@ class TestSelect:
             assert np.array_equal(a.report.replicates, b.report.replicates)
             assert a.report == b.report
 
+    def test_one_pool_per_power_study_and_worker_invariant(self, monkeypatch):
+        """known_params calibrates and scores the power statistics in one
+        pool, with the percentage of one worker."""
+        from copulameasures import gof
+        built = []
+
+        class Counting(gof.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+        monkeypatch.setattr(gof, "ProcessPoolExecutor", Counting)
+        serial, pooled = (
+            power_study("product", CopulaModel("gaussian", 2, (0.5,)), 30,
+                        GofConfig(reps=100, seed=7, param_mode="known_params",
+                                  workers=w))
+            for w in (1, 2))
+        assert built == [2]
+        assert serial == pooled
+
     def test_dependent_data_prefers_dependent_model(self):
         data = CopulaModel("gaussian", 2, (0.7,)).sample(250, seed=33)
         entries = select_copula(
