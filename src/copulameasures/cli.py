@@ -146,10 +146,8 @@ def _notes(key) -> list:
 
 
 def _gof_cfg(args) -> gof.GofConfig:
-    """Bootstrap settings from the shared flags and any ``--param-mode``."""
+    """Bootstrap settings from the shared flags."""
     return gof.GofConfig(reps=args.reps, alpha=args.alpha, seed=args.seed,
-                         param_mode=getattr(args, "param_mode",
-                                            "estimate_each_rep"),
                          workers=_workers(args))
 
 
@@ -209,12 +207,13 @@ def cmd_empirical(args, argv) -> int:
 def cmd_gof(args, argv) -> int:
     ds = load_csv(args.data, args.cols.split(","))
     cfg = _gof_cfg(args)
-    rep = gof.bootstrap_test(ds.values, args.family, cfg,
-                             params=_parse_params(args.params) or None)
+    null = (CopulaModel(args.family, len(ds.columns), _parse_params(args.params))
+            if args.param_mode == "known_params" else args.family)
+    rep = gof.bootstrap_test(ds.values, null, cfg)
     return _emit(args, argv,
                  {"data": args.data, "columns": list(ds.columns),
                   "family": args.family, "reps": cfg.reps, "alpha": cfg.alpha,
-                  "param_mode": cfg.param_mode,
+                  "param_mode": args.param_mode,
                   "rows_dropped": ds.rows_dropped},
                  {"fitted_params": list(rep.fitted.model.params),
                   "observed_t": rep.observed_t, "percentile": rep.percentile,
@@ -240,15 +239,16 @@ def cmd_power(args, argv) -> int:
     true_model = CopulaModel(args.true_family, args.dim,
                              _parse_params(args.true_params))
     cfg = _gof_cfg(args)
-    pct = gof.power_study(args.null_family, true_model, args.n, cfg,
-                          null_params or None)
+    null = (CopulaModel(args.null_family, args.dim, null_params)
+            if args.param_mode == "known_params" else args.null_family)
+    pct = gof.power_study(null, true_model, args.n, cfg)
     return _emit(args, argv,
                  {"null_family": args.null_family,
                   "null_params": list(null_params),
                   "true_family": true_model.family,
                   "true_params": list(true_model.params),
                   "dim": args.dim, "n": args.n, "reps": cfg.reps,
-                  "alpha": cfg.alpha, "param_mode": cfg.param_mode},
+                  "alpha": cfg.alpha, "param_mode": args.param_mode},
                  {"rejection_percent": pct}, seeds={"seed": cfg.seed})
 
 
@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_data(sp)
     sp.add_argument("--family", required=True, choices=fit.FITTABLE_FAMILIES)
     sp.add_argument("--params", default=None,
-                    help="required in known_params mode")
+                    help="the null's known parameters in known_params mode")
     add_bootstrap(sp, reps=1000)
     add_param_mode(sp, default="estimate_each_rep")
     sp.set_defaults(func=cmd_gof)
@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--null-family", required=True, dest="null_family",
                     choices=FAMILIES)
     sp.add_argument("--null-params", default=None, dest="null_params",
-                    help="required in known_params mode")
+                    help="the null's known parameters in known_params mode")
     sp.add_argument("--true-family", required=True, dest="true_family",
                     choices=FAMILIES)
     sp.add_argument("--true-params", default=None, dest="true_params")

@@ -76,7 +76,6 @@ _PARAMS = {
 }
 
 FAMILIES = tuple(_PARAMS)
-_PARAM_FREE = frozenset(f for f, rule in _PARAMS.items() if rule.count == 0)
 
 _SAMPLE_EPS = 1e-15
 _GRID_BLOCK = 1 << 14  # grid points per block of CopulaModel.cdf_grid
@@ -158,7 +157,7 @@ class CopulaModel(Copula):
         if _PARAMS[self.family].bivariate and self.dim != 2:
             raise DimensionUnsupported(
                 f"{self.family} is only defined at dimension 2")
-        raw = np.asarray(self.params, dtype=float).ravel() if self.params != () else []
+        raw = np.asarray(self.params, dtype=float).ravel()
         object.__setattr__(self, "params", tuple(float(p) for p in raw))
         if any(not np.isfinite(p) for p in self.params):
             raise ParamOutOfRange("parameters must be finite")

@@ -7,10 +7,12 @@ empirical beta copula standing in for the unknown truth,
     T_N = mean_i [ Chat(e_i) ln Chat(e_i) - Chat(e_i) ln C_theta(e_i)
                    - Chat(e_i) + C_theta(e_i) ].
 
-The test procedure: estimate the parameter, compute the observed T_N,
-draw M parametric resamples of size N from the fitted model (repeating
-the estimation per resample unless parameters are declared known), and
-read the percentile and p-value off the resampled statistics.
+The test procedure: resolve the null on the data, compute the observed
+T_N, draw M parametric resamples of size N from the resolved model,
+resolve the null again on each, and read the percentile and p-value off
+the resampled statistics.  The null's type says whether its parameters
+are known: a family name is fitted to the data and re-fitted to every
+resample, a :class:`~copulameasures.copulas.CopulaModel` is held fixed.
 
 Replicate r of outer seed s uses the derived stream ``substream(s, r)``;
 replicates are embarrassingly parallel and results do not depend on the
@@ -29,10 +31,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import fit
-from .copulas import _PARAM_FREE, CopulaModel
+from .copulas import CopulaModel
 from .cubature import IntegrationConfig, xlog_ratio
 from .empirical import EmpiricalBetaCopula, RankedSample, rank_with_random_ties
-from .errors import DimensionMismatch, NotFittable
+from .errors import DimensionMismatch
 from .measures import _CCKL_FLOOR, cckl
 from .seeds import substream_seed
 
@@ -52,7 +54,6 @@ class GofConfig:
     reps: int = 1000
     alpha: float = 0.05
     seed: int = 0
-    param_mode: str = "estimate_each_rep"
     workers: int = 1
 
     def __post_init__(self):
@@ -62,8 +63,6 @@ class GofConfig:
             raise ValueError("alpha must lie in (0, 1)")
         if self.reps * self.alpha < 5.0:
             raise ValueError("reps * alpha must be at least 5")
-        if self.param_mode not in ("estimate_each_rep", "known_params"):
-            raise ValueError(f"unknown param_mode {self.param_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,6 @@ class GofReport:
     alpha: float
     seed: int
     tie_seed: int
-    param_mode: str
     fitted: fit.FitResult
     replicates: np.ndarray = field(repr=False, compare=False, default=None)
 
@@ -103,13 +101,19 @@ def percentile_index(m: int, alpha: float) -> int:
     return max(idx, 1)
 
 
+def _resolve(null: str | CopulaModel, data: np.ndarray) -> fit.FitResult:
+    """The null on a sample: a CopulaModel is held fixed, a family name
+    is fitted to ``data``."""
+    if isinstance(null, CopulaModel):
+        return fit.FitResult(null, "known_params", ())
+    return fit.estimate(null, data)
+
+
 def _replicate_task(args):
-    sample_model, eval_model, n, seed_r, refit = args
+    sample_model, null, n, seed_r = args
     data = sample_model.sample(n, seed=seed_r)
     rs = rank_with_random_ties(data, tie_seed=substream_seed(seed_r, _PHASE_TIE))
-    if refit:
-        eval_model = fit.estimate(eval_model.family, data).model
-    return t_statistic(rs, eval_model)
+    return t_statistic(rs, _resolve(null, data).model)
 
 
 def _pool(workers: int):
@@ -128,13 +132,13 @@ def _run(task, args: list, pool: ProcessPoolExecutor | None,
     return list(pool.map(task, args, chunksize=chunksize))
 
 
-def _statistics(sample_model: CopulaModel, eval_model: CopulaModel, n: int,
-                base: int, cfg: GofConfig, refit: bool,
+def _statistics(sample_model: CopulaModel, null: str | CopulaModel, n: int,
+                base: int, cfg: GofConfig,
                 pool: ProcessPoolExecutor | None) -> np.ndarray:
     """T_N of cfg.reps size-n samples of sample_model, replicate r drawn
-    from ``substream(base, r)`` and scored against eval_model, or against
-    its family re-fitted to the replicate when ``refit``; run in pool."""
-    tasks = [(sample_model, eval_model, n, substream_seed(base, r), refit)
+    from ``substream(base, r)`` and scored against the null resolved on
+    it; run in pool."""
+    tasks = [(sample_model, null, n, substream_seed(base, r))
              for r in range(cfg.reps)]
     return np.array(_run(_replicate_task, tasks, pool, chunksize=32))
 
@@ -144,46 +148,34 @@ def _percentile(stats: np.ndarray, cfg: GofConfig) -> float:
     return float(np.sort(stats)[percentile_index(cfg.reps, cfg.alpha) - 1])
 
 
-def _known_null(family: str, k: int, params: tuple | None) -> fit.FitResult:
-    """The null that known_params mode holds fixed; it needs parameters
-    unless the family has none."""
-    if params is None and family not in _PARAM_FREE:
-        raise NotFittable("known_params mode needs explicit parameters")
-    return fit.FitResult(CopulaModel(family, k, tuple(params or ())),
-                         "known_params", ())
+def bootstrap_test(data: np.ndarray, null: str | CopulaModel,
+                   cfg: GofConfig) -> GofReport:
+    """Five-step parametric bootstrap test of a null against data.
 
-
-def bootstrap_test(data: np.ndarray, family: str, cfg: GofConfig,
-                   params: tuple | None = None) -> GofReport:
-    """Five-step parametric bootstrap test of one family against data.
-
-    With ``param_mode="known_params"`` the parameters must be supplied
-    and are held fixed in every resample; otherwise each resample is
-    re-estimated with the same tau-inversion estimator.
+    A family name is fitted to the data and re-fitted to every resample
+    with the same tau-inversion estimator; a CopulaModel is held fixed.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
-    fitted = (_known_null(family, data.shape[1], params)
-              if cfg.param_mode == "known_params" else fit.estimate(family, data))
+    fitted = _resolve(null, data)
     with _pool(cfg.workers) as pool:
-        return _bootstrap(data, fitted, cfg, pool)
+        return _bootstrap(data, null, fitted, cfg, pool)
 
 
-def _bootstrap(data: np.ndarray, fitted: fit.FitResult, cfg: GofConfig,
+def _bootstrap(data: np.ndarray, null: str | CopulaModel,
+               fitted: fit.FitResult, cfg: GofConfig,
                pool: ProcessPoolExecutor | None) -> GofReport:
-    """:func:`bootstrap_test` of 2-d float data against its null ``fitted``,
-    its replicates run in ``pool``."""
+    """:func:`bootstrap_test` of 2-d float data against ``null``, resolved
+    on the data as ``fitted``, its replicates run in ``pool``."""
     tie_seed = substream_seed(cfg.seed, _PHASE_TIE)
     rs = rank_with_random_ties(data, tie_seed=tie_seed)
     observed = t_statistic(rs, fitted.model)
 
-    stats = _statistics(fitted.model, fitted.model, len(data),
-                        substream_seed(cfg.seed, _PHASE_REPLICATES), cfg,
-                        refit=cfg.param_mode == "estimate_each_rep", pool=pool)
+    stats = _statistics(fitted.model, null, len(data),
+                        substream_seed(cfg.seed, _PHASE_REPLICATES), cfg, pool)
     p_value = float(np.count_nonzero(stats >= observed) / cfg.reps)
     return GofReport(observed_t=observed, percentile=_percentile(stats, cfg),
                      p_value=p_value, reps=cfg.reps, alpha=cfg.alpha,
-                     seed=cfg.seed, tie_seed=tie_seed,
-                     param_mode=cfg.param_mode, fitted=fitted,
+                     seed=cfg.seed, tie_seed=tie_seed, fitted=fitted,
                      replicates=stats)
 
 
@@ -197,28 +189,29 @@ def _calibrate(model: CopulaModel, n: int, cfg: GofConfig,
                pool: ProcessPoolExecutor | None) -> float:
     """:func:`calibrate_percentile`, its statistics run in ``pool``."""
     base = substream_seed(cfg.seed, _PHASE_CALIBRATE)
-    return _percentile(
-        _statistics(model, model, n, base, cfg, refit=False, pool=pool), cfg)
+    return _percentile(_statistics(model, model, n, base, cfg, pool), cfg)
 
 
-def power_study(null_family: str, true_model: CopulaModel, n: int,
-                cfg: GofConfig, null_params: tuple | None = None) -> float:
+def power_study(null: str | CopulaModel, true_model: CopulaModel, n: int,
+                cfg: GofConfig) -> float:
     """Percentage of datasets from true_model rejected against the null.
 
-    As in :func:`bootstrap_test`, known_params holds the null's parameters
-    fixed and calibrates the percentile once; estimate_each_rep ignores
-    them and runs a full nested bootstrap per dataset, reps^2 statistics.
+    A CopulaModel null is held fixed and its percentile calibrated once;
+    a family name runs a full nested bootstrap per dataset, re-fitting
+    the family, reps^2 statistics.
     """
     data_base = substream_seed(cfg.seed, _PHASE_POWER_DATA)
-    if cfg.param_mode == "known_params":
-        null_model = _known_null(null_family, true_model.dim, null_params).model
+    if isinstance(null, CopulaModel):
+        if null.dim != true_model.dim:
+            raise DimensionMismatch(
+                f"null dimension {null.dim} != true model dimension "
+                f"{true_model.dim}")
         with _pool(cfg.workers) as pool:
-            pct = _calibrate(null_model, n, cfg, pool)
-            stats = _statistics(true_model, null_model, n, data_base, cfg,
-                                refit=False, pool=pool)
+            pct = _calibrate(null, n, cfg, pool)
+            stats = _statistics(true_model, null, n, data_base, cfg, pool)
         return 100.0 * float(np.mean(stats >= pct))
     # one pool over the datasets; each nested bootstrap runs serially
-    tasks = [(true_model, null_family, n,
+    tasks = [(true_model, null, n,
               replace(cfg, seed=substream_seed(data_base, r), workers=1))
              for r in range(cfg.reps)]
     with _pool(cfg.workers) as pool:
@@ -266,9 +259,7 @@ def select_copula(data: np.ndarray, candidate_families, cfg: GofConfig,
             try:
                 fitted = fit.estimate(family, data)
                 dist = cckl(beta, fitted.model, integration_cfg).value
-                null = (_known_null(family, data.shape[1], None)
-                        if sub.param_mode == "known_params" else fitted)
-                report = _bootstrap(data, null, sub, pool)
+                report = _bootstrap(data, family, fitted, sub, pool)
             except Exception as exc:  # reported, not dropped
                 entries.append(SelectionEntry(family, None, None, None, None,
                                               f"{type(exc).__name__}: {exc}"))

@@ -133,7 +133,7 @@ def test_criterion_5_empirical_consistency():
 
 @pytest.mark.slow
 def test_criterion_6_calibration_reproduction():
-    cfg = GofConfig(reps=REPS, alpha=0.05, seed=SEED, param_mode="known_params")
+    cfg = GofConfig(reps=REPS, alpha=0.05, seed=SEED)
     targets = [
         (CopulaModel("product", 2), 100, 2.0239e-3),
         (CopulaModel("clayton", 2, (0.5,)), 100, 1.4062e-3),
@@ -151,23 +151,24 @@ def test_criterion_6_calibration_reproduction():
 
 @pytest.mark.slow
 def test_criterion_7_size_and_power():
-    cfg = GofConfig(reps=2000, alpha=0.05, seed=SEED, param_mode="known_params")
-    size_pp = power_study("product", CopulaModel("product", 2), 100, cfg)
+    cfg = GofConfig(reps=2000, alpha=0.05, seed=SEED)
+    size_pp = power_study(CopulaModel("product", 2), CopulaModel("product", 2),
+                          100, cfg)
     assert 3.5 <= size_pp <= 6.5
-    size_ff = power_study("frank", CopulaModel("frank", 2, (3.0,)), 150, cfg,
-                          (3.0,))
+    size_ff = power_study(CopulaModel("frank", 2, (3.0,)),
+                          CopulaModel("frank", 2, (3.0,)), 150, cfg)
     assert 3.5 <= size_ff <= 6.5
-    pw_cp = power_study("clayton", CopulaModel("product", 2), 100, cfg,
-                        (0.5,))
+    pw_cp = power_study(CopulaModel("clayton", 2, (0.5,)),
+                        CopulaModel("product", 2), 100, cfg)
     assert pw_cp >= 90.0
     # the product-vs-normal cell: the honest value is ~94.5% (criterion
     # 7b records the stated >= 95 bound); discrimination is nonetheless
     # strong in both directions
-    pw_pn = power_study("product", CopulaModel("gaussian", 2, (0.4,)), 100,
-                        cfg)
+    pw_pn = power_study(CopulaModel("product", 2),
+                        CopulaModel("gaussian", 2, (0.4,)), 100, cfg)
     assert pw_pn >= 92.0
-    pw_np = power_study("gaussian", CopulaModel("product", 2), 100, cfg,
-                        (0.4,))
+    pw_np = power_study(CopulaModel("gaussian", 2, (0.4,)),
+                        CopulaModel("product", 2), 100, cfg)
     assert pw_np >= 90.0
     _report("7", f"sizes {size_pp:.2f}%/{size_ff:.2f}%; power clayton-null "
                  f"{pw_cp:.2f}%, product-null vs normal {pw_pn:.2f}%")
@@ -180,8 +181,9 @@ def test_criterion_7_size_and_power():
     "(see notes/decisions ledger)"))
 @pytest.mark.slow
 def test_criterion_7b_product_vs_normal_power_as_stated():
-    cfg = GofConfig(reps=2000, alpha=0.05, seed=SEED, param_mode="known_params")
-    pw = power_study("product", CopulaModel("gaussian", 2, (0.4,)), 100, cfg)
+    cfg = GofConfig(reps=2000, alpha=0.05, seed=SEED)
+    pw = power_study(CopulaModel("product", 2),
+                     CopulaModel("gaussian", 2, (0.4,)), 100, cfg)
     assert pw >= 95.0
 
 

@@ -111,6 +111,16 @@ class TestValidate:
     def test_clayton_negative_allowed_bivariate(self):
         assert CopulaModel("clayton", 2, (-1.0,)).params == (-1.0,)
 
+    @pytest.mark.parametrize("fam,k,params,want", [
+        ("clayton", 2, np.array([2.0]), (2.0,)),
+        ("clayton", 2, np.float64(2.0), (2.0,)),
+        ("product", 2, np.array([]), ()),
+        ("gaussian", 3, np.array([0.1, 0.2, 0.3]), (0.1, 0.2, 0.3))])
+    def test_numpy_parameters(self, fam, k, params, want):
+        m = CopulaModel(fam, k, params)
+        assert m.params == want and all(type(p) is float for p in m.params)
+        assert m == CopulaModel(fam, k, want)
+
     def test_immutability(self):
         m = CopulaModel("clayton", 2, (1.0,))
         with pytest.raises(Exception):

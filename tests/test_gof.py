@@ -18,7 +18,7 @@ from copulameasures import (
     xlog_ratio,
 )
 from copulameasures.copulas import corr_from_upper_triangle
-from copulameasures.errors import DimensionMismatch, NotFittable
+from copulameasures.errors import DimensionMismatch
 from copulameasures.fit import estimate
 
 from conftest import FULL
@@ -121,11 +121,14 @@ class TestBootstrapTest:
         assert np.array_equal(r1.replicates, r2.replicates)
         assert r1.p_value == r2.p_value
 
-    def test_known_params_needs_params(self):
-        data = CopulaModel("clayton", 2, (1.0,)).sample(50, seed=1)
-        with pytest.raises(NotFittable):
-            bootstrap_test(data, "clayton",
-                           GofConfig(reps=100, seed=0, param_mode="known_params"))
+    def test_model_null_held_fixed(self):
+        """A CopulaModel null is the fitted model of the report, unfitted."""
+        model = CopulaModel("clayton", 2, (1.0,))
+        data = model.sample(50, seed=1)
+        rep = bootstrap_test(data, model, GofConfig(reps=100, seed=0))
+        assert rep.fitted.model is model
+        assert rep.fitted.method == "known_params"
+        assert np.all(np.isfinite(rep.replicates))
 
     def test_comonotone_data_rejects_product_with_zero_pvalue(self):
         u = np.linspace(0.01, 0.99, 100)[:, None] + \
@@ -139,8 +142,6 @@ class TestBootstrapTest:
             GofConfig(reps=50)
         with pytest.raises(ValueError):
             GofConfig(reps=100, alpha=0.01)  # reps * alpha < 5
-        with pytest.raises(ValueError):
-            GofConfig(reps=100, param_mode="sometimes")
 
     def test_size_of_bootstrap_test(self):
         # well-specified null accepted at roughly the nominal rate
@@ -160,10 +161,8 @@ class TestBootstrapTest:
         pvals = []
         for s in range(outer):
             data = model.sample(100, seed=5000 + s)
-            rep = bootstrap_test(data, "clayton",
-                                 GofConfig(reps=200, alpha=0.05, seed=s,
-                                           param_mode="known_params"),
-                                 params=(2.0,))
+            rep = bootstrap_test(data, model,
+                                 GofConfig(reps=200, alpha=0.05, seed=s))
             pvals.append(rep.p_value)
         assert kstest(pvals, "uniform").statistic < 0.12
 
@@ -187,10 +186,9 @@ class TestPower:
     def test_consistency_in_sample_size(self):
         # fixed alternative: power grows with N (criterion: nondecreasing
         # up to 1.5-point noise)
-        cfg = GofConfig(reps=1000 if FULL else 600, alpha=0.05, seed=17,
-                        param_mode="known_params")
+        cfg = GofConfig(reps=1000 if FULL else 600, alpha=0.05, seed=17)
         true = CopulaModel("clayton", 2, (2.0,))
-        powers = [power_study("product", true, n, cfg)
+        powers = [power_study(CopulaModel("product", 2), true, n, cfg)
                   for n in (100, 150, 200, 250)]
         for lo, hi in zip(powers, powers[1:]):
             assert hi >= lo - 1.5
@@ -202,6 +200,20 @@ class TestPower:
                                                            workers=w))
                 for w in (1, 2))
         assert a == b
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """max_workers of each process pool gof builds, in order."""
+    from copulameasures import gof
+    pools = []
+
+    class Counting(gof.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(gof, "ProcessPoolExecutor", Counting)
+    return pools
 
 
 class TestSelect:
@@ -236,15 +248,7 @@ class TestSelect:
         select_copula(data, ["clayton", "frank", "fgm"], GofConfig(reps=100, seed=6))
         assert sorted(on_data) == ["clayton", "fgm", "frank"]
 
-    def test_one_pool_per_select_and_worker_invariant(self, monkeypatch):
-        from copulameasures import gof
-        built = []
-
-        class Counting(gof.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                built.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-        monkeypatch.setattr(gof, "ProcessPoolExecutor", Counting)
+    def test_one_pool_per_select_and_worker_invariant(self, built):
         data = CopulaModel("clayton", 2, (2.0,)).sample(60, seed=35)
         serial, pooled = (
             select_copula(data, ["clayton", "frank"],
@@ -257,24 +261,23 @@ class TestSelect:
             assert np.array_equal(a.report.replicates, b.report.replicates)
             assert a.report == b.report
 
-    def test_one_pool_per_power_study_and_worker_invariant(self, monkeypatch):
-        """known_params calibrates and scores the power statistics in one
-        pool, with the percentage of one worker."""
-        from copulameasures import gof
-        built = []
-
-        class Counting(gof.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                built.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-        monkeypatch.setattr(gof, "ProcessPoolExecutor", Counting)
+    def test_one_pool_per_power_study_and_worker_invariant(self, built):
+        """A model null is calibrated and the power statistics scored in
+        one pool, with the percentage of one worker."""
         serial, pooled = (
-            power_study("product", CopulaModel("gaussian", 2, (0.5,)), 30,
-                        GofConfig(reps=100, seed=7, param_mode="known_params",
-                                  workers=w))
+            power_study(CopulaModel("product", 2),
+                        CopulaModel("gaussian", 2, (0.5,)), 30,
+                        GofConfig(reps=100, seed=7, workers=w))
             for w in (1, 2))
         assert built == [2]
         assert serial == pooled
+
+    def test_power_study_null_dimension_checked_before_any_pool(self, built):
+        with pytest.raises(DimensionMismatch):
+            power_study(CopulaModel("clayton", 2, (0.5,)),
+                        CopulaModel("product", 3), 40,
+                        GofConfig(reps=100, workers=2))
+        assert built == []
 
     def test_dependent_data_prefers_dependent_model(self):
         data = CopulaModel("gaussian", 2, (0.7,)).sample(250, seed=33)

@@ -7,6 +7,7 @@ from copulameasures import (
     CopulaModel,
     Estimate,
     IntegrationConfig,
+    MixtureCopula,
     b_k,
     cce,
     ccigf,
@@ -132,6 +133,14 @@ class TestBk:
         assert b_k(fgm).value == pytest.approx(5.0 / 18.0, abs=1e-8)
         assert closed_form_bk(fgm) == pytest.approx(5.0 / 18.0, rel=1e-12)
 
+    @pytest.mark.parametrize("theta,want", [(0.05, 0.2469503332735722),
+                                            (0.3, 0.23356968666335262),
+                                            (1.0, 0.2063456499010558)])
+    def test_gumbel_barnett_closed_form(self, theta, want):
+        # want: 30-digit mpmath of int_0^inf int_0^inf e^(-2a-2b-theta ab)
+        gb = CopulaModel("gumbel_barnett", 2, (theta,))
+        assert closed_form_bk(gb) == pytest.approx(want, rel=0, abs=3e-17)
+
 
 class TestCckl:
     def test_lower_bound_vs_product(self):
@@ -172,6 +181,15 @@ class TestCckl:
             cckl(P2, W)
         with pytest.raises(DivergenceInfinite):
             cckl(P2, CopulaModel("clayton", 2, (-0.5,)))
+
+    def test_mixture_zero_region_is_where_every_component_vanishes(self):
+        # W and Clayton(-0.5) both vanish near the origin, so their mixture
+        # does; the product's mass fills the mixture of W and itself
+        with pytest.raises(DivergenceInfinite):
+            cckl(P2, MixtureCopula((W, CopulaModel("clayton", 2, (-0.5,))),
+                                   (0.5, 0.5)))
+        est = cckl(P2, MixtureCopula((W, P2), (0.5, 0.5)))
+        assert est.value == pytest.approx(0.0112861, abs=1e-6)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

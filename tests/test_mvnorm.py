@@ -10,7 +10,7 @@ from copulameasures import (CopulaModel, IntegrationConfig, cce,
 from copulameasures.errors import (CorrelationNotPD, DimensionMismatch,
                                    DimensionUnsupported, ToleranceNotReached)
 from copulameasures.fit import nearest_pd_correlation
-from copulameasures.mvnorm import _tvn_plan, tvn_cdf
+from copulameasures.mvnorm import _tvn_plan, bvn_cdf, tvn_cdf
 
 
 def density_box_probability(corr, x, lo=-8.5, abs_tol=1e-10, rel_tol=1e-9):
@@ -58,6 +58,16 @@ def test_comonotone_limit():
     got = mvn_cdf(np.array([[1.0, 1.0 - 1e-17], [1.0 - 1e-17, 1.0]]),
                   [0.0, 0.0])
     assert got.value == pytest.approx(0.5, abs=1e-10)
+
+
+def test_countermonotone_limit():
+    # Z2 = -Z1: P(-x2 <= Z1 <= x1), zero where the interval is empty
+    from scipy.stats import norm
+    x1 = np.array([-1.0, 0.0, 0.3, 1.2, -3.0, 2.5])
+    x2 = np.array([0.5, 0.0, 0.8, -0.1, 2.0, 2.5])
+    want = np.maximum(norm.cdf(x1) - norm.cdf(-x2), 0.0)
+    assert np.allclose(bvn_cdf(x1, x2, -1.0), want, rtol=0, atol=1e-15)
+    assert want[2:4].min() > 0.3 and want[[0, 1, 4]].max() == 0.0
 
 
 @pytest.mark.parametrize("x,limit", [([np.inf, 0.0], 0.5), ([0.0, np.inf], 0.5),
