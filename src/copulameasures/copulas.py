@@ -99,10 +99,10 @@ class Copula(ABC):
     whose points all pass ``_unit_points``, and ``cdf_grid``, C on a
     tensor grid; ``cdf`` is defined here.  A copula sets ``has_zero_region``
     when C vanishes on a positive-measure interior set, ``tensor_grid``
-    when its ``cdf_grid`` costs far less than ``cdf_many`` at as many
-    points, and ``diagonal_kinks`` when its C is symmetric and kinked only
-    where two coordinates meet; :mod:`~copulameasures.cubature` states how
-    the last two pick the engine of its measures."""
+    to have its measures take the grid engine at k <= 3, and
+    ``diagonal_kinks`` when its C is symmetric and kinked only where two
+    coordinates meet; :mod:`~copulameasures.cubature` states how the last
+    two pick the engine of its measures."""
 
     dim: int
     has_zero_region: bool = False

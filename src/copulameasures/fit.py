@@ -1,14 +1,17 @@
 """Copula parameter estimation by rank-correlation inversion.
 
-Archimedean families invert the Kendall tau relation (averaged over all
-column pairs above two dimensions); the Gaussian family maps pairwise
-taus through sin(pi tau / 2) and projects to the nearest positive
-definite correlation matrix.  This is the consistent-estimator slot of
-the bootstrap test.
+Archimedean families invert the Kendall tau relation, averaged over all
+column pairs above two dimensions.  A tau at or past the family's
+independence edge (tau = 0 for Clayton and Frank, tau < 0 for the others
+and for all four from k = 3) is fitted there: the product copula, method
+``independence_edge``.  The Gaussian family maps pairwise taus through
+sin(pi tau / 2) and projects to the nearest positive definite correlation
+matrix.  This is the consistent-estimator slot of the bootstrap test.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -86,34 +89,29 @@ def joe_tau(theta: float) -> float:
                  * (digamma(2.0) - digamma(2.0 / theta + 1.0)))
 
 
+# Per Archimedean family: the tau -> parameter inverse, and whether tau is
+# at or past its independence edge (Gumbel-Hougaard and Joe reach 0 at 1).
+_TAU_INVERSION = {
+    "clayton": (lambda t: 2.0 * t / (1.0 - t), lambda t: t == 0.0),
+    "frank": (lambda t: math.copysign(_solve_monotone(
+        frank_tau, abs(t), lo=1e-8, hi=2.0), t), lambda t: t == 0.0),
+    "gumbel_hougaard": (lambda t: 1.0 / (1.0 - t), lambda t: t < 0.0),
+    "joe": (lambda t: _solve_monotone(joe_tau, t, lo=1.0 + 1e-9, hi=2.0)
+            if t else 1.0, lambda t: t < 0.0),
+}
+
+
 def tau_to_param(family: str, tau: float) -> float:
     """Parameter solving the family's tau relation; raises TauOutOfRange
-    when the concordance is unattainable."""
+    at |tau| = 1 and at or past the family's independence edge."""
     if not -1.0 < tau < 1.0:
         raise TauOutOfRange(f"tau={tau} is at or beyond the boundary")
-    if family == "clayton":
-        if tau == 0.0:
-            raise TauOutOfRange("clayton excludes alpha = 0 (tau = 0)")
-        alpha = 2.0 * tau / (1.0 - tau)
-        if alpha < -1.0:
-            raise TauOutOfRange(f"tau={tau} below the clayton range")
-        return alpha
-    if family == "gumbel_hougaard":
-        if tau < 0.0:
-            raise TauOutOfRange("gumbel_hougaard needs tau >= 0")
-        return 1.0 / (1.0 - tau)
-    if family == "joe":
-        if tau < 0.0:
-            raise TauOutOfRange("joe needs tau >= 0")
-        if tau == 0.0:
-            return 1.0
-        return _solve_monotone(joe_tau, tau, lo=1.0 + 1e-9, hi=2.0)
-    if family == "frank":
-        if tau == 0.0:
-            raise TauOutOfRange("frank excludes theta = 0 (tau = 0)")
-        theta = _solve_monotone(frank_tau, abs(tau), lo=1e-8, hi=2.0)
-        return theta if tau > 0 else -theta
-    raise NotFittable(f"no tau inversion for family {family!r}")
+    if family not in _TAU_INVERSION:
+        raise NotFittable(f"no tau inversion for family {family!r}")
+    inverse, at_edge = _TAU_INVERSION[family]
+    if at_edge(tau):
+        raise TauOutOfRange(f"tau={tau} is at or past the {family} edge")
+    return inverse(tau)
 
 
 def _solve_monotone(tau_of, target, lo, hi):
@@ -166,9 +164,9 @@ def estimate(family: str, data: np.ndarray) -> FitResult:
                          tuple(taus))
 
     tau_bar = float(np.mean(taus))
-    if k >= 3 and tau_bar <= 0.0:
-        raise TauOutOfRange(
-            f"{family} at k={k} needs positive dependence, got tau={tau_bar:.4f}")
-    param = tau_to_param(family, tau_bar)
-    return FitResult(CopulaModel(family, k, (param,)), "tau_inversion",
-                     (tau_bar,))
+    _, at_edge = _TAU_INVERSION[family]
+    if at_edge(tau_bar) or (k >= 3 and tau_bar < 0.0):
+        return FitResult(CopulaModel("product", k), "independence_edge",
+                         (tau_bar,))
+    return FitResult(CopulaModel(family, k, (tau_to_param(family, tau_bar),)),
+                     "tau_inversion", (tau_bar,))

@@ -243,9 +243,9 @@ def select_copula(data: np.ndarray, candidate_families, cfg: GofConfig,
     Each candidate is fitted, its divergence from the empirical copula
     integrated, and a bootstrap p-value attached.  Candidates that fail
     to fit are reported with the failure, never dropped.  The list is
-    sorted ascending by divergence; the head is the recommendation.
-    All divergences read one beta copula, and with more than one worker
-    all bootstraps run in one process pool.
+    sorted ascending by divergence, an edge fit after an equal one; the
+    head is the recommendation.  All divergences read one beta copula,
+    and with more than one worker all bootstraps run in one process pool.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     rs = rank_with_random_ties(data, substream_seed(cfg.seed, _PHASE_TIE))
@@ -269,5 +269,7 @@ def select_copula(data: np.ndarray, candidate_families, cfg: GofConfig,
     entries.sort(key=lambda e: (e.cckl_to_empirical is None,
                                 e.cckl_to_empirical
                                 if e.cckl_to_empirical is not None else 0.0,
+                                e.fitted is not None
+                                and e.fitted.method == "independence_edge",
                                 e.family))
     return entries

@@ -12,6 +12,7 @@ from copulameasures.errors import (
 )
 from copulameasures.fit import (
     FITTABLE_FAMILIES,
+    FitResult,
     frank_tau,
     joe_tau,
     nearest_pd_correlation,
@@ -160,3 +161,31 @@ class TestEstimate:
         data = np.random.default_rng(1).random((100, 2))
         with pytest.raises(NotFittable):
             estimate("fgm", data)
+
+
+class TestIndependenceEdge:
+    """A tau at or past a family's independence edge is fitted at the
+    edge, as the product copula, where tau_to_param refuses it."""
+
+    ARCHIMEDEAN = ("clayton", "frank", "gumbel_hougaard", "joe")
+
+    @pytest.mark.parametrize("family, y", [
+        ("clayton", [1, 4, 3, 2]),          # tau = 0
+        ("frank", [1, 4, 3, 2]),
+        ("gumbel_hougaard", [3, 4, 2, 1]),  # tau = -2/3
+        ("joe", [3, 4, 2, 1]),
+    ])
+    def test_bivariate(self, family, y):
+        data = np.c_[[1.0, 2.0, 3.0, 4.0], y]
+        tau = kendall_tau(data[:, 0], data[:, 1])
+        with pytest.raises(TauOutOfRange):
+            tau_to_param(family, tau)
+        assert estimate(family, data) == FitResult(
+            CopulaModel("product", 2), "independence_edge", (tau,))
+
+    @pytest.mark.parametrize("family", ARCHIMEDEAN)
+    def test_trivariate_negative_mean_tau(self, family):
+        # pairwise taus -1, 1, -1
+        data = np.array([[1, 4, 1], [2, 3, 2], [3, 2, 3], [4, 1, 4]], float)
+        assert estimate(family, data) == FitResult(
+            CopulaModel("product", 3), "independence_edge", (-1.0 / 3.0,))

@@ -201,6 +201,12 @@ class TestPower:
                 for w in (1, 2))
         assert a == b
 
+    def test_family_null_near_independence(self):
+        # datasets and replicates whose Clayton fit lies past the edge
+        power = power_study("clayton", CopulaModel("gaussian", 2, (0.5,)), 25,
+                            GofConfig(reps=100, seed=9))
+        assert 0.0 <= power <= 100.0
+
 
 @pytest.fixture
 def built(monkeypatch):
@@ -285,3 +291,45 @@ class TestSelect:
             data, ["gaussian", "product"], GofConfig(reps=100, seed=5))
         assert entries[0].family == "gaussian"
         assert entries[0].cckl_to_empirical < entries[1].cckl_to_empirical
+
+
+class TestIndependenceEdge:
+    """A fit at or past a family's independence edge is the product
+    copula; a test or a selection near independence returns."""
+
+    FAMILIES = ["clayton", "frank", "gumbel_hougaard", "joe", "gaussian",
+                "product"]
+
+    @pytest.mark.parametrize("family, model", [
+        ("gumbel_hougaard", CopulaModel("gumbel_hougaard", 2, (1.15,))),
+        ("joe", CopulaModel("joe", 2, (1.25,))),
+        ("clayton", CopulaModel("clayton", 3, (0.2,))),
+        ("frank", CopulaModel("frank", 3, (0.8,))),
+    ])
+    def test_bootstrap_reaches_the_edge(self, family, model):
+        # a replicate of seed 1 lies past the edge
+        report = bootstrap_test(model.sample(100, seed=1), family,
+                                GofConfig(reps=100, seed=1))
+        assert 0.0 <= report.p_value <= 1.0
+
+    def test_select_keeps_a_family_whose_replicates_reach_the_edge(self):
+        data = CopulaModel("gumbel_hougaard", 2, (1.15,)).sample(100, seed=0)
+        entries = select_copula(data, self.FAMILIES,
+                                GofConfig(reps=100, seed=1))
+        gumbel, = (e for e in entries if e.family == "gumbel_hougaard")
+        assert gumbel.error is None
+        assert gumbel.fitted.model.params[0] == pytest.approx(1.2289, abs=1e-4)
+        assert gumbel.cckl_to_empirical == pytest.approx(2.99e-4, abs=1e-6)
+
+    def test_select_prefers_product_over_equal_edge_fits(self):
+        data = CopulaModel("product", 3).sample(120, seed=101)
+        entries = select_copula(data, self.FAMILIES,
+                                GofConfig(reps=100, seed=1))
+        assert entries[0].family == "product"
+        edge = [e for e in entries
+                if e.fitted.method == "independence_edge"]
+        assert sorted(e.family for e in edge) == [
+            "clayton", "frank", "gumbel_hougaard", "joe"]
+        for e in edge:
+            assert e.fitted.model == CopulaModel("product", 3)
+            assert e.cckl_to_empirical == entries[0].cckl_to_empirical
