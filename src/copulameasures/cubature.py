@@ -27,6 +27,8 @@ and return m values; on every engine a wrong shape raises ValueError and
 NaN or infinity raises NonFiniteIntegrand.  ``max_evals`` caps every
 engine: each stops, with ToleranceNotReached, before a step that would
 pass it.
+The Sobol engine alone imports ``scipy.stats`` (for ``qmc``), on its
+first use, so that importing the package does not pay for it.
 
 Also hosts the two bounded integrand transforms used by every measure:
 :func:`xlogx` and :func:`xlog_ratio`.
@@ -41,7 +43,6 @@ from math import factorial
 from typing import Callable
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import DimensionUnsupported, NonFiniteIntegrand, ToleranceNotReached
 
@@ -333,6 +334,8 @@ def _integrate_grid(f, k, abs_tol, rel_tol, max_evals):
 def _integrate_qmc(f, k, seed, first_batch, abs_tol, rel_tol, max_evals):
     """Doubling Sobol loop, error 3 standard errors across randomizations;
     also runs the MVN CDF at k >= 4."""
+    from scipy.stats import qmc  # about 0.5 s, so paid by Sobol's users only
+
     engines = [
         qmc.Sobol(d=k, scramble=True,
                   seed=np.random.default_rng(np.random.SeedSequence((seed, rep))))

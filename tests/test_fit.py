@@ -1,7 +1,9 @@
 import zlib
+from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.stats import kendalltau
 
 from copulameasures import CopulaModel, estimate, kendall_tau, tau_to_param
 from copulameasures.errors import (
@@ -33,6 +35,67 @@ class TestKendallTau:
     def test_degenerate_column(self):
         with pytest.raises(DegenerateColumn):
             kendall_tau([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+    def test_nan_is_undefined(self):
+        with pytest.raises(DegenerateColumn, match="Kendall tau undefined"):
+            kendall_tau([1.0, np.nan, 3.0], [1.0, 2.0, 3.0])
+
+    def test_constant_column_in_a_fit(self):
+        data = np.random.default_rng(3).random((40, 3))
+        data[:, 1] = 0.5
+        with pytest.raises(DegenerateColumn):
+            estimate("clayton", data)
+
+
+def sweep_sample(rng, n, k, variant):
+    """An (n, k) sample: continuous, tied by rounding, with a reversed and
+    a duplicated column, or with +-inf entries."""
+    x = rng.standard_normal((n, k))
+    if variant == "rounded":
+        x = np.round(x, 1)
+    elif variant == "reversed_duplicated":
+        x = np.round(x, 2)
+        x[:, 1] = -x[:, 0]
+        x[:, -1] = x[:, 0]
+    elif variant == "infinite":
+        x[rng.random((n, k)) < 0.1] = np.inf
+        x[rng.random((n, k)) < 0.1] = -np.inf
+    return x
+
+
+class TestKendallTauMatchesScipy:
+    """The numpy tau-b carries the bits of scipy.stats.kendalltau, which
+    serves as the reference here only."""
+
+    SIZES = (*range(2, 41), 63, 64, 65, 100, 257, 511, 512, 513, 724, 1000,
+             2100)
+
+    @pytest.mark.parametrize("variant", ["continuous", "rounded",
+                                         "reversed_duplicated", "infinite"])
+    def test_sweep_bit_equal(self, variant):
+        rng = np.random.default_rng(zlib.crc32(variant.encode()))
+        compared = 0
+        for n in self.SIZES:
+            for k in range(2, 6):
+                x = sweep_sample(rng, n, k, variant)
+                if any(len(np.unique(col)) == 1 for col in x.T):
+                    continue
+                pairs = list(combinations(range(k), 2))
+                got = [kendall_tau(x[:, i], x[:, j]) for i, j in pairs]
+                want = [kendalltau(x[:, i], x[:, j]).statistic for i, j in pairs]
+                assert got == want, (variant, n, k)
+                if np.isfinite(x).all():  # the all-pairs form, in order
+                    stat = estimate("gaussian", x).sample_stat
+                    assert stat == tuple(want)
+                    assert all(type(t) is float for t in stat)
+                compared += len(pairs)
+        assert compared >= 1000
+
+    def test_ranks_past_sixteen_bits(self):
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal(2 ** 17 + 1)
+        y = np.round(x + rng.standard_normal(x.size), 3)
+        assert kendall_tau(x, y) == kendalltau(x, y).statistic
 
 
 class TestTauInversion:

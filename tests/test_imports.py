@@ -1,6 +1,7 @@
 """No library or test module imports a name it never uses, no private
-module-level name goes unreferenced in the package, and the package
-exports exactly what ``__init__.py`` imports.
+module-level name goes unreferenced in the package, the package exports
+exactly what ``__init__.py`` imports, and importing it (or running a CLI
+job off the Sobol engine) leaves ``scipy.stats`` unloaded.
 
 Stdlib ``ast`` checks standing in for a linter's unused-import and
 dead-code rules.  ``__init__.py`` is exempt from the first: its imports
@@ -8,11 +9,15 @@ are the package's re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import copulameasures
+from copulameasures import CopulaModel
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "copulameasures"
@@ -103,3 +108,50 @@ def test_all_lists_exactly_the_imports():
                 if isinstance(node, ast.ImportFrom) and node.module != "__future__"
                 for alias in node.names]
     assert sorted(copulameasures.__all__) == sorted(imported)
+
+
+# Imports the package in a fresh interpreter and runs the CLI on its
+# arguments, if any, which must succeed; then exits 1 if scipy.stats was
+# loaded, else 0.
+_GUARD = """
+import sys
+import copulameasures
+from copulameasures.cli import EXIT_OK, main
+if sys.argv[1:] and main(sys.argv[1:]) != EXIT_OK:
+    sys.exit(2)
+sys.exit(int("scipy.stats" in sys.modules))
+"""
+
+
+def scipy_stats_loaded(*argv: str) -> bool:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _GUARD, *argv], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode in (0, 1), run.stderr
+    return run.returncode == 1
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    assert not scipy_stats_loaded()
+
+
+def test_gof_leaves_scipy_stats_unloaded(tmp_path):
+    data = CopulaModel("frank", 3, (4.0,)).sample(40, seed=5)
+    csv = tmp_path / "frank3.csv"
+    csv.write_text("a,b,c\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in data))
+    assert not scipy_stats_loaded("gof", "--family", "frank", "--data",
+                                  str(csv), "--cols", "a,b,c", "--reps", "100")
+
+
+def test_measure_off_sobol_leaves_scipy_stats_unloaded():
+    assert not scipy_stats_loaded("measure", "--family", "gaussian", "--dim",
+                                  "3", "--params", "0.5,0.3,0.4", "--stat",
+                                  "cce")
+
+
+def test_sobol_loads_scipy_stats():
+    assert scipy_stats_loaded("measure", "--family", "product", "--dim", "5",
+                              "--stat", "cce")
