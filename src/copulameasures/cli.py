@@ -276,7 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common_measure(sp):
         sp.add_argument("--tol", type=float, default=None,
-                        help="absolute integration tolerance")
+                        help="absolute tolerance TOL: the error bound applied "
+                        "is max(TOL, 1e-6 |value|); TOL defaults to 1e-7, "
+                        "or 1e-4 under Sobol sampling")
 
     def add_data(sp):
         sp.add_argument("--data", required=True)

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 from scipy.special import digamma, factorial, polygamma
 
 from .copulas import CopulaModel, corr_from_upper_triangle
@@ -128,6 +126,8 @@ def _discordant(y: np.ndarray) -> np.ndarray:
 
 def debye1(theta: float) -> float:
     """First Debye function D1(x) = (1/x) int_0^x t/(e^t - 1) dt, x != 0."""
+    from scipy.integrate import quad  # here: only Frank fits pay its 0.2 s
+
     x = abs(theta)
     val, _ = quad(lambda t: t / np.expm1(t) if t > 0 else 1.0, 0.0, x,
                   epsabs=0.0, epsrel=1e-12, limit=200)
@@ -186,6 +186,8 @@ def tau_to_param(family: str, tau: float) -> float:
 
 def _solve_monotone(tau_of, target, lo, hi):
     """Bracketed root of tau_of(x) = target with an expanding upper end."""
+    from scipy.optimize import brentq  # here: only Frank and Joe fits load it
+
     for _ in range(60):
         if tau_of(hi) >= target:
             break

@@ -14,7 +14,12 @@ Three regimes, all deterministic:
   of probe scores, once per correlation, so the value lies within the
   stated 5e-10.  A correlation whose rule would need more than 1024
   nodes a path, or more than 40 halvings (some with smallest eigenvalue
-  below 1e-12), raises ToleranceNotReached.
+  below 1e-12), raises ToleranceNotReached.  Both paths' nodes form one
+  set of columns, evaluated in row blocks small enough for the cache:
+  per (point, node) one exp and one ndtr, besides two small matrix
+  products and the weighted sum.  From a few hundred points on, that is
+  about 0.8 us a point at 16 nodes a path, on one BLAS thread of a
+  shared 2-core Xeon.
 * k >= 4: separation-of-variables transform to the unit cube, integrated
   with scrambled Sobol points under a fixed internal seed.
 
@@ -38,7 +43,7 @@ from .errors import (CorrelationNotPD, DimensionMismatch, DimensionUnsupported,
 _INTERNAL_QMC_SEED = 0x6D764E
 _X_CLIP = 38.0  # ndtr saturates to 0/1 beyond this
 _ABS_TOL = 1e-8  # of one QMC value, k >= 4
-_TVN_BLOCK = 1 << 14  # rows per tvn_cdf call, whose temporaries are (rows, nodes)
+_TVN_ELEMS = 1 << 14  # (row, node) elements per block of the path integrals
 _TVN_AGREE = 1e-13  # of the CDF, between the n- and 2n-node path terms
 _TVN_CAP = 1024  # nodes per path; a rule that needs more raises
 _TVN_DEPTH = 40  # halvings toward a path's end; a nearer singularity raises
@@ -47,6 +52,7 @@ _TVN_PROBE_IM = np.array([(i, m) for i in range(-6, 7, 3)
                           for m in range(-6, 7, 3)], dtype=float)
 _TVN_LATTICE = np.array([(i, j, m) for i, m in _TVN_PROBE_IM
                          for j in range(-8, 9, 2)])
+_TVN_NO_RULE = (np.empty(0), np.empty((2, 0)), np.empty((3, 0)))  # no nodes
 
 
 def cholesky_corr(corr: np.ndarray) -> np.ndarray:
@@ -132,15 +138,18 @@ def _tvn_depth(r_ij, r_base, r_other):
 
 def _tvn_gauss_rule(r_ij, r_base, r_other, n_nodes, depth=0):
     """The composite Gauss-Legendre rule of one path integral, n nodes on
-    each of its depth + 1 panels: weights, then the node vectors of
-    ``_tvn_path_nodes``."""
+    each of its depth + 1 panels: the weights, the exponent's coefficients
+    of b_i^2 + b_m^2 and of b_i b_m, and the conditional argument's
+    coefficients of (b_i, b_j, b_m), one column per node."""
     x, w = _legendre(n_nodes)
     edges = np.append(1.0 - 0.5 ** np.arange(depth + 1), 1.0)
     end = np.arcsin(r_ij)
     half = (0.5 * np.diff(edges) * end)[:, None]
     theta = edges[:-1, None] * end + half * (x + 1.0)  # on [0, arcsin r_ij]
-    return ((half * w).ravel(),
-            *_tvn_path_nodes(theta.ravel(), r_ij, r_base, r_other))
+    sin_t, cos2, c_a, c_b, s2 = _tvn_path_nodes(theta.ravel(), r_ij, r_base,
+                                                r_other)
+    return ((half * w).ravel(), np.array([-0.5 / cos2, sin_t / cos2]),
+            np.array([-c_a, np.ones_like(s2), -c_b]) / s2)
 
 
 def _tvn_probe(r_ij, r_base, r_other):
@@ -180,18 +189,18 @@ def _tvn_path_rule(r_ij, r_base, r_other):
     nodes.
     """
     if r_ij == 0.0:
-        rule = (np.empty(0),) * 6
+        rule = _TVN_NO_RULE
     else:
         where = f"at correlation {r_ij!r} with {r_base!r}, {r_other!r}"
         depth = _tvn_depth(r_ij, r_base, r_other)
         if depth > _TVN_DEPTH:
             return (f"trivariate normal CDF: a singularity lies within "
                     f"2^-{_TVN_DEPTH} of the path's end {where}")
-        b_i, b_j, b_m = _tvn_probe(r_ij, r_base, r_other).T
+        probe = _tvn_probe(r_ij, r_base, r_other)
         gap, prev, n = np.inf, None, 8
         while (depth + 1) * n <= _TVN_CAP:
             rule = _tvn_gauss_rule(r_ij, r_base, r_other, n, depth)
-            cur = _tvn_path_term(b_i, b_j, b_m, rule)
+            cur = _tvn_paths(probe, rule, _TVN_NO_RULE)
             if prev is not None:
                 gap = np.max(np.abs(cur - prev)) / (2.0 * np.pi)
                 if gap <= _TVN_AGREE:
@@ -206,23 +215,47 @@ def _tvn_path_rule(r_ij, r_base, r_other):
     return rule
 
 
-def _tvn_path_term(b_i, b_j, b_m, rule):
-    """One correlation-path integral for the trivariate CDF, by the
-    ``_tvn_path_rule`` of its correlations.
+def _tvn_paths(b, rule_a, rule_c):
+    """The two correlation-path integrals of the trivariate CDF, summed,
+    at the rows (b_0, b_1, b_2) of ``b``: path a by ``rule_a`` with
+    (b_i, b_j, b_m) = (b_0, b_1, b_2), path c by ``rule_c`` with
+    (b_1, b_0, b_2).
 
-    Integrates the derivative of Phi_3 with respect to the (i,j)
+    Each integrates the derivative of Phi_3 with respect to the (i,j)
     correlation from 0 to r_ij, with the (i,j)=(1,2) base correlation
     ``r_base`` held fixed and the remaining path correlation ``r_other``
-    scaled in lockstep.  Uses the sine substitution that cancels the
-    1/sqrt(1-r^2) factor of the bivariate density.
+    scaled in lockstep, under the sine substitution that cancels the
+    1/sqrt(1-r^2) factor of the bivariate density.  The integrand at a
+    node is exp(expo) Phi(arg): both rules' nodes stack into one set of
+    columns, so expo and arg are two small products of per-row scores
+    with the stacked coefficients, and the rows go through in blocks of
+    about ``_TVN_ELEMS`` (row, node) elements, whose temporaries stay in
+    cache.
     """
-    w, sin_t, cos2, c_a, c_b, s2 = rule
-    # (points, nodes) broadcast
-    expo = -(b_i[:, None] ** 2 - 2.0 * sin_t * b_i[:, None] * b_m[:, None]
-             + b_m[:, None] ** 2) / (2.0 * cos2)
-    cond = (b_j[:, None] - c_a * b_i[:, None] - c_b * b_m[:, None]) / s2
-    vals = np.exp(expo) * ndtr(cond)
-    return vals @ w
+    w = np.concatenate([rule_a[0], rule_c[0]])
+    n_a, n = len(rule_a[0]), len(w)
+    # over the scores b_0^2 + b_2^2, b_1^2 + b_2^2, b_0 b_2, b_1 b_2
+    expo_coef = np.zeros((4, n))
+    expo_coef[0::2, :n_a] = rule_a[1]
+    expo_coef[1::2, n_a:] = rule_c[1]
+    arg_coef = np.concatenate([rule_a[2], rule_c[2][[1, 0, 2]]], axis=1)
+    sq = b * b
+    feats = np.column_stack([sq[:, 0] + sq[:, 2], sq[:, 1] + sq[:, 2],
+                             b[:, 0] * b[:, 2], b[:, 1] * b[:, 2]])
+    step = max(1, _TVN_ELEMS // max(n, 1))
+    expo = np.empty((min(step, len(b)), n))
+    arg = np.empty_like(expo)
+    out = np.empty(len(b))
+    for lo in range(0, len(b), step):
+        hi = min(lo + step, len(b))
+        e, a = expo[:hi - lo], arg[:hi - lo]
+        np.matmul(feats[lo:hi], expo_coef, out=e)
+        np.matmul(b[lo:hi], arg_coef, out=a)
+        np.exp(e, out=e)
+        ndtr(a, out=a)
+        e *= a
+        np.matmul(e, w, out=out[lo:hi])
+    return out
 
 
 def _tvn_plan(corr):
@@ -248,9 +281,8 @@ def tvn_cdf(x: np.ndarray, corr: np.ndarray) -> np.ndarray:
     p, rb, (rule_a, rule_c) = _tvn_plan(corr)
     b = x[:, p]
     base = bvn_cdf(b[:, 0], b[:, 1], rb) * ndtr(b[:, 2])
-    t1 = _tvn_path_term(b[:, 0], b[:, 1], b[:, 2], rule_a)
-    t2 = _tvn_path_term(b[:, 1], b[:, 0], b[:, 2], rule_c)
-    return np.clip(base + (t1 + t2) / (2.0 * np.pi), 0.0, 1.0)
+    return np.clip(base + _tvn_paths(b, rule_a, rule_c) / (2.0 * np.pi),
+                   0.0, 1.0)
 
 
 def _mvn_qmc(x: np.ndarray, corr: np.ndarray, abs_tol: float) -> Estimate:
@@ -313,10 +345,7 @@ def mvn_cdf_many(corr: np.ndarray, X: np.ndarray) -> np.ndarray:
     if k == 2:
         return np.asarray(bvn_cdf(X[:, 0], X[:, 1], float(corr[0, 1])))
     if k == 3:
-        out = np.empty(len(X))
-        for lo in range(0, len(X), _TVN_BLOCK):
-            out[lo:lo + _TVN_BLOCK] = tvn_cdf(X[lo:lo + _TVN_BLOCK], corr)
-        return out
+        return tvn_cdf(X, corr)
     try:
         return np.array([_mvn_qmc(x, corr, _ABS_TOL).value for x in X])
     except ToleranceNotReached as exc:  # a CDF value, not the caller's estimate

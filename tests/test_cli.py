@@ -282,7 +282,7 @@ GOLDEN = [
                 "circulating denominators fail at a1 = a2 = 1"])),
     (_measure("gaussian", 3, "rho", "0.5,0.3,0.4"), EXIT_OK,
      _measured("gaussian", 3, [0.5, 0.3, 0.4], "rho",
-               {"value": 0.3849044027159727, "error": 1.3592865192290019e-06,
+               {"value": 0.3849044027159727, "error": 1.3592865192195011e-06,
                 "method": "cubature", "closed_form": None})),
     (_measure("cuadras_auge", 3, "bk", "0.3,0.5,0.7"), EXIT_OK,
      _measured("cuadras_auge", 3, [0.3, 0.5, 0.7], "bk",

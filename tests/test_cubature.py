@@ -188,8 +188,8 @@ _SUBDIVISION_PINS = {
         (0.05992544751113801, 9.570993246855997e-06, 1551)),
     "gaussian3-bk": (
         lambda cfg: b_k(C("gaussian", 3, (0.5, 0.3, 0.4)), cfg),
-        (0.1731130503394966, 1.6991081490362524e-07, 43131),
-        (0.17311246657490761, 9.9914772880654e-06, 1749)),
+        (0.1731130503394966, 1.6991081490243764e-07, 43131),
+        (0.17311246657490761, 9.991477288065644e-06, 1749)),
     "product3-fcce": (
         lambda cfg: fcce(C("product", 3), 0.5, cfg),
         (0.1468727538637833, 1.4127339931714416e-07, 11979),

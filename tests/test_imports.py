@@ -1,7 +1,8 @@
 """No library or test module imports a name it never uses, no private
 module-level name goes unreferenced in the package, the package exports
 exactly what ``__init__.py`` imports, and importing it (or running a CLI
-job off the Sobol engine) leaves ``scipy.stats`` unloaded.
+job that needs none of them) leaves ``scipy.stats``, ``scipy.integrate``
+and ``scipy.optimize`` unloaded.
 
 Stdlib ``ast`` checks standing in for a linter's unused-import and
 dead-code rules.  ``__init__.py`` is exempt from the first: its imports
@@ -111,47 +112,60 @@ def test_all_lists_exactly_the_imports():
 
 
 # Imports the package in a fresh interpreter and runs the CLI on its
-# arguments, if any, which must succeed; then exits 1 if scipy.stats was
-# loaded, else 0.
+# arguments, if any, which must succeed; then exits 1 if the module named
+# first was loaded, else 0.
 _GUARD = """
 import sys
 import copulameasures
 from copulameasures.cli import EXIT_OK, main
-if sys.argv[1:] and main(sys.argv[1:]) != EXIT_OK:
+if sys.argv[2:] and main(sys.argv[2:]) != EXIT_OK:
     sys.exit(2)
-sys.exit(int("scipy.stats" in sys.modules))
+sys.exit(int(sys.argv[1] in sys.modules))
 """
+LAZY = ("scipy.stats", "scipy.integrate", "scipy.optimize")
 
 
-def scipy_stats_loaded(*argv: str) -> bool:
+def loaded(module: str, *argv: str) -> bool:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", _GUARD, *argv], env=env,
-                         capture_output=True, text=True, timeout=300)
+    run = subprocess.run([sys.executable, "-c", _GUARD, module, *argv],
+                         env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode in (0, 1), run.stderr
     return run.returncode == 1
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    assert not scipy_stats_loaded()
+@pytest.mark.parametrize("module", LAZY)
+def test_import_leaves_module_unloaded(module):
+    assert not loaded(module)
 
 
-def test_gof_leaves_scipy_stats_unloaded(tmp_path):
+@pytest.fixture(scope="module")
+def frank_gof(tmp_path_factory):
+    """A CLI gof call on a Frank sample: its fit inverts Frank's tau."""
     data = CopulaModel("frank", 3, (4.0,)).sample(40, seed=5)
-    csv = tmp_path / "frank3.csv"
+    csv = tmp_path_factory.mktemp("gof") / "frank3.csv"
     csv.write_text("a,b,c\n" + "".join(
         ",".join(repr(float(v)) for v in row) + "\n" for row in data))
-    assert not scipy_stats_loaded("gof", "--family", "frank", "--data",
-                                  str(csv), "--cols", "a,b,c", "--reps", "100")
+    return ("gof", "--family", "frank", "--data", str(csv), "--cols", "a,b,c",
+            "--reps", "100")
 
 
-def test_measure_off_sobol_leaves_scipy_stats_unloaded():
-    assert not scipy_stats_loaded("measure", "--family", "gaussian", "--dim",
-                                  "3", "--params", "0.5,0.3,0.4", "--stat",
-                                  "cce")
+def test_gof_leaves_scipy_stats_unloaded(frank_gof):
+    assert not loaded("scipy.stats", *frank_gof)
+
+
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.optimize"])
+def test_frank_fit_loads_quad_and_brentq(frank_gof, module):
+    assert loaded(module, *frank_gof)
+
+
+@pytest.mark.parametrize("module", LAZY)
+def test_gaussian_measure_leaves_module_unloaded(module):
+    assert not loaded(module, "measure", "--family", "gaussian", "--dim", "3",
+                      "--params", "0.5,0.3,0.4", "--stat", "cce")
 
 
 def test_sobol_loads_scipy_stats():
-    assert scipy_stats_loaded("measure", "--family", "product", "--dim", "5",
-                              "--stat", "cce")
+    assert loaded("scipy.stats", "measure", "--family", "product", "--dim",
+                  "5", "--stat", "cce")

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -262,23 +266,8 @@ def test_trivariate_reports_the_evaluations_spent(r, evals):
     assert est.evals == sum(len(rule[0]) for rule in _tvn_plan(corr3(*r))[2])
 
 
-def test_trivariate_seeded_sweep_within_stated_error(monkeypatch):
-    """200 correlations with smallest eigenvalue log-uniform in [1e-12, 1]:
-    each chosen rule lies within 5e-10 of rules with four times its nodes
-    a panel and four more halvings toward the path's end."""
-    rng = np.random.default_rng(0)
-    X = np.concatenate([rng.normal(size=(60, 3)) * 2.0,
-                        rng.uniform(-8.0, 8.0, (40, 3)), [[0.0, -0.2, -0.2]]])
-    chosen = mvnorm._tvn_path_rule
-
-    def finer(r_ij, r_base, r_other):
-        n_nodes = len(chosen(r_ij, r_base, r_other)[0])
-        if n_nodes == 0:
-            return chosen(r_ij, r_base, r_other)
-        depth = mvnorm._tvn_depth(r_ij, r_base, r_other)
-        return mvnorm._tvn_gauss_rule(r_ij, r_base, r_other,
-                                      4 * n_nodes // (depth + 1), depth + 4)
-
+def sweep_correlations(rng):
+    """200 correlations with smallest eigenvalue log-uniform in [1e-12, 1]."""
     for _ in range(200):
         lam = 10.0 ** rng.uniform(-12.0, 0.0)
         while True:  # shrink a random correlation to smallest eigenvalue lam
@@ -286,13 +275,111 @@ def test_trivariate_seeded_sweep_within_stated_error(monkeypatch):
             low = np.linalg.eigvalsh(corr)[0]
             if low > lam:
                 shift = (low - lam) / (1.0 - lam)
-                corr = (corr - shift * np.eye(3)) / (1.0 - shift)
+                yield lam, (corr - shift * np.eye(3)) / (1.0 - shift)
                 break
+
+
+def sweep_points(rng):
+    return np.concatenate([rng.normal(size=(60, 3)) * 2.0,
+                           rng.uniform(-8.0, 8.0, (40, 3)), [[0.0, -0.2, -0.2]]])
+
+
+def test_trivariate_seeded_sweep_within_stated_error(monkeypatch):
+    """200 correlations with smallest eigenvalue log-uniform in [1e-12, 1]:
+    each chosen rule lies within 5e-10 of rules with four times its nodes
+    a panel and four more halvings toward the path's end."""
+    rng = np.random.default_rng(0)
+    X = sweep_points(rng)
+    chosen = mvnorm._tvn_path_rule
+    finer_calls = 0
+
+    def finer(r_ij, r_base, r_other):
+        nonlocal finer_calls
+        finer_calls += 1
+        n_nodes = len(chosen(r_ij, r_base, r_other)[0])
+        if n_nodes == 0:
+            return chosen(r_ij, r_base, r_other)
+        depth = mvnorm._tvn_depth(r_ij, r_base, r_other)
+        return mvnorm._tvn_gauss_rule(r_ij, r_base, r_other,
+                                      4 * n_nodes // (depth + 1), depth + 4)
+
+    moved = 0
+    for lam, corr in sweep_correlations(rng):
         got = tvn_cdf(np.concatenate([X, slab_points(corr)]), corr)
         with monkeypatch.context() as m:
             m.setattr(mvnorm, "_tvn_path_rule", finer)
             ref = tvn_cdf(np.concatenate([X, slab_points(corr)]), corr)
         assert np.max(np.abs(got - ref)) <= 5e-10, (corr, lam)
+        moved += not np.array_equal(got, ref)
+    # the finer rules were used, not a cache of the chosen ones
+    assert finer_calls >= 400 and moved > 0
+
+
+def two_path_reference(X, corr):
+    """The trivariate CDF with each path integral summed node by node from
+    the angles of its chosen rule, apart from the fused kernel."""
+    p, rb, rules = _tvn_plan(corr)
+    c = corr[np.ix_(p, p)]
+    b = X[:, p]
+    total = 0.0
+    for (i, j), r_ij, r_other, rule in (((0, 1), c[0, 2], c[1, 2], rules[0]),
+                                        ((1, 0), c[1, 2], c[0, 2], rules[1])):
+        if len(rule[0]) == 0:
+            continue
+        depth = mvnorm._tvn_depth(r_ij, rb, r_other)
+        x, w = np.polynomial.legendre.leggauss(len(rule[0]) // (depth + 1))
+        edges = np.append(1.0 - 0.5 ** np.arange(depth + 1), 1.0)
+        end = np.arcsin(r_ij)
+        half = (0.5 * np.diff(edges) * end)[:, None]
+        theta = (edges[:-1, None] * end + half * (x + 1.0)).ravel()
+        w = (half * w).ravel()
+        sin_t, cos2, c_a, c_b, s2 = mvnorm._tvn_path_nodes(theta, r_ij, rb,
+                                                            r_other)
+        b_i, b_j, b_m = b[:, i, None], b[:, j, None], b[:, 2, None]
+        expo = -(b_i ** 2 - 2.0 * sin_t * b_i * b_m + b_m ** 2) / (2.0 * cos2)
+        cond = (b_j - c_a * b_i - c_b * b_m) / s2
+        total = total + (np.exp(expo) * mvnorm.ndtr(cond)) @ w
+    base = bvn_cdf(b[:, 0], b[:, 1], rb) * mvnorm.ndtr(b[:, 2])
+    return np.clip(base + total / (2.0 * np.pi), 0.0, 1.0)
+
+
+def test_trivariate_fused_paths_match_two_path_reference():
+    """Stacking both paths' nodes into one pass moves no value by more than
+    a few rounding steps, on the sweep's points and the probe lattice."""
+    rng = np.random.default_rng(0)
+    X = np.concatenate([sweep_points(rng), mvnorm._TVN_LATTICE])
+    worst = 0.0
+    for _, corr in sweep_correlations(rng):
+        got = tvn_cdf(X, corr)
+        worst = max(worst, np.max(np.abs(got - two_path_reference(X, corr))))
+    assert worst <= 4e-16
+
+
+_THREAD_DIGEST = """
+import hashlib, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from copulameasures.mvnorm import tvn_cdf
+rng = np.random.default_rng(4)
+X = rng.normal(size=(20_000, 3)) * 2.0
+h = hashlib.sha256()
+for r in [(0.5, 0.3, 0.4), (-0.5, 0.1, 0.8111), (0.3, 0.1, 0.9791)]:
+    corr = np.array([[1.0, r[0], r[1]], [r[0], 1.0, r[2]], [r[1], r[2], 1.0]])
+    h.update(tvn_cdf(X, corr).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_trivariate_bits_do_not_depend_on_blas_threads():
+    src = str(Path(mvnorm.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", _THREAD_DIGEST, src],
+                             env=env, capture_output=True, text=True,
+                             timeout=300, check=True)
+        digests.add(run.stdout)
+    assert len(digests) == 1
 
 
 def test_k4_qmc_against_density_cubature():
