@@ -379,6 +379,10 @@ def main(argv=None) -> int:
         return args.func(args, argv)
     except (CopulaError, OSError, ValueError) as exc:
         log.error("%s: %s", type(exc).__name__, exc)
+        est = getattr(exc, "estimate", None)  # a failed integration's best
+        if est is not None:
+            log.error("best estimate %r, error %.3e, after %d evaluations",
+                      est.value, est.error, est.evals)
         return EXIT_ERROR
 
 

@@ -103,10 +103,8 @@ def empirical_copula_cdf_many(rs: RankedSample, U: np.ndarray) -> np.ndarray:
     block height, so the bits are those of one (m, N, k) comparison."""
     U = _unit_points(U, rs.k)
     e = rs.pseudo_observations()
-    step = max(1, _TN_BLOCK // rs.n)
     out = np.empty(len(U))
-    for lo in range(0, len(U), step):
-        rows = slice(lo, lo + step)
+    for rows, _ in _grid_rows((len(U),), _TN_BLOCK // rs.n):
         out[rows] = (e <= U[rows, None, :]).all(axis=2).mean(axis=1)
     return out
 
@@ -216,10 +214,8 @@ class EmpiricalBetaCopula(Copula):
         dense (m, N) product."""
         U = _unit_points(U, self.dim)
         n, r = self.rs.n, self.rs.ranks - 1
-        step = max(1, _TN_BLOCK // n)
         out = np.empty(len(U))
-        for lo in range(0, len(U), step):
-            rows = slice(lo, lo + step)
+        for rows, _ in _grid_rows((len(U),), _TN_BLOCK // n):
             prod = np.take(_binomial_survival(U[rows, 0], n), r[:, 0], axis=1)
             for j in range(1, self.rs.k):
                 prod *= np.take(_binomial_survival(U[rows, j], n), r[:, j], axis=1)

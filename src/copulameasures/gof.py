@@ -16,16 +16,16 @@ resample, a :class:`~copulameasures.copulas.CopulaModel` is held fixed.
 
 Replicate r of outer seed s uses the derived stream ``substream(s, r)``;
 replicates are embarrassingly parallel and results do not depend on the
-worker count.  With more than one worker each public call runs its
-replicates in one process pool; ``select_copula`` shares one pool across
-its candidates.
+worker count.  Each public call maps its replicates with one ``run``
+from ``_pool``, serial for one worker and over one process pool
+otherwise; ``select_copula`` shares it across its candidates.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -116,31 +116,26 @@ def _replicate_task(args):
     return t_statistic(rs, _resolve(null, data).model)
 
 
+@contextmanager
 def _pool(workers: int):
-    """A context that gives a pool of ``workers`` processes, or None (run
-    serially) for one worker."""
+    """The map ``run(task, args, chunksize)``, [task(a) for a in args]:
+    serial for one worker, else over one pool of ``workers`` processes."""
     if workers > 1:
-        return ProcessPoolExecutor(max_workers=workers)
-    return nullcontext()
-
-
-def _run(task, args: list, pool: ProcessPoolExecutor | None,
-         chunksize: int) -> list:
-    """[task(a) for a in args], in ``pool`` unless it is None."""
-    if pool is None:
-        return [task(a) for a in args]
-    return list(pool.map(task, args, chunksize=chunksize))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield lambda task, args, chunksize: list(
+                pool.map(task, args, chunksize=chunksize))
+    else:
+        yield lambda task, args, chunksize: [task(a) for a in args]
 
 
 def _statistics(sample_model: CopulaModel, null: str | CopulaModel, n: int,
-                base: int, cfg: GofConfig,
-                pool: ProcessPoolExecutor | None) -> np.ndarray:
+                base: int, cfg: GofConfig, run) -> np.ndarray:
     """T_N of cfg.reps size-n samples of sample_model, replicate r drawn
     from ``substream(base, r)`` and scored against the null resolved on
-    it; run in pool."""
+    it; mapped by ``run``."""
     tasks = [(sample_model, null, n, substream_seed(base, r))
              for r in range(cfg.reps)]
-    return np.array(_run(_replicate_task, tasks, pool, chunksize=32))
+    return np.array(run(_replicate_task, tasks, chunksize=32))
 
 
 def _percentile(stats: np.ndarray, cfg: GofConfig) -> float:
@@ -157,21 +152,20 @@ def bootstrap_test(data: np.ndarray, null: str | CopulaModel,
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     fitted = _resolve(null, data)
-    with _pool(cfg.workers) as pool:
-        return _bootstrap(data, null, fitted, cfg, pool)
+    with _pool(cfg.workers) as run:
+        return _bootstrap(data, null, fitted, cfg, run)
 
 
 def _bootstrap(data: np.ndarray, null: str | CopulaModel,
-               fitted: fit.FitResult, cfg: GofConfig,
-               pool: ProcessPoolExecutor | None) -> GofReport:
+               fitted: fit.FitResult, cfg: GofConfig, run) -> GofReport:
     """:func:`bootstrap_test` of 2-d float data against ``null``, resolved
-    on the data as ``fitted``, its replicates run in ``pool``."""
+    on the data as ``fitted``, its replicates mapped by ``run``."""
     tie_seed = substream_seed(cfg.seed, _PHASE_TIE)
     rs = rank_with_random_ties(data, tie_seed=tie_seed)
     observed = t_statistic(rs, fitted.model)
 
     stats = _statistics(fitted.model, null, len(data),
-                        substream_seed(cfg.seed, _PHASE_REPLICATES), cfg, pool)
+                        substream_seed(cfg.seed, _PHASE_REPLICATES), cfg, run)
     p_value = float(np.count_nonzero(stats >= observed) / cfg.reps)
     return GofReport(observed_t=observed, percentile=_percentile(stats, cfg),
                      p_value=p_value, reps=cfg.reps, alpha=cfg.alpha,
@@ -181,15 +175,14 @@ def _bootstrap(data: np.ndarray, null: str | CopulaModel,
 
 def calibrate_percentile(model: CopulaModel, n: int, cfg: GofConfig) -> float:
     """(1 - alpha) empirical quantile of T_N under a known-parameter null."""
-    with _pool(cfg.workers) as pool:
-        return _calibrate(model, n, cfg, pool)
+    with _pool(cfg.workers) as run:
+        return _calibrate(model, n, cfg, run)
 
 
-def _calibrate(model: CopulaModel, n: int, cfg: GofConfig,
-               pool: ProcessPoolExecutor | None) -> float:
-    """:func:`calibrate_percentile`, its statistics run in ``pool``."""
+def _calibrate(model: CopulaModel, n: int, cfg: GofConfig, run) -> float:
+    """:func:`calibrate_percentile`, its statistics mapped by ``run``."""
     base = substream_seed(cfg.seed, _PHASE_CALIBRATE)
-    return _percentile(_statistics(model, model, n, base, cfg, pool), cfg)
+    return _percentile(_statistics(model, model, n, base, cfg, run), cfg)
 
 
 def power_study(null: str | CopulaModel, true_model: CopulaModel, n: int,
@@ -206,16 +199,16 @@ def power_study(null: str | CopulaModel, true_model: CopulaModel, n: int,
             raise DimensionMismatch(
                 f"null dimension {null.dim} != true model dimension "
                 f"{true_model.dim}")
-        with _pool(cfg.workers) as pool:
-            pct = _calibrate(null, n, cfg, pool)
-            stats = _statistics(true_model, null, n, data_base, cfg, pool)
+        with _pool(cfg.workers) as run:
+            pct = _calibrate(null, n, cfg, run)
+            stats = _statistics(true_model, null, n, data_base, cfg, run)
         return 100.0 * float(np.mean(stats >= pct))
     # one pool over the datasets; each nested bootstrap runs serially
     tasks = [(true_model, null, n,
               replace(cfg, seed=substream_seed(data_base, r), workers=1))
              for r in range(cfg.reps)]
-    with _pool(cfg.workers) as pool:
-        rejections = _run(_power_task, tasks, pool, chunksize=1)
+    with _pool(cfg.workers) as run:
+        rejections = run(_power_task, tasks, chunksize=1)
     return 100.0 * sum(rejections) / cfg.reps
 
 
@@ -253,13 +246,13 @@ def select_copula(data: np.ndarray, candidate_families, cfg: GofConfig,
 
     entries = []
     select_base = substream_seed(cfg.seed, _PHASE_SELECT)
-    with _pool(cfg.workers) as pool:
+    with _pool(cfg.workers) as run:
         for i, family in enumerate(candidate_families):
             sub = replace(cfg, seed=substream_seed(select_base, i))
             try:
                 fitted = fit.estimate(family, data)
                 dist = cckl(beta, fitted.model, integration_cfg).value
-                report = _bootstrap(data, family, fitted, sub, pool)
+                report = _bootstrap(data, family, fitted, sub, run)
             except Exception as exc:  # reported, not dropped
                 entries.append(SelectionEntry(family, None, None, None, None,
                                               f"{type(exc).__name__}: {exc}"))

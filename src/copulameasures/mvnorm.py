@@ -23,9 +23,11 @@ Three regimes, all deterministic:
 * k >= 4: separation-of-variables transform to the unit cube, integrated
   with scrambled Sobol points under a fixed internal seed.
 
-Correlation inputs are full matrices.  Scores are clipped to +-38 where
-a point enters, so infinite ones give limits.  ``mvn_cdf`` validates both
-and rejects NaN scores; ``mvn_cdf_many`` trusts its caller.
+Correlation inputs are full matrices under one check, ``_check_corr``:
+square, finite, symmetric and unit-diagonal within 1e-12, entries in
+[-1, 1].  Scores are clipped to +-38 where a point enters, so infinite
+ones give limits.  ``mvn_cdf`` checks both and rejects NaN scores;
+``mvn_cdf_many`` trusts its caller.
 """
 
 from __future__ import annotations
@@ -55,17 +57,24 @@ _TVN_LATTICE = np.array([(i, j, m) for i, m in _TVN_PROBE_IM
 _TVN_NO_RULE = (np.empty(0), np.empty((2, 0)), np.empty((3, 0)))  # no nodes
 
 
-def cholesky_corr(corr: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor, raising CorrelationNotPD on failure."""
+def _check_corr(corr) -> np.ndarray:
+    """``corr`` as floats, if square, finite, symmetric and unit-diagonal
+    within 1e-12 absolute, off-diagonal in [-1, 1]; else CorrelationNotPD."""
     corr = np.asarray(corr, dtype=float)
-    if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
-        raise CorrelationNotPD("correlation must be a square matrix")
-    if not np.allclose(corr, corr.T, atol=1e-12):
-        raise CorrelationNotPD("correlation matrix is not symmetric")
-    if not np.allclose(np.diag(corr), 1.0, atol=1e-12):
-        raise CorrelationNotPD("correlation diagonal must be 1")
+    if (corr.ndim != 2 or corr.shape[0] != corr.shape[1]
+            or not np.isfinite(corr).all()  # first, as inf - inf warns
+            or np.any(np.abs(corr - corr.T) > 1e-12)
+            or np.any(np.abs(np.diag(corr) - 1.0) > 1e-12)
+            or np.any(np.abs(np.triu(corr, 1)) > 1.0)):
+        raise CorrelationNotPD("correlation must be a square, finite, symmetric, "
+                               "unit-diagonal matrix with entries in [-1, 1]")
+    return corr
+
+
+def cholesky_corr(corr: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor after ``_check_corr``; CorrelationNotPD on failure."""
     try:
-        return np.linalg.cholesky(corr)
+        return np.linalg.cholesky(_check_corr(corr))
     except np.linalg.LinAlgError:
         raise CorrelationNotPD("Cholesky factorization failed") from None
 
@@ -311,7 +320,9 @@ def _mvn_qmc(x: np.ndarray, corr: np.ndarray, abs_tol: float) -> Estimate:
 
 
 def mvn_cdf(corr: np.ndarray, x, abs_tol: float = _ABS_TOL) -> Estimate:
-    """P(Z <= x) for Z ~ N(0, corr), k >= 2; abs_tol binds from k = 4 on."""
+    """P(Z <= x) for Z ~ N(0, corr), k >= 2; abs_tol binds from k = 4 on.
+    ``corr`` must pass ``_check_corr``, where +-1 is a valid limit at
+    k = 2, and be positive definite from k = 3, else CorrelationNotPD."""
     if not abs_tol > 0:  # NaN fails too
         raise ValueError("abs_tol must be positive")
     corr = np.asarray(corr, dtype=float)
@@ -324,12 +335,7 @@ def mvn_cdf(corr: np.ndarray, x, abs_tol: float = _ABS_TOL) -> Estimate:
     if k < 2:
         raise DimensionUnsupported("mvn_cdf needs dimension k >= 2")
     if k == 2:
-        # the comonotone and countermonotone boundaries are valid limits
-        if (corr.shape != (2, 2) or not np.all(np.isfinite(corr))
-                or abs(corr[1, 0] - corr[0, 1]) > 1e-12 or abs(corr[0, 1]) > 1.0
-                or np.any(np.abs(np.diag(corr) - 1) > 1e-12)):
-            raise CorrelationNotPD("invalid bivariate correlation matrix")
-        return Estimate(float(mvn_cdf_many(corr, x)[0]), 5e-15, 1)
+        return Estimate(float(mvn_cdf_many(_check_corr(corr), x)[0]), 5e-15, 1)
     cholesky_corr(corr)
     if k == 3:  # evaluations: the nodes of both path rules
         evals = sum(len(rule[0]) for rule in _tvn_plan(corr)[2])

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -161,6 +162,21 @@ class TestCommands:
         assert main(["measure", "--family", "clayton", "--dim", "2",
                      "--params", "1", "--stat", "cce", "--tol", "nan"]) == EXIT_ERROR
         assert "ValueError: abs_tol must be positive" in caplog.text
+
+    def test_unreached_tolerance_logs_the_best_estimate(self, capsys, caplog):
+        """No report and exit 2, but the estimate the budget bought is
+        logged on a second ERROR line."""
+        code, out = run_cli(["measure", "--family", "product", "--dim", "5",
+                             "--stat", "ccigf:20", "--tol", "1e-12"], capsys)
+        assert (code, out) == (EXIT_ERROR, "")
+        first, second = [r.getMessage() for r in caplog.records
+                         if r.levelname == "ERROR"]
+        assert first.startswith("ToleranceNotReached: error 7.125e-08 ")
+        value, error, evals = re.fullmatch(
+            r"best estimate (\S+), error (\S+), after (\d+) evaluations",
+            second).groups()
+        assert 0.0 < float(value) < 1e-6
+        assert (error, evals) == ("7.125e-08", "8388608")
 
     @pytest.mark.parametrize("name", ["", "never.csv"])
     def test_unreadable_data_exit_code(self, tmp_path, name, capsys, caplog):

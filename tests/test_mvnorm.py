@@ -445,6 +445,17 @@ def test_bivariate_malformed_correlation_rejected(corr):
         mvn_cdf(np.array(corr), [0.0, 0.0])
 
 
+@pytest.mark.parametrize("entry, value", [((1, 0), 0.500004), ((2, 2), 1.000009)])
+def test_trivariate_drifted_correlation_rejected(entry, value):
+    """A triangle or a diagonal off by more than 1e-12 raises at k = 3 as
+    at k = 2; the path integrals read the upper triangle alone, so it
+    would return the value of the matrix without the drift."""
+    corr = np.array([[1.0, 0.5, 0.3], [0.5, 1.0, 0.4], [0.3, 0.4, 1.0]])
+    corr[entry] = value
+    with pytest.raises(CorrelationNotPD):
+        mvn_cdf(corr, [0.1, 0.2, 0.3])
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("where", [0, -1])
 def test_nan_score_rejected(k, where):
