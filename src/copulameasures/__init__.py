@@ -21,13 +21,7 @@ from .copulas import (
     archimedean_generator,
     corr_from_upper_triangle,
 )
-from .cubature import (
-    Estimate,
-    IntegrationConfig,
-    integrate_unit_cube,
-    xlog_ratio,
-    xlogx,
-)
+from .cubature import Estimate, IntegrationConfig, integrate_unit_cube
 from .empirical import (
     EmpiricalBetaCopula,
     RankedSample,
@@ -55,6 +49,8 @@ from .measures import (
     fcce,
     spearman_rho_minus,
     spearman_n,
+    xlog_ratio,
+    xlogx,
 )
 from .mvnorm import mvn_cdf, mvn_cdf_many
 

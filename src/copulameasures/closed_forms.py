@@ -113,21 +113,13 @@ def closed_form_ccigf(model: CopulaModel, s: float) -> float:
 
 
 def closed_form_cce(model: CopulaModel) -> float:
-    """Closed-form cumulative copula entropy."""
-    fam, k = model.family, model.dim
-    if fam == "product":
-        return k / 2.0 ** (k + 1)
-    if fam == "min":
-        xs = np.arange(k)
-        return k * float(np.sum(
-            [math.comb(k - 1, x) * (-1.0) ** x / (x + 2.0) ** 2 for x in xs]))
-    if fam == "lower_bound_w":
-        return 1.0 / 4.0 - 1.0 / 9.0
-    if fam == "cuadras_auge":
-        thetas = model._ca_thetas
-        _, i_vals = _ca_terms(thetas)
-        return math.factorial(k) * float(np.sum(thetas * i_vals))
-    raise NoClosedForm(f"no closed-form entropy for {fam}")
+    """Closed-form cumulative copula entropy: fcce at r = 1, except
+    Cuadras-Auge."""
+    if model.family != "cuadras_auge":
+        return closed_form_fcce(model, 1.0)
+    thetas = model._ca_thetas
+    _, i_vals = _ca_terms(thetas)
+    return math.factorial(model.dim) * float(np.sum(thetas * i_vals))
 
 
 def closed_form_fcce(model: CopulaModel, r: float) -> float:

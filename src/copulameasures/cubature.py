@@ -29,9 +29,8 @@ engine: each stops, with ToleranceNotReached, before a step that would
 pass it.
 The Sobol engine alone imports ``scipy.stats`` (for ``qmc``), on its
 first use, so that importing the package does not pay for it.
-
-Also hosts the two bounded integrand transforms used by every measure:
-:func:`xlogx` and :func:`xlog_ratio`.
+This module only integrates: the measures' integrands, :func:`xlogx`
+and :func:`xlog_ratio` among them, live in :mod:`~copulameasures.measures`.
 """
 
 from __future__ import annotations
@@ -103,40 +102,6 @@ class Estimate:
     value: float
     error: float
     evals: int
-
-
-def xlogx(c):
-    """-c*ln(c) on [0,1] with the continuity convention 0 -> 0.
-
-    Inputs are clamped into [0,1]; the range is a subset of [0, 1/e].
-    """
-    c = np.clip(c, 0.0, 1.0)
-    out = np.zeros_like(c, dtype=float)
-    mask = c > 0.0
-    np.multiply(-c, np.log(c, where=mask, out=np.zeros_like(out)), where=mask, out=out)
-    return out if out.ndim else float(out)
-
-
-def xlog_ratio(c1, c2):
-    """c1*ln(c1/c2) - c1 + c2, the pointwise-nonnegative KL integrand.
-
-    Conventions: c1 = 0 gives c2; c1 > 0 with c2 = 0 gives +inf, a value
-    level flag the divergence measure interprets.  Never raises.
-    """
-    c1 = np.asarray(c1, dtype=float)
-    c2 = np.asarray(c2, dtype=float)
-    c1, c2 = np.broadcast_arrays(c1, c2)
-    out = np.array(c2, dtype=float, copy=True)  # the c1 == 0 branch
-    pos = c1 > 0.0
-    ok = pos & (c2 > 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = c1 * (np.log(c1, where=pos, out=np.zeros_like(out))
-                    - np.log(c2, where=ok, out=np.zeros_like(out))) - c1 + c2
-    out[ok] = val[ok]
-    out[pos & ~ok] = np.inf
-    # The identity x ln(x/y) - x + y >= 0 can dip an ulp below zero.
-    np.clip(out, 0.0, None, out=out)
-    return out if out.ndim else float(out)
 
 
 def _values(f, x, shape) -> np.ndarray:

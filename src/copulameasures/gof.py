@@ -5,7 +5,10 @@ nonnegative integrand evaluated at the pseudo-observations, with the
 empirical beta copula standing in for the unknown truth,
 
     T_N = mean_i [ Chat(e_i) ln Chat(e_i) - Chat(e_i) ln C_theta(e_i)
-                   - Chat(e_i) + C_theta(e_i) ].
+                   - Chat(e_i) + C_theta(e_i) ],
+
+the integrand that :func:`~copulameasures.measures.cckl` integrates
+against a fully supported copula, with C_theta floored at 1e-300.
 
 The test procedure: resolve the null on the data, compute the observed
 T_N, draw M parametric resamples of size N from the resolved model,
@@ -32,10 +35,10 @@ import numpy as np
 
 from . import fit
 from .copulas import CopulaModel
-from .cubature import IntegrationConfig, xlog_ratio
+from .cubature import IntegrationConfig
 from .empirical import EmpiricalBetaCopula, RankedSample, rank_with_random_ties
 from .errors import DimensionMismatch
-from .measures import _CCKL_FLOOR, cckl
+from .measures import _floored_xlog_ratio, cckl
 from .seeds import substream_seed
 
 # salts for the independent seed phases of one outer seed
@@ -57,6 +60,9 @@ class GofConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("reps", "workers"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if self.reps < 100:
             raise ValueError("need at least 100 bootstrap replicates")
         if not 0.0 < self.alpha < 1.0:
@@ -89,8 +95,8 @@ def t_statistic(rs: RankedSample, model) -> float:
             f"model dimension {model.dim} != sample dimension {rs.k}")
     beta = EmpiricalBetaCopula(rs)
     chat = beta.cdf_at_pseudo_observations()
-    ctheta = np.maximum(model.cdf_many(rs.pseudo_observations()), _CCKL_FLOOR)
-    return float(np.mean(xlog_ratio(chat, ctheta)))
+    ctheta = model.cdf_many(rs.pseudo_observations())
+    return float(np.mean(_floored_xlog_ratio(chat, ctheta)))
 
 
 def percentile_index(m: int, alpha: float) -> int:

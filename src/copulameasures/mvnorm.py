@@ -325,17 +325,17 @@ def mvn_cdf(corr: np.ndarray, x, abs_tol: float = _ABS_TOL) -> Estimate:
     k = 2, and be positive definite from k = 3, else CorrelationNotPD."""
     if not abs_tol > 0:  # NaN fails too
         raise ValueError("abs_tol must be positive")
-    corr = np.asarray(corr, dtype=float)
+    corr = _check_corr(corr)
     x = np.asarray(x, dtype=float).ravel()
     if np.isnan(x).any():
         raise ValueError("scores must not be NaN")
     k = len(x)
-    if k != corr.shape[0]:
+    if k != len(corr):
         raise DimensionMismatch("point dimension does not match correlation")
     if k < 2:
         raise DimensionUnsupported("mvn_cdf needs dimension k >= 2")
     if k == 2:
-        return Estimate(float(mvn_cdf_many(_check_corr(corr), x)[0]), 5e-15, 1)
+        return Estimate(float(mvn_cdf_many(corr, x)[0]), 5e-15, 1)
     cholesky_corr(corr)
     if k == 3:  # evaluations: the nodes of both path rules
         evals = sum(len(rule[0]) for rule in _tvn_plan(corr)[2])

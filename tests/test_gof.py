@@ -143,6 +143,12 @@ class TestBootstrapTest:
         with pytest.raises(ValueError):
             GofConfig(reps=100, alpha=0.01)  # reps * alpha < 5
 
+    @pytest.mark.parametrize("field,value", [("reps", 1e3), ("workers", 2.5)])
+    def test_config_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError):
+            GofConfig(**{field: value})
+        assert getattr(GofConfig(**{field: np.int64(200)}), field) == 200
+
     def test_size_of_bootstrap_test(self):
         # well-specified null accepted at roughly the nominal rate
         seeds = 60 if FULL else 30

@@ -5,6 +5,7 @@ import pytest
 
 from copulameasures import (
     CopulaModel,
+    EmpiricalBetaCopula,
     Estimate,
     IntegrationConfig,
     MixtureCopula,
@@ -20,6 +21,7 @@ from copulameasures import (
     concordance_leq_on_grid,
     fcce,
     integrate_unit_cube,
+    rank_with_random_ties,
     spearman_rho_minus,
     xlog_ratio,
     xlogx,
@@ -30,6 +32,7 @@ from copulameasures.errors import (
     DivergenceInfinite,
     NoClosedForm,
 )
+from copulameasures.measures import _fractional_entropy
 
 P2 = CopulaModel("product", 2)
 P3 = CopulaModel("product", 3)
@@ -344,3 +347,37 @@ class TestDiagonalKinksSweep:
         est = cce(model)
         assert abs(est.value - closed_form_cce(model)) <= est.error
         assert est.error <= max(1e-7, 1e-6 * est.value)
+
+
+class TestOrderOneIdentities:
+    """cce is fcce at r = 1 and b_k is ccigf at s = 1, bit for bit in
+    value, error and evaluations, and so are their closed forms."""
+
+    CFG = IntegrationConfig(abs_tol=1e-6)
+    BETA_CFG = IntegrationConfig(abs_tol=1e-4)
+
+    def test_measures(self, zoo):
+        # beta copulas of Clayton samples, N = 40, at k = 2, 3 and 4
+        betas = [EmpiricalBetaCopula(rank_with_random_ties(
+            CopulaModel("clayton", k, (1.5,)).sample(40, seed=k), tie_seed=1))
+            for k in (2, 3, 4)]
+        for model, cfg in ([(m, self.CFG) for m in zoo]
+                           + [(b, self.BETA_CFG) for b in betas]):
+            assert cce(model, cfg) == fcce(model, 1.0, cfg), model
+            assert b_k(model, cfg) == ccigf(model, 1.0, cfg), model
+
+    def test_closed_forms(self):
+        for model in ([CopulaModel(fam, k) for fam in ("product", "min")
+                       for k in range(2, 9)] + [W]):
+            assert closed_form_cce(model) == closed_form_fcce(model, 1.0), model
+
+    @pytest.mark.parametrize("r", [0.0, 0.1, 0.5, 1.0])
+    def test_fractional_entropy_integrand(self, r):
+        c = np.concatenate([[0.0, 5e-324, 1e-300, np.exp(-1.0), 1.0],
+                            np.random.default_rng(5).random(1000)])
+        want = np.zeros_like(c)
+        pos = c > 0.0
+        want[pos] = c[pos] * (-np.log(c[pos])) ** r
+        assert np.array_equal(_fractional_entropy(c, r), want)
+        if r == 1.0:
+            assert np.array_equal(xlogx(c), want)

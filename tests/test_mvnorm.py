@@ -445,6 +445,12 @@ def test_bivariate_malformed_correlation_rejected(corr):
         mvn_cdf(np.array(corr), [0.0, 0.0])
 
 
+def test_scalar_correlation_rejected():
+    """The correlation is checked before its size is read."""
+    with pytest.raises(CorrelationNotPD):
+        mvn_cdf(np.float64(1.0), [0.0, 0.0])
+
+
 @pytest.mark.parametrize("entry, value", [((1, 0), 0.500004), ((2, 2), 1.000009)])
 def test_trivariate_drifted_correlation_rejected(entry, value):
     """A triangle or a diagonal off by more than 1e-12 raises at k = 3 as
