@@ -219,7 +219,8 @@ def cmd_gof(args, argv) -> int:
                   "observed_t": rep.observed_t, "percentile": rep.percentile,
                   "p_value": rep.p_value, "reject": rep.reject},
                  seeds={"seed": cfg.seed, "tie_seed": rep.tie_seed,
-                        "replicate_base": "substream(seed, 1)"},
+                        "replicate_base":
+                            f"substream(seed, {gof._PHASE_REPLICATES})"},
                  exit_code=EXIT_REJECT if rep.reject else EXIT_OK)
 
 

@@ -39,7 +39,6 @@ from scipy.special import gamma, ndtr, ndtri, poch
 
 from . import mvnorm
 from .errors import (
-    CorrelationNotPD,
     DimensionMismatch,
     DimensionUnsupported,
     NotArchimedean,
@@ -58,7 +57,8 @@ class _ParamRule(NamedTuple):  # the parameter rule of one family
 
 
 # W is a copula only at k = 2, and the sources define fgm to nelsen_4212
-# only there.  Gaussian correlations have their own CorrelationNotPD check.
+# only there.  Gaussian correlations are checked by mvnorm.cholesky_corr,
+# which raises CorrelationNotPD.
 _PARAMS = {
     "product": _ParamRule(0),
     "min": _ParamRule(0),
@@ -124,8 +124,7 @@ class Copula(ABC):
 
     def _axis(self, x) -> np.ndarray:
         """The nodes x of a tensor grid as a 1-D array, checked as points are."""
-        x = np.ravel(x)[:, None]
-        return _unit_points(np.repeat(x, self.dim, axis=1), self.dim)[:, 0]
+        return _unit_points(np.ravel(x)[:, None], 1)[:, 0]
 
 
 def _unit_points(U, dim: int) -> np.ndarray:
@@ -152,8 +151,9 @@ class CopulaModel(Copula):
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ParamOutOfRange(f"unknown family {self.family!r}")
-        if self.dim < 2:
-            raise DimensionUnsupported("copulas need dimension k >= 2")
+        if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
+            raise DimensionUnsupported("copulas need an integer dimension k >= 2")
+        object.__setattr__(self, "dim", int(self.dim))
         if _PARAMS[self.family].bivariate and self.dim != 2:
             raise DimensionUnsupported(
                 f"{self.family} is only defined at dimension 2")
@@ -177,8 +177,6 @@ class CopulaModel(Copula):
                 f"{fam} at k={k} needs parameters in [{low:g}, {rule.high:g}]"
                 + (" other than 0" if rule.nonzero else "") + f", got {p}")
         if fam == "gaussian":
-            if not all(abs(a) < 1.0 for a in p):
-                raise CorrelationNotPD("off-diagonal correlations must be in (-1, 1)")
             corr = corr_from_upper_triangle(k, p)
             mvnorm.cholesky_corr(corr)
             object.__setattr__(self, "_corr", corr)
@@ -278,8 +276,8 @@ class CopulaModel(Copula):
         """n exact i.i.d. draws, reproducible for a fixed seed: the
         Marshall-Olkin frailty construction U = psi(E / V) for Archimedean
         families, conditional inversion for FGM and negative dependence."""
-        if n < 1:
-            raise ValueError("need n >= 1")
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError("need an integer n >= 1")
         rng = np.random.default_rng(int(seed))
         fam, k = self.family, self.dim
         th = self.params[0] if self.params else None

@@ -27,8 +27,6 @@ from .errors import (
     TauOutOfRange,
 )
 
-FITTABLE_FAMILIES = ("clayton", "frank", "gumbel_hougaard", "joe", "gaussian",
-                     "product")
 _EIG_FLOOR = 1e-6  # smallest eigenvalue nearest_pd_correlation keeps
 
 
@@ -169,6 +167,8 @@ _TAU_INVERSION = {
     "joe": (lambda t: _solve_monotone(joe_tau, t, lo=1.0 + 1e-9, hi=2.0)
             if t else 1.0, lambda t: t < 0.0),
 }
+
+FITTABLE_FAMILIES = (*_TAU_INVERSION, "gaussian", "product")
 
 
 def tau_to_param(family: str, tau: float) -> float:

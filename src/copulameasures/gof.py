@@ -17,11 +17,19 @@ the resampled statistics.  The null's type says whether its parameters
 are known: a family name is fitted to the data and re-fitted to every
 resample, a :class:`~copulameasures.copulas.CopulaModel` is held fixed.
 
-Replicate r of outer seed s uses the derived stream ``substream(s, r)``;
-replicates are embarrassingly parallel and results do not depend on the
-worker count.  Each public call maps its replicates with one ``run``
-from ``_pool``, serial for one worker and over one process pool
-otherwise; ``select_copula`` shares it across its candidates.
+Every randomized step draws from a generator built from an explicit
+64-bit seed, derived here: ``substream(s, i)`` (``substream_seed``) is a
+SplitMix64 mix of an outer seed s and an index i.  The phases of one
+outer seed have their own salts, ``_PHASE_*``: replicate r of a
+bootstrap, a calibration or a power study draws from
+``substream(substream(s, p), r)`` with p = 1, 2 or 3, selection candidate
+i bootstraps with outer seed ``substream(substream(s, 5), i)``, and ties
+are broken with ``substream(s, 4)``, in a replicate by its own seed.
+So replicates are independent, and results do not depend on the worker
+count or the scheduling order.  Each public call maps its replicates
+with one ``run`` from ``_pool``, serial for one worker and over one
+process pool otherwise; ``select_copula`` shares it across its
+candidates.
 """
 
 from __future__ import annotations
@@ -39,7 +47,9 @@ from .cubature import IntegrationConfig
 from .empirical import EmpiricalBetaCopula, RankedSample, rank_with_random_ties
 from .errors import DimensionMismatch
 from .measures import _floored_xlog_ratio, cckl
-from .seeds import substream_seed
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_GOLDEN = 0x9E3779B97F4A7C15
 
 # salts for the independent seed phases of one outer seed
 _PHASE_REPLICATES = 1
@@ -47,6 +57,19 @@ _PHASE_CALIBRATE = 2
 _PHASE_POWER_DATA = 3
 _PHASE_TIE = 4
 _PHASE_SELECT = 5
+
+
+def splitmix64(x: int) -> int:
+    """One SplitMix64 output step for a 64-bit state."""
+    z = (x + _GOLDEN) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def substream_seed(seed: int, index: int) -> int:
+    """64-bit mix of an outer seed and a replicate index."""
+    return splitmix64((splitmix64(int(seed) & _MASK64) ^ (index & _MASK64)))
 
 
 @dataclass(frozen=True)
@@ -60,7 +83,7 @@ class GofConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("reps", "workers"):
+        for name in ("reps", "seed", "workers"):
             if not isinstance(getattr(self, name), (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")
         if self.reps < 100:
@@ -90,12 +113,9 @@ class GofReport:
 
 def t_statistic(rs: RankedSample, model) -> float:
     """Sample-mean divergence statistic at the pseudo-observations."""
-    if model.dim != rs.k:
-        raise DimensionMismatch(
-            f"model dimension {model.dim} != sample dimension {rs.k}")
-    beta = EmpiricalBetaCopula(rs)
-    chat = beta.cdf_at_pseudo_observations()
+    # cdf_many raises DimensionMismatch before the O(N^2) Chat
     ctheta = model.cdf_many(rs.pseudo_observations())
+    chat = EmpiricalBetaCopula(rs).cdf_at_pseudo_observations()
     return float(np.mean(_floored_xlog_ratio(chat, ctheta)))
 
 

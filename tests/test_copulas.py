@@ -126,6 +126,17 @@ class TestValidate:
         with pytest.raises(Exception):
             m.params = (2.0,)
 
+    @pytest.mark.parametrize("fam,dim,params", [
+        ("clayton", 2.5, (1.0,)), ("product", 2.0, ()), ("product", "2", ()),
+        ("product", None, ())])
+    def test_non_integer_dimension_rejected(self, fam, dim, params):
+        with pytest.raises(DimensionUnsupported):
+            CopulaModel(fam, dim, params)
+
+    def test_numpy_integer_dimension(self):
+        m = CopulaModel("clayton", np.int64(3), (1.0,))
+        assert type(m.dim) is int and m == CopulaModel("clayton", 3, (1.0,))
+
 
 class TestModelFields:
     def test_fields_are_the_constructor_values(self):
@@ -508,6 +519,15 @@ class TestSampling:
         m = CopulaModel("clayton", 3, (2.0,))
         assert np.array_equal(m.sample(50, seed=9), m.sample(50, seed=9))
         assert not np.array_equal(m.sample(50, seed=9), m.sample(50, seed=10))
+
+    @pytest.mark.parametrize("n", [2.5, 50.0, "50", 0])
+    def test_non_integer_or_empty_size_rejected(self, n):
+        with pytest.raises(ValueError):
+            CopulaModel("product", 2).sample(n, 0)
+
+    def test_numpy_integer_size(self):
+        m = CopulaModel("clayton", 3, (2.0,))
+        assert np.array_equal(m.sample(np.int64(50), 9), m.sample(50, 9))
 
     def test_clayton_tau_against_density_oracle(self):
         # tau = 4 E[C(U,V)] - 1, with the density from finite differences

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -520,6 +524,37 @@ class TestGridMemo:
         mixed, fresh = divergence(c), divergence(EmpiricalBetaCopula(c.rs))
         assert (mixed.value, mixed.error, mixed.evals) == (
             fresh.value, fresh.error, fresh.evals)
+
+
+# C on the grid at N = 400 and 724, where a single matmul over all N
+# observations moved C's last bits between one and two BLAS threads
+_GRID_THREAD_DIGEST = """
+import hashlib, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from copulameasures import EmpiricalBetaCopula, rank_with_random_ties
+from copulameasures.cubature import _grid_axis
+h = hashlib.sha256()
+for n in (400, 724):
+    for k, level in ((2, 4), (3, 2)):
+        data = np.random.default_rng(n + k).normal(size=(n, k))
+        data[:, 1:] += data[:, :1]
+        c = EmpiricalBetaCopula(rank_with_random_ties(data, 1))
+        h.update(c.cdf_grid(_grid_axis(level)[0]).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_grid_bits_do_not_depend_on_blas_threads():
+    src = str(Path(empirical.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", _GRID_THREAD_DIGEST, src],
+                             env=env, capture_output=True, text=True,
+                             timeout=300, check=True)
+        digests.add(run.stdout)
+    assert len(digests) == 1
 
 
 class TestPluginMeasures:

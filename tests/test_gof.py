@@ -149,6 +149,19 @@ class TestBootstrapTest:
             GofConfig(**{field: value})
         assert getattr(GofConfig(**{field: np.int64(200)}), field) == 200
 
+    @pytest.mark.parametrize("seed", [1.5, 3.0, "3", None])
+    def test_config_rejects_non_integer_seed(self, seed):
+        with pytest.raises(ValueError):
+            GofConfig(seed=seed)
+
+    def test_numpy_integer_seed_gives_the_same_report(self):
+        data = CopulaModel("clayton", 2, (1.0,)).sample(60, seed=6)
+        want = bootstrap_test(data, "clayton", GofConfig(reps=100, seed=3))
+        got = bootstrap_test(data, "clayton",
+                             GofConfig(reps=100, seed=np.int64(3)))
+        assert got == want  # every field but the replicates
+        assert np.array_equal(got.replicates, want.replicates)
+
     def test_size_of_bootstrap_test(self):
         # well-specified null accepted at roughly the nominal rate
         seeds = 60 if FULL else 30
