@@ -278,6 +278,8 @@ class CopulaModel(Copula):
         families, conditional inversion for FGM and negative dependence."""
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError("need an integer n >= 1")
+        if not isinstance(seed, (int, np.integer)):
+            raise ValueError("seed must be an integer")
         rng = np.random.default_rng(int(seed))
         fam, k = self.family, self.dim
         th = self.params[0] if self.params else None

@@ -77,6 +77,8 @@ def rank_with_random_ties(data: np.ndarray, tie_seed: int) -> RankedSample:
         raise ValueError("need an (N, k) array with N >= 2")
     if not np.all(np.isfinite(data)):
         raise NonFiniteData("data contains NaN or infinity")
+    if not isinstance(tie_seed, (int, np.integer)):
+        raise ValueError("tie_seed must be an integer")
     n, k = data.shape
     rng = np.random.default_rng(int(tie_seed))
     ranks = np.empty((n, k), dtype=np.int64)

@@ -7,6 +7,10 @@ and for all four from k = 3) is fitted there: the product copula, method
 ``independence_edge``.  The Gaussian family maps pairwise taus through
 sin(pi tau / 2) and projects to the nearest positive definite correlation
 matrix.  This is the consistent-estimator slot of the bootstrap test.
+
+Frank's tau is evaluated from the Debye function D1 in closed form and
+the Frank and Joe relations are inverted by bisection, so no fit loads
+``scipy.integrate`` or ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.special import digamma, factorial, polygamma
+from scipy.special import digamma, factorial, polygamma, spence, zeta
 
 from .copulas import CopulaModel, corr_from_upper_triangle
 from .errors import (
@@ -28,6 +32,7 @@ from .errors import (
 )
 
 _EIG_FLOOR = 1e-6  # smallest eigenvalue nearest_pd_correlation keeps
+_RTOL = 4.0 * np.finfo(float).eps   # relative tolerance of the tau inversions
 
 
 @dataclass(frozen=True)
@@ -122,23 +127,46 @@ def _discordant(y: np.ndarray) -> np.ndarray:
     return moved // 2
 
 
-def debye1(theta: float) -> float:
-    """First Debye function D1(x) = (1/x) int_0^x t/(e^t - 1) dt, x != 0."""
-    from scipy.integrate import quad  # here: only Frank fits pay its 0.2 s
+# c_n = B_2n / ((2n + 1) (2n)!) = (-1)^(n+1) 2 zeta(2n) / ((2n + 1) (2 pi)^2n),
+# the coefficients of D1's Bernoulli series, for n = 15 down to 1
+_DEBYE1_SERIES = tuple((-1) ** (n + 1) * 2.0 * float(zeta(2 * n))
+                       / ((2 * n + 1) * (2.0 * math.pi) ** (2 * n))
+                       for n in range(15, 0, -1))
 
+
+def _debye1_odd(x: float) -> float:
+    """sum_{n=1..15} c_n x^(2n-1), so D1(x) = 1 - x/4 + x * this for |x| < 2,
+    where the first omitted term is below 1e-16 of D1 (ratio (x/2pi)^2)."""
+    x2, s = x * x, 0.0
+    for c in _DEBYE1_SERIES:
+        s = s * x2 + c
+    return s * x
+
+
+def debye1(theta: float) -> float:
+    """First Debye function D1(x) = (1/x) int_0^x t/(e^t - 1) dt, x != 0:
+    the Bernoulli series below |x| = 2, else (Abramowitz & Stegun 27.1)
+    (pi^2/6 + x log(q) - Li2(1 - q)) / x with q = 1 - e^-x, Li2(1 - q) being
+    ``spence(q)``; D1(-x) = D1(x) + x/2."""
     x = abs(theta)
-    val, _ = quad(lambda t: t / np.expm1(t) if t > 0 else 1.0, 0.0, x,
-                  epsabs=0.0, epsrel=1e-12, limit=200)
-    val /= x
-    # D1(-x) = D1(x) + x/2
+    if x < 2.0:
+        return 1.0 - theta / 4.0 + theta * _debye1_odd(theta)
+    q = -math.expm1(-x)
+    val = (math.pi ** 2 / 6.0 + x * math.log(q) - float(spence(q))) / x
     return val + x / 2.0 if theta < 0 else val
 
 
 def frank_tau(theta: float) -> float:
-    """Kendall tau of the Frank copula, odd in theta."""
-    if theta == 0.0:
-        return 0.0
-    return 1.0 - (4.0 / theta) * (1.0 - debye1(theta))
+    """Kendall tau of the Frank copula, 1 - (4/theta)(1 - D1(theta)), odd in
+    theta (Genest 1987).  Below |theta| = 2 the series 4 sum c_n theta^(2n-1),
+    with the leading 1 cancelled by hand, keeps full relative precision
+    near independence."""
+    x = abs(theta)
+    if x < 2.0:
+        tau = 4.0 * _debye1_odd(x)
+    else:
+        tau = 1.0 - (4.0 / x) * (1.0 - debye1(x))
+    return math.copysign(tau, theta)
 
 
 # Taylor coefficients psi^(m)(2)/m!, m = 1..6, of the digamma function at 2
@@ -185,20 +213,22 @@ def tau_to_param(family: str, tau: float) -> float:
 
 
 def _solve_monotone(tau_of, target, lo, hi):
-    """Bracketed root of tau_of(x) = target with an expanding upper end."""
-    from scipy.optimize import brentq  # here: only Frank and Joe fits load it
-
-    for _ in range(60):
-        if tau_of(hi) >= target:
-            break
-        hi *= 2.0
+    """Root of the increasing tau_of(x) = target, x >= lo, by bisection to a
+    relative width of 4 machine epsilons, on [lo, hi] with hi doubled up to
+    1e8 until it brackets; a target at or below tau_of(lo) returns lo."""
+    if tau_of(lo) >= target:
+        return lo
+    while tau_of(hi) < target:
+        lo, hi = hi, 2.0 * hi
         if hi > 1e8:
             raise NoConvergence(f"tau={target} not bracketed")
-    try:
-        return float(brentq(lambda x: tau_of(x) - target, lo, hi,
-                            xtol=1e-13, rtol=8.9e-16, maxiter=200))
-    except (ValueError, RuntimeError) as exc:
-        raise NoConvergence(str(exc)) from exc
+    while hi - lo > _RTOL * hi:   # ends: adjacent doubles are nearer
+        mid = 0.5 * (lo + hi)
+        if tau_of(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def nearest_pd_correlation(corr: np.ndarray) -> np.ndarray:

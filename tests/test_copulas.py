@@ -529,6 +529,15 @@ class TestSampling:
         m = CopulaModel("clayton", 3, (2.0,))
         assert np.array_equal(m.sample(np.int64(50), 9), m.sample(50, 9))
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "1", None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            CopulaModel("product", 2).sample(5, seed)
+
+    def test_numpy_integer_seed(self):
+        m = CopulaModel("frank", 3, (4.0,))
+        assert np.array_equal(m.sample(50, np.int64(9)), m.sample(50, 9))
+
     def test_clayton_tau_against_density_oracle(self):
         # tau = 4 E[C(U,V)] - 1, with the density from finite differences
         m = CopulaModel("clayton", 2, (2.0,))

@@ -73,6 +73,18 @@ class TestRanking:
         with pytest.raises(NonFiniteData):
             _ranked([[1.0, np.nan], [2.0, 3.0]])
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "1", None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="tie_seed"):
+            _ranked([[1.0, 1.0], [1.0, 2.0]], seed)
+
+    def test_numpy_integer_seed(self):
+        data = np.random.default_rng(1).integers(0, 3, (30, 2)).astype(float)
+        a = rank_with_random_ties(data, np.int64(42))
+        b = rank_with_random_ties(data, 42)
+        assert np.array_equal(a.ranks, b.ranks)
+        assert (a.tie_seed, a.ties_broken) == (b.tie_seed, b.ties_broken)
+
     def test_pseudo_observations(self):
         rs = _ranked([[0.1, 0.4], [0.9, 0.2]])
         e = rs.pseudo_observations()

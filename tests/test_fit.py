@@ -15,6 +15,7 @@ from copulameasures.errors import (
 from copulameasures.fit import (
     FITTABLE_FAMILIES,
     FitResult,
+    debye1,
     frank_tau,
     joe_tau,
     nearest_pd_correlation,
@@ -142,6 +143,33 @@ class TestTauInversion:
             ref = 1 - mpmath.psi(1, 2) if theta == 2.0 else \
                 1 + 2 / (2 - t) * (mpmath.psi(0, 2) - mpmath.psi(0, 2 / t + 1))
         assert abs(joe_tau(theta) - float(ref)) <= 1e-13
+
+    @pytest.mark.parametrize("theta", [1e-8, -1e-8, 1e-5, 1e-3, 0.05, 0.5,
+                                       1.99, 2.0, 2.01, 5.0, 30.0, 700.0])
+    def test_debye1_and_frank_tau_against_mpmath(self, theta):
+        """D1 and Frank's tau to 1e-15 relative against the defining integral
+        at 50 digits, near independence too, where tau ~ theta/9."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            t = mpmath.mpf(theta)
+            d1 = mpmath.quad(lambda s: s / mpmath.expm1(s) if s else 1,
+                             [0, t]) / t
+            tau = 1 - 4 / t * (1 - d1)
+        assert abs(debye1(theta) - float(d1)) <= 1e-15 * abs(float(d1))
+        assert abs(frank_tau(theta) - float(tau)) <= 1e-15 * abs(float(tau))
+
+    @pytest.mark.parametrize("family,lo", [("frank", 1e-8),
+                                           ("joe", 1.0 + 1e-9)])
+    def test_tiny_tau_returns_the_lower_end(self, family, lo):
+        """A tau below tau(lo) of the bracket returns lo instead of raising;
+        the mean of pair taus (0.1, 0.2, -0.3) is such a tau, 1.85e-17."""
+        tau_bar = float(np.mean([0.1, 0.2, -0.3]))
+        assert 0.0 < tau_bar < 1e-16
+        assert tau_to_param(family, 1e-17) == lo
+        assert tau_to_param(family, tau_bar) == lo
+
+    def test_frank_inversion_near_independence(self):
+        assert tau_to_param("frank", 1e-8) == pytest.approx(9e-8, rel=1e-12)
 
 
 # Monte Carlo standard errors of the recovered parameter at N = 5000,

@@ -1,8 +1,10 @@
 """No library or test module imports a name it never uses, no private
 module-level name goes unreferenced in the package, the package exports
-exactly what ``__init__.py`` imports, and importing it (or running a CLI
-job that needs none of them) leaves ``scipy.stats``, ``scipy.integrate``
-and ``scipy.optimize`` unloaded.
+exactly what ``__init__.py`` imports, no package module imports
+``scipy.integrate`` or ``scipy.optimize``, and importing the package (or
+running a CLI job that needs none of it, Frank and Joe fits included)
+leaves ``scipy.stats``, ``scipy.integrate`` and ``scipy.optimize``
+unloaded.
 
 Stdlib ``ast`` checks standing in for a linter's unused-import and
 dead-code rules.  ``__init__.py`` is exempt from the first: its imports
@@ -140,24 +142,59 @@ def test_import_leaves_module_unloaded(module):
     assert not loaded(module)
 
 
+def scipy_imports(source: str) -> list[str]:
+    """Lines importing ``scipy.integrate`` or ``scipy.optimize``, in any
+    form."""
+    banned = ("scipy.integrate", "scipy.optimize")
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name.startswith(banned)]
+    return found
+
+
+def test_detects_a_scipy_integrate_or_optimize_import():
+    source = ("import scipy.integrate\nfrom scipy import optimize\n"
+              "def f():\n    from scipy.optimize import brentq\n"
+              "from scipy.special import spence\n")
+    assert scipy_imports(source) == ["line 1: scipy.integrate",
+                                     "line 2: scipy.optimize",
+                                     "line 4: scipy.optimize.brentq"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_package_imports_neither_integrate_nor_optimize(path):
+    assert scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
 @pytest.fixture(scope="module")
-def frank_gof(tmp_path_factory):
-    """A CLI gof call on a Frank sample: its fit inverts Frank's tau."""
+def fit_jobs(tmp_path_factory):
+    """CLI jobs whose fits invert Frank's and Joe's tau, on a Frank sample."""
     data = CopulaModel("frank", 3, (4.0,)).sample(40, seed=5)
     csv = tmp_path_factory.mktemp("gof") / "frank3.csv"
     csv.write_text("a,b,c\n" + "".join(
         ",".join(repr(float(v)) for v in row) + "\n" for row in data))
-    return ("gof", "--family", "frank", "--data", str(csv), "--cols", "a,b,c",
-            "--reps", "100")
+    common = ("--data", str(csv), "--cols", "a,b,c", "--reps", "100")
+    return {"gof_frank": ("gof", "--family", "frank", *common),
+            "gof_joe": ("gof", "--family", "joe", *common),
+            "select_frank_joe": ("select", "--families", "frank,joe", *common)}
 
 
-def test_gof_leaves_scipy_stats_unloaded(frank_gof):
-    assert not loaded("scipy.stats", *frank_gof)
+def test_gof_leaves_scipy_stats_unloaded(fit_jobs):
+    assert not loaded("scipy.stats", *fit_jobs["gof_frank"])
 
 
 @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.optimize"])
-def test_frank_fit_loads_quad_and_brentq(frank_gof, module):
-    assert loaded(module, *frank_gof)
+@pytest.mark.parametrize("job", ["gof_frank", "gof_joe", "select_frank_joe"])
+def test_frank_and_joe_fits_leave_module_unloaded(fit_jobs, job, module):
+    assert not loaded(module, *fit_jobs[job])
 
 
 @pytest.mark.parametrize("module", LAZY)
