@@ -13,7 +13,7 @@ select     rank candidate families by divergence from the data
 Every randomized run is controlled by explicit ``--seed`` and
 ``--tie-seed`` flags with fixed defaults; reports echo the full argv and
 all derived seeds so a replay is byte-identical.  Bootstrap replicates run
-on ``--workers`` processes, else on ``COPULAMEASURES_THREADS``, else on one.
+on ``--workers`` processes, one by default.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import argparse
 import csv
 import json
 import logging
-import os
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -31,7 +30,7 @@ import numpy as np
 
 from . import closed_forms, empirical, fit, gof, measures
 from .copulas import FAMILIES, CopulaModel
-from .cubature import IntegrationConfig
+from .cubature import ABS_TOL, SOBOL_ABS_TOL, IntegrationConfig
 from .errors import ColumnMissing, CopulaError, NoClosedForm, NoCompleteRows
 
 log = logging.getLogger("copulameasures")
@@ -113,13 +112,6 @@ def _parse_stat(text: str) -> tuple[str, tuple]:
     return name, ()
 
 
-def _workers(args) -> int:
-    env = os.environ.get("COPULAMEASURES_THREADS")
-    if args.workers is not None:
-        return max(1, args.workers)
-    return max(1, int(env)) if env else 1
-
-
 def _emit(args, argv, inputs: dict, outputs: dict, seeds: dict | None = None,
           notes=(), exit_code: int = EXIT_OK) -> int:
     """Print the JSON report of a subcommand; ``seeds`` only when given."""
@@ -148,7 +140,7 @@ def _notes(key) -> list:
 def _gof_cfg(args) -> gof.GofConfig:
     """Bootstrap settings from the shared flags."""
     return gof.GofConfig(reps=args.reps, alpha=args.alpha, seed=args.seed,
-                         workers=_workers(args))
+                         workers=args.workers)
 
 
 def cmd_measure(args, argv) -> int:
@@ -278,18 +270,19 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common_measure(sp):
         sp.add_argument("--tol", type=float, default=None,
                         help="absolute tolerance TOL: the error bound applied "
-                        "is max(TOL, 1e-6 |value|); TOL defaults to 1e-7, "
-                        "or 1e-4 under Sobol sampling")
+                        f"is max(TOL, {IntegrationConfig.rel_tol:g} |value|); "
+                        f"TOL defaults to {ABS_TOL:g}, or {SOBOL_ABS_TOL:g} "
+                        "under Sobol sampling")
 
     def add_data(sp):
         sp.add_argument("--data", required=True)
         sp.add_argument("--cols", required=True, help="comma-separated names")
 
-    def add_bootstrap(sp, reps):
+    def add_bootstrap(sp, reps=gof.GofConfig.reps):
         sp.add_argument("--reps", type=int, default=reps)
-        sp.add_argument("--alpha", type=float, default=0.05)
+        sp.add_argument("--alpha", type=float, default=gof.GofConfig.alpha)
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        sp.add_argument("--workers", type=int, default=None)
+        sp.add_argument("--workers", type=int, default=gof.GofConfig.workers)
 
     def add_param_mode(sp, default):
         sp.add_argument("--param-mode", dest="param_mode",
@@ -330,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", required=True, choices=fit.FITTABLE_FAMILIES)
     sp.add_argument("--params", default=None,
                     help="the null's known parameters in known_params mode")
-    add_bootstrap(sp, reps=1000)
+    add_bootstrap(sp)
     add_param_mode(sp, default="estimate_each_rep")
     sp.set_defaults(func=cmd_gof)
 
@@ -360,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_data(sp)
     sp.add_argument("--families", required=True,
                     help="comma-separated candidates")
-    add_bootstrap(sp, reps=1000)
+    add_bootstrap(sp)
     sp.set_defaults(func=cmd_select)
 
     return p

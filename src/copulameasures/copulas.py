@@ -78,7 +78,7 @@ _PARAMS = {
 FAMILIES = tuple(_PARAMS)
 
 _SAMPLE_EPS = 1e-15
-_GRID_BLOCK = 1 << 14  # grid points per block of CopulaModel.cdf_grid
+_GRID_POINTS_PER_BLOCK = 1 << 14  # in CopulaModel.cdf_grid
 
 
 def corr_from_upper_triangle(dim: int, entries) -> np.ndarray:
@@ -215,7 +215,8 @@ class CopulaModel(Copula):
         x = self._axis(x)
         pos = np.flatnonzero(x > 0.0)
         xp, out = x[pos], np.zeros((len(x),) * self.dim)
-        for _, idx in _grid_rows((len(pos),) * (self.dim - 1), _GRID_BLOCK // max(len(pos), 1)):
+        for _, idx in _grid_rows((len(pos),) * (self.dim - 1),
+                                 _GRID_POINTS_PER_BLOCK // max(len(pos), 1)):
             out[tuple(pos[i][:, None] for i in idx) + (pos,)] = self._cdf_positive(
                 [xp[i][:, None] for i in idx] + [xp])
         return np.clip(out, 0.0, 1.0, out=out)

@@ -52,6 +52,9 @@ _QMC_SEED = 0
 SOBOL_DIM = 5
 # last dimension integrated on the tensor grid: a level costs n^k values
 GRID_MAX_DIM = 3
+# the default absolute tolerances, on the grid and under subdivision, and
+# under Sobol sampling
+ABS_TOL, SOBOL_ABS_TOL = 1e-7, 1e-4
 # Per axis, level L is a composite Gauss-Legendre rule in t with
 # _GRID_NODES nodes on each of round(2^(1.5 + L/2)) equal panels (3, 4, 6,
 # 8, 11, 16, 23, ...), mapped to u = sin^2(pi t / 2).  The map grades the
@@ -77,8 +80,8 @@ _FLOOR = 1e-13
 class IntegrationConfig:
     """Tolerance and budget settings for :func:`integrate_unit_cube`.
 
-    ``abs_tol=None`` resolves to 1e-7 on the grid and under subdivision,
-    and to 1e-4 under Sobol sampling.
+    ``abs_tol=None`` resolves to ABS_TOL on the grid and under
+    subdivision, and to SOBOL_ABS_TOL under Sobol sampling.
     """
 
     abs_tol: float | None = None
@@ -91,8 +94,9 @@ class IntegrationConfig:
             raise ValueError("abs_tol must be positive")
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
-        if not self.max_evals >= 1_000:
-            raise ValueError("max_evals must be at least 1000")
+        if not (isinstance(self.max_evals, (int, np.integer))
+                and self.max_evals >= 1_000):
+            raise ValueError("max_evals must be an integer of at least 1000")
 
 
 @dataclass(frozen=True)
@@ -341,13 +345,12 @@ def integrate_unit_cube(f: Callable[[np.ndarray], np.ndarray], k: int,
     if not 2 <= k <= 8:
         raise DimensionUnsupported(f"dimension {k} outside supported range 2..8")
     cfg = cfg or IntegrationConfig()
-    if on_grid is not None and k <= GRID_MAX_DIM:
-        abs_tol = 1e-7 if cfg.abs_tol is None else cfg.abs_tol
+    sobol = k > GRID_MAX_DIM if on_grid is not None else k >= SOBOL_DIM
+    abs_tol = cfg.abs_tol or (SOBOL_ABS_TOL if sobol else ABS_TOL)
+    if sobol:
+        return _integrate_qmc(f, k, _QMC_SEED, _QMC_FIRST_BATCH, abs_tol,
+                              cfg.rel_tol, cfg.max_evals)
+    if on_grid is not None:
         return _integrate_grid(on_grid, k, abs_tol, cfg.rel_tol, cfg.max_evals)
-    if on_grid is None and k < SOBOL_DIM:
-        abs_tol = 1e-7 if cfg.abs_tol is None else cfg.abs_tol
-        return _integrate_adaptive(f, k, abs_tol, cfg.rel_tol, cfg.max_evals,
-                                   symmetric=symmetric)
-    abs_tol = 1e-4 if cfg.abs_tol is None else cfg.abs_tol
-    return _integrate_qmc(f, k, _QMC_SEED, _QMC_FIRST_BATCH, abs_tol,
-                          cfg.rel_tol, cfg.max_evals)
+    return _integrate_adaptive(f, k, abs_tol, cfg.rel_tol, cfg.max_evals,
+                               symmetric=symmetric)

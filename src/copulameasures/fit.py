@@ -169,15 +169,23 @@ def frank_tau(theta: float) -> float:
     return math.copysign(tau, theta)
 
 
-# Taylor coefficients psi^(m)(2)/m!, m = 1..6, of the digamma function at 2
+# Taylor coefficients psi^(m)(a)/m! of the digamma function, m = 1..6 at
+# a = 2 and m = 1..16 at a = 3
 _JOE_SERIES = polygamma(np.arange(1, 7), 2.0) / factorial(np.arange(1, 7))
+_JOE_SERIES_NEAR_1 = polygamma(np.arange(1, 17), 3.0) / factorial(np.arange(1, 17))
+_JOE_NEAR_1 = 1.15  # below it the first omitted term is below 1e-17 of tau
 
 
 def joe_tau(theta: float) -> float:
     """Kendall tau of the Joe copula, 1 + 2/(2 - theta) (psi(2) - psi(2/theta + 1))
-    with psi the digamma function, a series in h = 2/theta - 1 near theta = 2."""
-    if theta == 1.0:
-        return 0.0
+    with psi the digamma function.  The difference cancels at both ends of
+    [1, 2], so below theta = 1.15 tau = (g/2 - (g + 2) (psi(3 + g) - psi(3)))
+    / (g + 1), summed as a series in g = 2/theta - 2 = -2 (theta - 1)/theta,
+    and near theta = 2 it is a series in h = 2/theta - 1."""
+    if theta < _JOE_NEAR_1:
+        g = -2.0 * (theta - 1.0) / theta   # theta - 1 is exact here
+        shift = g * np.polyval(_JOE_SERIES_NEAR_1[::-1], g)
+        return float((0.5 * g - (g + 2.0) * shift) / (g + 1.0))
     h = 2.0 / theta - 1.0
     if abs(h) < 1e-3:
         return float(1.0 - 2.0 / theta * np.polyval(_JOE_SERIES[::-1], h))

@@ -88,6 +88,8 @@ class GofConfig:
                 raise ValueError(f"{name} must be an integer")
         if self.reps < 100:
             raise ValueError("need at least 100 bootstrap replicates")
+        if self.workers < 1:
+            raise ValueError("need at least one worker")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if self.reps * self.alpha < 5.0:

@@ -46,3 +46,17 @@ def model_zoo(rng: np.random.Generator):
 @pytest.fixture(scope="session")
 def zoo():
     return model_zoo(np.random.default_rng(20240801))
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """max_workers of each process pool gof builds, in order."""
+    from copulameasures import gof
+    pools = []
+
+    class Counting(gof.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(gof, "ProcessPoolExecutor", Counting)
+    return pools

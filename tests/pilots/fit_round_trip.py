@@ -18,13 +18,21 @@ N = 5000
 SEEDS = 50
 
 
-def main():
-    print("_PILOT_SE = {")
+def pilot_se() -> dict:
+    """(family, param) -> standard error of the fitted parameter over
+    SEEDS samples of size N."""
+    table = {}
     for family, param in POINTS:
         model = CopulaModel(family, 2, (param,))
         draws = [estimate(family, model.sample(N, seed=1_000_000 + s)).model.params[0]
                  for s in range(SEEDS)]
-        se = float(np.std(draws, ddof=1))
+        table[family, param] = float(np.std(draws, ddof=1))
+    return table
+
+
+def main():
+    print("_PILOT_SE = {")
+    for (family, param), se in pilot_se().items():
         print(f'    ("{family}", {param}): {se:.4g},')
     print("}")
 

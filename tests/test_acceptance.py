@@ -238,7 +238,7 @@ def _run_cli_json(argv, capsys):
 
 
 @pytest.mark.slow
-def test_criterion_9_determinism(tmp_path, capsys, monkeypatch):
+def test_criterion_9_determinism(tmp_path, capsys):
     data_path = tmp_path / "d.csv"
     X = CopulaModel("frank", 2, (4.0,)).sample(90, seed=55)
     data_path.write_text("u,v\n" + "\n".join(
@@ -256,13 +256,14 @@ def test_criterion_9_determinism(tmp_path, capsys, monkeypatch):
          "frank,product", "--reps", "100", "--seed", "19"],
     ]
     for argv in commands:
-        outs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("COPULAMEASURES_THREADS", threads)
-            _, out = _run_cli_json(argv, capsys)
-            outs.append(out)
-        _, replay = _run_cli_json(argv, capsys)
-        assert outs[0] == outs[1] == replay, argv[0]
-        assert json.loads(outs[0])  # well-formed
-    _report("9", f"{len(commands)} commands byte-identical across replays "
-                 "and worker counts")
+        pooled = argv[0] in ("gof", "calibrate", "select")
+        runs = [argv + (["--workers", w] if pooled else []) for w in ("1", "2")]
+        outs = [_run_cli_json(run, capsys)[1] for run in runs]
+        _, replay = _run_cli_json(runs[1], capsys)
+        assert outs[1] == replay, argv[0]
+        # well-formed, and equal but for the echoed --workers
+        reports = [json.loads(out) for out in outs]
+        assert [rep.pop("argv") for rep in reports] == runs, argv[0]
+        assert reports[0] == reports[1], argv[0]
+    _report("9", f"{len(commands)} commands byte-identical across replays, "
+                 "and equal across worker counts")

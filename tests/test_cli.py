@@ -198,16 +198,30 @@ class TestCommands:
 
 class TestDeterminism:
     def test_replay_byte_identical_and_worker_invariant(self, gauss_csv,
-                                                        capsys, monkeypatch):
+                                                        capsys):
         argv = ["gof", "--data", gauss_csv, "--cols", "x,y", "--family",
                 "gaussian", "--reps", "120", "--seed", "77"]
-        monkeypatch.setenv("COPULAMEASURES_THREADS", "1")
-        _, first = run_cli(argv, capsys)
-        _, second = run_cli(argv, capsys)
+        _, first = run_cli(argv + ["--workers", "1"], capsys)
+        _, second = run_cli(argv + ["--workers", "1"], capsys)
         assert first == second
+        _, third = run_cli(argv + ["--workers", "2"], capsys)
+        # the same report but for the echoed --workers
+        assert third == first.replace('"--workers",\n    "1"',
+                                      '"--workers",\n    "2"')
+
+    def test_workers_below_one_exit_code(self, gauss_csv, capsys, caplog):
+        assert main(["gof", "--data", gauss_csv, "--cols", "x,y", "--family",
+                     "gaussian", "--reps", "100", "--workers", "0"]) == EXIT_ERROR
+        assert "ValueError: need at least one worker" in caplog.text
+
+    def test_workers_flag_alone_sets_the_pool(self, gauss_csv, capsys, built,
+                                              monkeypatch):
+        """Without --workers a gof runs serially, whatever the environment."""
         monkeypatch.setenv("COPULAMEASURES_THREADS", "2")
-        _, third = run_cli(argv, capsys)
-        assert first == third
+        code, _ = run_cli(["gof", "--data", gauss_csv, "--cols", "x,y",
+                           "--family", "gaussian", "--reps", "100"], capsys)
+        assert code in (EXIT_OK, EXIT_REJECT)
+        assert built == []
 
 
 def _measure(family, dim, stat, params=None):

@@ -300,6 +300,16 @@ def test_config_rejects_nan_and_nonpositive_limits(field, value):
         IntegrationConfig(**{field: value})
 
 
+@pytest.mark.parametrize("budget", [5000.0, np.inf])
+def test_config_rejects_a_budget_that_is_not_an_integer(budget):
+    # a float budget would fail untyped inside subdivision, and an
+    # infinite one would let an unreachable tolerance refine until memory
+    # runs out
+    with pytest.raises(ValueError, match="max_evals must be an integer"):
+        IntegrationConfig(max_evals=budget)
+    assert IntegrationConfig(max_evals=np.int64(5000)).max_evals == 5000
+
+
 class TestGrid:
     """The tensor-grid engine, which runs when the caller passes the
     integrand on a grid and k <= 3; such an integrand runs Sobol above."""

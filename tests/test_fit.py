@@ -8,6 +8,7 @@ from scipy.stats import kendalltau
 from copulameasures import CopulaModel, estimate, kendall_tau, tau_to_param
 from copulameasures.errors import (
     DegenerateColumn,
+    NoConvergence,
     NonFiniteData,
     NotFittable,
     TauOutOfRange,
@@ -171,6 +172,30 @@ class TestTauInversion:
     def test_frank_inversion_near_independence(self):
         assert tau_to_param("frank", 1e-8) == pytest.approx(9e-8, rel=1e-12)
 
+    @pytest.mark.parametrize("j", range(1, 13))
+    def test_joe_tau_near_independence_against_mpmath(self, j):
+        """The series below theta = 1.15 keeps 1e-14 relative where the
+        digamma difference cancels: at 1 + 1e-9 it lost 3.7e-7."""
+        mpmath = pytest.importorskip("mpmath")
+        theta = 1.0 + 10.0 ** -j
+        with mpmath.workdps(50):
+            t = mpmath.mpf(theta)
+            ref = float(1 + 2 / (2 - t)
+                        * (mpmath.psi(0, 2) - mpmath.psi(0, 2 / t + 1)))
+        assert abs(joe_tau(theta) - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("family", ["frank", "joe"])
+    def test_tau_too_near_one_is_not_bracketed(self, family):
+        """theta would pass the bracket's 1e8 cap: NoConvergence, at once."""
+        with pytest.raises(NoConvergence, match="not bracketed"):
+            tau_to_param(family, 1.0 - 1e-12)
+
+    @pytest.mark.parametrize("family,theta", [("frank", 4.0e6),
+                                              ("joe", 2.0e6)])
+    def test_tau_near_one_inside_the_bracket(self, family, theta):
+        assert tau_to_param(family, 1.0 - 1e-6) == pytest.approx(theta,
+                                                                 rel=1e-3)
+
 
 # Monte Carlo standard errors of the recovered parameter at N = 5000,
 # frozen from a 50-seed pilot (tests/pilots/fit_round_trip.py regenerates).
@@ -191,6 +216,13 @@ _PILOT_SE = {
 
 
 class TestEstimate:
+    def test_pilot_band_is_the_pilots_table(self):
+        """The frozen band is the pilot's output to the 4 significant
+        digits it prints; a sampler or fit change that moves it shows."""
+        from pilots.fit_round_trip import pilot_se
+        assert {key: float(f"{se:.4g}") for key, se in pilot_se().items()} \
+            == _PILOT_SE
+
     @pytest.mark.parametrize("family,param", sorted(_PILOT_SE))
     def test_round_trip_within_pilot_band(self, family, param):
         model = CopulaModel(family, 2, (param,))

@@ -143,6 +143,11 @@ class TestBootstrapTest:
         with pytest.raises(ValueError):
             GofConfig(reps=100, alpha=0.01)  # reps * alpha < 5
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_config_rejects_fewer_than_one_worker(self, workers):
+        with pytest.raises(ValueError, match="at least one worker"):
+            GofConfig(workers=workers)
+
     @pytest.mark.parametrize("field,value", [("reps", 1e3), ("workers", 2.5)])
     def test_config_rejects_non_integer_counts(self, field, value):
         with pytest.raises(ValueError):
@@ -225,20 +230,6 @@ class TestPower:
         power = power_study("clayton", CopulaModel("gaussian", 2, (0.5,)), 25,
                             GofConfig(reps=100, seed=9))
         assert 0.0 <= power <= 100.0
-
-
-@pytest.fixture
-def built(monkeypatch):
-    """max_workers of each process pool gof builds, in order."""
-    from copulameasures import gof
-    pools = []
-
-    class Counting(gof.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-    monkeypatch.setattr(gof, "ProcessPoolExecutor", Counting)
-    return pools
 
 
 class TestSelect:
