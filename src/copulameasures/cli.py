@@ -52,7 +52,7 @@ class Dataset:
 
 def load_csv(path: str, columns) -> Dataset:
     """Read named numeric columns; rows with any bad cell are dropped."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         missing = [c for c in columns if c not in header]
@@ -114,13 +114,13 @@ def _parse_stat(text: str) -> tuple[str, tuple]:
 
 def _emit(args, argv, inputs: dict, outputs: dict, seeds: dict | None = None,
           notes=(), exit_code: int = EXIT_OK) -> int:
-    """Print the JSON report of a subcommand; ``seeds`` only when given."""
+    """Print the strict-JSON report of a subcommand; ``seeds`` only when given."""
     report = {"command": args.subcommand, "argv": argv, "inputs": inputs}
     if seeds is not None:
         report["seeds"] = seeds
     report["outputs"] = outputs
     report["formula_notes"] = list(notes)
-    print(json.dumps(report, indent=2))
+    print(json.dumps(report, indent=2, allow_nan=False))
     return exit_code
 
 
@@ -266,6 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="copulameasures", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="subcommand", required=True)
+    known_help = "the null's known parameters in known_params mode"
+
+    def add_model(sp, family="--family", params="--params", choices=FAMILIES,
+                  help=None):
+        sp.add_argument(family, required=True, choices=choices)
+        sp.add_argument(params, default=None, help=help)
 
     def add_common_measure(sp):
         sp.add_argument("--tol", type=float, default=None,
@@ -285,25 +291,20 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--workers", type=int, default=gof.GofConfig.workers)
 
     def add_param_mode(sp, default):
-        sp.add_argument("--param-mode", dest="param_mode",
-                        choices=("estimate_each_rep", "known_params"),
-                        default=default)
+        sp.add_argument("--param-mode", default=default,
+                        choices=("estimate_each_rep", "known_params"))
 
     sp = sub.add_parser("measure", help="measure of a parametric copula")
-    sp.add_argument("--family", required=True, choices=FAMILIES)
+    add_model(sp, help="comma-separated, positional per family")
     sp.add_argument("--dim", type=int, required=True)
-    sp.add_argument("--params", default=None,
-                    help="comma-separated, positional per family")
     sp.add_argument("--stat", required=True,
                     help="cce | fcce:R | ccigf:S | rho | bk")
     add_common_measure(sp)
     sp.set_defaults(func=cmd_measure)
 
     sp = sub.add_parser("cckl", help="divergence between two copulas")
-    sp.add_argument("--family-a", required=True, choices=FAMILIES)
-    sp.add_argument("--params-a", default=None)
-    sp.add_argument("--family-b", required=True, choices=FAMILIES)
-    sp.add_argument("--params-b", default=None)
+    add_model(sp, "--family-a", "--params-a")
+    add_model(sp, "--family-b", "--params-b")
     sp.add_argument("--dim", type=int, required=True)
     add_common_measure(sp)
     sp.set_defaults(func=cmd_cckl)
@@ -311,38 +312,29 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("empirical", help="plug-in measures of a dataset")
     add_data(sp)
     sp.add_argument("--stat", required=True)
-    sp.add_argument("--tie-seed", type=int, default=DEFAULT_TIE_SEED,
-                    dest="tie_seed")
-    sp.add_argument("--dump-curve", default=None, dest="dump_curve",
+    sp.add_argument("--tie-seed", type=int, default=DEFAULT_TIE_SEED)
+    sp.add_argument("--dump-curve", default=None,
                     help="comma-separated prefix sizes for (N, value) pairs")
     add_common_measure(sp)
     sp.set_defaults(func=cmd_empirical)
 
     sp = sub.add_parser("gof", help="bootstrap goodness-of-fit test")
     add_data(sp)
-    sp.add_argument("--family", required=True, choices=fit.FITTABLE_FAMILIES)
-    sp.add_argument("--params", default=None,
-                    help="the null's known parameters in known_params mode")
+    add_model(sp, choices=fit.FITTABLE_FAMILIES, help=known_help)
     add_bootstrap(sp)
     add_param_mode(sp, default="estimate_each_rep")
     sp.set_defaults(func=cmd_gof)
 
     sp = sub.add_parser("calibrate", help="null percentile of the statistic")
-    sp.add_argument("--family", required=True, choices=FAMILIES)
-    sp.add_argument("--params", default=None)
+    add_model(sp)
     sp.add_argument("--dim", type=int, default=2)
     sp.add_argument("--n", type=int, required=True)
     add_bootstrap(sp, reps=10000)
     sp.set_defaults(func=cmd_calibrate)
 
     sp = sub.add_parser("power", help="rejection percentage under a true model")
-    sp.add_argument("--null-family", required=True, dest="null_family",
-                    choices=FAMILIES)
-    sp.add_argument("--null-params", default=None, dest="null_params",
-                    help="the null's known parameters in known_params mode")
-    sp.add_argument("--true-family", required=True, dest="true_family",
-                    choices=FAMILIES)
-    sp.add_argument("--true-params", default=None, dest="true_params")
+    add_model(sp, "--null-family", "--null-params", help=known_help)
+    add_model(sp, "--true-family", "--true-params")
     sp.add_argument("--dim", type=int, default=2)
     sp.add_argument("--n", type=int, required=True)
     add_bootstrap(sp, reps=10000)

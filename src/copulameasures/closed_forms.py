@@ -1,11 +1,12 @@
-"""Closed-form measure values for families that admit them.
+"""Closed-form measure values, the cross-checking oracles for cubature.
 
-These are the cross-checking oracles for the cubature path.  Several of
-the published expressions for these quantities circulate with typoed
+Several published expressions for these quantities circulate with typoed
 coefficients; each formula here was re-derived and is pinned against
 brute-force integration in the test suite (the typoed variants are also
-tested and must fail).  Functions raise :class:`NoClosedForm` for
-families without a usable expression.
+tested and must fail).  Each is written once: cce and b_k are the order-1
+cases of fcce and ccigf where those apply, and a divergence adds the two
+means from closed_form_bk to its cross term.  Functions raise
+:class:`NoClosedForm` for families without a usable expression.
 """
 
 from __future__ import annotations
@@ -58,13 +59,11 @@ def _ca_recursion(thetas: np.ndarray, s: float) -> np.ndarray:
     return q
 
 
-def _ca_terms(thetas: np.ndarray) -> tuple[float, np.ndarray]:
-    """prod_i p(i) and I(j) = sum_{i=j..k} 1/p(i) / prod_i p(i), with p
-    the s = 1 recursion."""
+def _ca_terms(thetas: np.ndarray) -> np.ndarray:
+    """I(j) = sum_{i=j..k} 1/p(i) / prod_i p(i), with p the s = 1 recursion."""
     p = _ca_recursion(thetas, 1.0)
-    prod_p = np.prod(p)
     inv_tail = np.cumsum((1.0 / p)[::-1])[::-1]  # sum_{i=j..k} 1/p(i)
-    return prod_p, inv_tail / prod_p
+    return inv_tail / np.prod(p)
 
 
 def _gen_binom(s: float, x: int) -> float:
@@ -92,12 +91,10 @@ def closed_form_ccigf(model: CopulaModel, s: float) -> float:
     if fam == "fgm":
         th = model.params[0]
         total = 0.0
-        x = 0
-        while True:
+        for x in range(501):
             term = _gen_binom(s, x) * th ** x * beta_fn(s + 1.0, x + 1.0) ** 2
             total += term
-            x += 1
-            if (abs(term) < 1e-14 and x > s) or x > 500:
+            if abs(term) < 1e-14 and x + 1 > s:
                 break
         return total
     if fam == "marshall_olkin":
@@ -118,8 +115,7 @@ def closed_form_cce(model: CopulaModel) -> float:
     if model.family != "cuadras_auge":
         return closed_form_fcce(model, 1.0)
     thetas = model._ca_thetas
-    _, i_vals = _ca_terms(thetas)
-    return math.factorial(model.dim) * float(np.sum(thetas * i_vals))
+    return math.factorial(model.dim) * float(np.sum(thetas * _ca_terms(thetas)))
 
 
 def closed_form_fcce(model: CopulaModel, r: float) -> float:
@@ -144,32 +140,36 @@ def closed_form_bk(model: CopulaModel) -> float:
     if model.family != "gumbel_barnett":
         return closed_form_ccigf(model, 1.0)
     th = model.params[0]
-    # int uv e^{-th ln u ln v} = -(1/th) e^{4/th} Ei(-4/th)
-    return -(1.0 / th) * np.exp(4.0 / th) * expi(-4.0 / th)
+    # int uv e^{-th ln u ln v} = (1/th) e^x E1(x) with x = 4/th, E1(x) = -Ei(-x)
+    x = 4.0 / th
+    if x <= 700.0:
+        return -(1.0 / th) * np.exp(x) * expi(-x)
+    # e^x overflows past x = 709.78: sum e^x E1(x) = sum_n (-1)^n n! / x^(n+1)
+    # (Abramowitz & Stegun 5.1.51); the 12th term is below 1e-23 of the sum
+    return (1.0 / th) * sum((-1) ** n * math.factorial(n) / x ** (n + 1)
+                            for n in range(12))
 
 
 def closed_form_cckl(model1: CopulaModel, model2: CopulaModel) -> float:
-    """Closed-form divergence for the handful of pairs that admit one."""
+    """Closed-form divergence where one exists: by the integrand C1 ln(C1/C2)
+    - C1 + C2, a cross term - closed_form_bk(C1) + closed_form_bk(C2)."""
     f1, f2 = model1.family, model2.family
     k = model1.dim
     if model2.dim != k:
         raise NoClosedForm("dimension mismatch")
     if f1 == "lower_bound_w" and f2 == "product" and k == 2:
-        # cross term int W ln(W/uv) = -1/36 (W <= uv makes it negative),
-        # mean difference term +1/12
+        # cross term int W ln(W/uv) = -1/36 (W <= uv makes it negative), means
+        # 1/12 = 1/4 - 1/6 as a literal (from closed_form_bk it is 4 ulp up)
         return -1.0 / 36.0 + 1.0 / 12.0
     if f1 == "product" and f2 == "gumbel_barnett":
-        th = model2.params[0]
-        return th / 16.0 - ((1.0 / th) * np.exp(4.0 / th) * expi(-4.0 / th)
-                            + 0.25)
+        return model2.params[0] / 16.0 - (0.25 - closed_form_bk(model2))
     if f1 == "product" and f2 == "min":
         js = [-(2.0 ** -(k + 1)) * np.sum(1.0 / np.arange(i, k + 1))
               for i in range(2, k + 1)]
-        return float(np.sum(js)) + k * beta_fn(2.0, k) - 2.0 ** -k
+        return float(np.sum(js)) + closed_form_bk(model2) - closed_form_bk(model1)
     if f1 == "cuadras_auge" and f2 == "min":
         thetas = model1._ca_thetas
-        prod_p, i_vals = _ca_terms(thetas)
-        kfac = math.factorial(k)
-        cross = -kfac * float(np.sum(thetas[1:] * i_vals[1:]))
-        return cross - kfac / prod_p + k * beta_fn(2.0, k)
+        cross = -math.factorial(k) * float(
+            np.sum((thetas * _ca_terms(thetas))[1:]))
+        return cross - closed_form_bk(model1) + closed_form_bk(model2)
     raise NoClosedForm(f"no closed-form divergence for ({f1}, {f2})")

@@ -90,10 +90,10 @@ class IntegrationConfig:
 
     def __post_init__(self):
         # written so that NaN fails each check
-        if self.abs_tol is not None and not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
+        if self.abs_tol is not None and not 0 < self.abs_tol < np.inf:
+            raise ValueError("abs_tol must be positive and finite")
+        if not 0 < self.rel_tol < np.inf:
+            raise ValueError("rel_tol must be positive and finite")
         if not (isinstance(self.max_evals, (int, np.integer))
                 and self.max_evals >= 1_000):
             raise ValueError("max_evals must be an integer of at least 1000")

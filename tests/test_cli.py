@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import re
 
@@ -7,7 +9,10 @@ import pytest
 from copulameasures import (CopulaModel, EmpiricalBetaCopula, Estimate,
                             MixtureCopula, b_k, cce, ccigf, cckl, cubature,
                             fcce, mvn_cdf, rank_with_random_ties)
+from copulameasures import cli
 from copulameasures.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECT, load_csv, main
+from copulameasures.copulas import FAMILIES
+from copulameasures.fit import FITTABLE_FAMILIES
 from copulameasures.errors import ColumnMissing, NoCompleteRows
 
 
@@ -57,6 +62,17 @@ class TestLoadCsv:
         p.write_text("a,b\n")
         with pytest.raises(NoCompleteRows):
             load_csv(str(p), ["a", "b"])
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        """Spreadsheets write a UTF-8 byte-order mark before the header."""
+        text = "a,b\n1.5,2\n3,4\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        for path in (plain, marked):
+            ds = load_csv(str(path), ["a", "b"])
+            assert (ds.columns, ds.rows_dropped) == (("a", "b"), 0)
+            assert np.array_equal(ds.values, [[1.5, 2.0], [3.0, 4.0]])
 
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
@@ -163,6 +179,28 @@ class TestCommands:
                      "--params", "1", "--stat", "cce", "--tol", "nan"]) == EXIT_ERROR
         assert "ValueError: abs_tol must be positive" in caplog.text
 
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--family", "clayton", "--dim", "2", "--params", "1.5",
+         "--stat", "cce"],
+        ["empirical", "--cols", "a,b", "--stat", "cce"]])
+    def test_infinite_tolerance_rejected(self, argv, normal4_csv, capsys,
+                                         caplog):
+        """--tol inf would accept the first step's estimate, or print an
+        infinite error."""
+        if argv[0] == "empirical":
+            argv = argv + ["--data", normal4_csv]
+        code, out = run_cli(argv + ["--tol", "inf"], capsys)
+        assert (code, out) == (EXIT_ERROR, "")
+        assert "ValueError: abs_tol must be positive and finite" in caplog.text
+
+    def test_report_is_strict_json(self, capsys, caplog, monkeypatch):
+        """A non-finite number in a report is an error, not NaN on stdout."""
+        monkeypatch.setitem(cli._STATS, "bk", dataclasses.replace(
+            cli._STATS["bk"], closed_form=lambda model: float("nan")))
+        code, out = run_cli(_measure("product", 2, "bk"), capsys)
+        assert (code, out) == (EXIT_ERROR, "")
+        assert "ValueError: Out of range float values" in caplog.text
+
     def test_unreached_tolerance_logs_the_best_estimate(self, capsys, caplog):
         """No report and exit 2, but the estimate the budget bought is
         logged on a second ERROR line."""
@@ -222,6 +260,102 @@ class TestDeterminism:
                            "--family", "gaussian", "--reps", "100"], capsys)
         assert code in (EXIT_OK, EXIT_REJECT)
         assert built == []
+
+
+_TOL_HELP = ("absolute tolerance TOL: the error bound applied is max(TOL, "
+             "1e-06 |value|); TOL defaults to 1e-07, or 0.0001 under Sobol "
+             "sampling")
+_KNOWN = "the null's known parameters in known_params mode"
+_MODES = ("estimate_each_rep", "known_params")
+# per subcommand, dest: (option strings, required, default, type, choices,
+# help); --help is left out
+_SURFACE = {
+    "measure": {
+        "family": (("--family",), True, None, None, FAMILIES, None),
+        "params": (("--params",), False, None, None, None,
+                   "comma-separated, positional per family"),
+        "dim": (("--dim",), True, None, int, None, None),
+        "stat": (("--stat",), True, None, None, None,
+                 "cce | fcce:R | ccigf:S | rho | bk"),
+        "tol": (("--tol",), False, None, float, None, _TOL_HELP),
+    },
+    "cckl": {
+        "family_a": (("--family-a",), True, None, None, FAMILIES, None),
+        "params_a": (("--params-a",), False, None, None, None, None),
+        "family_b": (("--family-b",), True, None, None, FAMILIES, None),
+        "params_b": (("--params-b",), False, None, None, None, None),
+        "dim": (("--dim",), True, None, int, None, None),
+        "tol": (("--tol",), False, None, float, None, _TOL_HELP),
+    },
+    "empirical": {
+        "data": (("--data",), True, None, None, None, None),
+        "cols": (("--cols",), True, None, None, None, "comma-separated names"),
+        "stat": (("--stat",), True, None, None, None, None),
+        "tie_seed": (("--tie-seed",), False, 20241, int, None, None),
+        "dump_curve": (("--dump-curve",), False, None, None, None,
+                       "comma-separated prefix sizes for (N, value) pairs"),
+        "tol": (("--tol",), False, None, float, None, _TOL_HELP),
+    },
+    "gof": {
+        "data": (("--data",), True, None, None, None, None),
+        "cols": (("--cols",), True, None, None, None, "comma-separated names"),
+        "family": (("--family",), True, None, None, FITTABLE_FAMILIES, None),
+        "params": (("--params",), False, None, None, None, _KNOWN),
+        "reps": (("--reps",), False, 1000, int, None, None),
+        "alpha": (("--alpha",), False, 0.05, float, None, None),
+        "seed": (("--seed",), False, 20240, int, None, None),
+        "workers": (("--workers",), False, 1, int, None, None),
+        "param_mode": (("--param-mode",), False, "estimate_each_rep", None,
+                       _MODES, None),
+    },
+    "calibrate": {
+        "family": (("--family",), True, None, None, FAMILIES, None),
+        "params": (("--params",), False, None, None, None, None),
+        "dim": (("--dim",), False, 2, int, None, None),
+        "n": (("--n",), True, None, int, None, None),
+        "reps": (("--reps",), False, 10000, int, None, None),
+        "alpha": (("--alpha",), False, 0.05, float, None, None),
+        "seed": (("--seed",), False, 20240, int, None, None),
+        "workers": (("--workers",), False, 1, int, None, None),
+    },
+    "power": {
+        "null_family": (("--null-family",), True, None, None, FAMILIES, None),
+        "null_params": (("--null-params",), False, None, None, None, _KNOWN),
+        "true_family": (("--true-family",), True, None, None, FAMILIES, None),
+        "true_params": (("--true-params",), False, None, None, None, None),
+        "dim": (("--dim",), False, 2, int, None, None),
+        "n": (("--n",), True, None, int, None, None),
+        "reps": (("--reps",), False, 10000, int, None, None),
+        "alpha": (("--alpha",), False, 0.05, float, None, None),
+        "seed": (("--seed",), False, 20240, int, None, None),
+        "workers": (("--workers",), False, 1, int, None, None),
+        "param_mode": (("--param-mode",), False, "known_params", None,
+                       _MODES, None),
+    },
+    "select": {
+        "data": (("--data",), True, None, None, None, None),
+        "cols": (("--cols",), True, None, None, None, "comma-separated names"),
+        "families": (("--families",), True, None, None, None,
+                     "comma-separated candidates"),
+        "reps": (("--reps",), False, 1000, int, None, None),
+        "alpha": (("--alpha",), False, 0.05, float, None, None),
+        "seed": (("--seed",), False, 20240, int, None, None),
+        "workers": (("--workers",), False, 1, int, None, None),
+    },
+}
+
+
+def test_cli_surface_is_pinned():
+    """Every subcommand's flags, with their defaults, choices and help;
+    the order within a subcommand is free."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: {a.dest: (tuple(a.option_strings), a.required, a.default,
+                           a.type, a.choices, a.help)
+                  for a in sp._actions
+                  if not isinstance(a, argparse._HelpAction)}
+           for name, sp in sub.choices.items()}
+    assert got == _SURFACE
 
 
 def _measure(family, dim, stat, params=None):

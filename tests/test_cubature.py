@@ -300,6 +300,14 @@ def test_config_rejects_nan_and_nonpositive_limits(field, value):
         IntegrationConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+def test_config_rejects_infinite_tolerances(field):
+    # an infinite tolerance accepts the first step's estimate, whatever
+    # its error
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        IntegrationConfig(**{field: np.inf})
+
+
 @pytest.mark.parametrize("budget", [5000.0, np.inf])
 def test_config_rejects_a_budget_that_is_not_an_integer(budget):
     # a float budget would fail untyped inside subdivision, and an

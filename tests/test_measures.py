@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -144,6 +145,20 @@ class TestBk:
         gb = CopulaModel("gumbel_barnett", 2, (theta,))
         assert closed_form_bk(gb) == pytest.approx(want, rel=0, abs=3e-17)
 
+    @pytest.mark.parametrize("theta", [1e-9, 1e-6, 1e-3, 0.005, 0.0056,
+                                       0.0058, 0.1, 1.0])
+    def test_gumbel_barnett_against_mpmath(self, theta):
+        """(1/theta) e^x E1(x), x = 4/theta, stays finite and exact where
+        e^x overflows (theta below 4/709.78), and so does the divergence
+        of the product from Gumbel-Barnett, which reads it."""
+        gb = CopulaModel("gumbel_barnett", 2, (theta,))
+        bk, div = closed_form_bk(gb), closed_form_cckl(P2, gb)
+        with mpmath.workdps(40):
+            t = mpmath.mpf(theta)
+            want = mpmath.exp(4 / t) * mpmath.e1(4 / t) / t
+            assert abs(bk - want) <= 4e-16 * want
+            assert abs(div - (t / 16 - mpmath.mpf(1) / 4 + want)) <= 1e-16
+
 
 class TestCckl:
     def test_lower_bound_vs_product(self):
@@ -173,6 +188,24 @@ class TestCckl:
         ca = CopulaModel("cuadras_auge", 2, (0.4,))
         assert cckl(ca, M2).value == pytest.approx(
             closed_form_cckl(ca, M2), abs=1e-5)
+
+    def test_closed_forms_keep_their_bits(self):
+        """Exact values: each divergence adds the means from closed_form_bk
+        in the operand order of its written-out formula, and the FGM
+        series sums the same terms in the same order."""
+        ca = CopulaModel("cuadras_auge", 3, (0.2, 0.5, 0.7))
+        gb = CopulaModel("gumbel_barnett", 2, (0.5,))
+        fgm = CopulaModel("fgm", 2, (0.7,))
+        assert closed_form_cckl(W, P2) == 0.05555555555555555
+        assert closed_form_cckl(P2, gb) == 0.005809278506998666
+        assert closed_form_cckl(CopulaModel("product", 5),
+                                CopulaModel("min", 5)) == 0.09296874999999999
+        assert closed_form_cckl(ca, M3) == 0.026324480429239877
+        assert closed_form_cce(ca) == 0.21812178699612605
+        assert closed_form_bk(ca) == 0.15948963317384374
+        assert closed_form_ccigf(fgm, 2.5) == 0.08918896078724182
+        assert closed_form_ccigf(CopulaModel("fgm", 2, (-0.9,)),
+                                 0.3) == 0.556589303681794
 
     def test_nonnegative(self):
         est = cckl(CopulaModel("frank", 2, (3.0,)),
