@@ -27,8 +27,8 @@ and return m values; on every engine a wrong shape raises ValueError and
 NaN or infinity raises NonFiniteIntegrand.  ``max_evals`` caps every
 engine: each stops, with ToleranceNotReached, before a step that would
 pass it.
-The Sobol engine alone imports ``scipy.stats`` (for ``qmc``), on its
-first use, so that importing the package does not pay for it.
+The Sobol engine draws its points from a numpy stream with the bits of
+``scipy.stats.qmc.Sobol``, so no engine loads ``scipy.stats``.
 This module only integrates: the measures' integrands, :func:`xlogx`
 and :func:`xlog_ratio` among them, live in :mod:`~copulameasures.measures`.
 """
@@ -300,16 +300,76 @@ def _integrate_grid(f, k, abs_tol, rel_tol, max_evals):
         est = Estimate(values[-1], error, evals)
 
 
+# Sobol points in 30 bits, from Joe and Kuo's direction numbers (2008)
+# under Matousek's linear matrix scramble and a digital shift (1998).
+_SOBOL_BITS = 30
+# Dimensions 2-8: each primitive polynomial, its leading and constant
+# terms included, and its initial values m_1 ... m_s (dimension 1 is all
+# ones).  These are the first rows of scipy's table.
+_SOBOL_POLYS = ((3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)),
+                (19, (1, 1, 3, 3)), (25, (1, 3, 5, 13)), (37, (1, 1, 5, 5, 17)))
+
+
+@lru_cache(maxsize=8)
+def _sobol_directions(d: int) -> np.ndarray:
+    """The (d, 30) unscrambled direction numbers, by the Bratley-Fox
+    recurrence, as 30-bit integers."""
+    v = np.ones((d, _SOBOL_BITS), dtype=np.int64)
+    for row, (poly, init) in zip(v[1:], _SOBOL_POLYS):
+        s = len(init)
+        row[:s] = init
+        for j in range(s, _SOBOL_BITS):
+            row[j] = row[j - s]
+            for i in range(s):
+                if poly >> (s - 1 - i) & 1:
+                    row[j] ^= row[j - i - 1] << (i + 1)
+    v <<= np.arange(_SOBOL_BITS - 1, -1, -1)
+    v.setflags(write=False)
+    return v
+
+
+class _Sobol:
+    """A scrambled Sobol stream in d <= 8 dimensions: the same float64
+    points, draw by draw, as ``scipy.stats.qmc.Sobol(d, scramble=True,
+    seed=np.random.default_rng(np.random.SeedSequence(entropy)))``."""
+
+    def __init__(self, d: int, entropy):
+        # scipy draws the scramble from a child of the generator it is given
+        rng = np.random.default_rng(np.random.SeedSequence(entropy).spawn(1)[0])
+        bits = _SOBOL_BITS
+        powers = 1 << np.arange(bits)
+        shift = rng.integers(2, size=(d, bits), dtype=np.uint32) @ powers
+        ltm = np.tril(rng.integers(2, size=(d, bits, bits), dtype=np.uint32))
+        ltm[:, range(bits), range(bits)] = 1
+        # each direction number times its dimension's matrix over GF(2),
+        # as bit vectors with the most significant bit first
+        v = _sobol_directions(d)[:, :, None] >> np.arange(bits - 1, -1, -1) & 1
+        v = (v @ ltm.swapaxes(1, 2) & 1) @ powers[::-1]
+        # Row 0 steps from 0 to point 0, the shift; row 1 + c steps from
+        # point t - 1 to point t when t ends in c zero bits.
+        self._steps = np.vstack([shift, v.T]).astype(np.uint32)
+        self._last = np.zeros(d, dtype=np.uint32)
+        self.count = 0
+
+    def random(self, n: int) -> np.ndarray:
+        """The next n >= 1 points, in Gray-code order, as an (n, d) array."""
+        if self.count + n > 1 << _SOBOL_BITS:
+            raise ValueError(f"at most 2**{_SOBOL_BITS} points: {self.count} "
+                             f"drawn, {n} more asked")
+        t = np.arange(self.count, self.count + n)
+        # frexp gives exponent 0 for t = 0 and c + 1 for a lowest bit 2^c
+        steps = self._steps.take(np.frexp(t & -t)[1], axis=0)
+        steps[0] ^= self._last
+        points = np.bitwise_xor.accumulate(steps, axis=0)
+        # a copy, so that the draw's points are not kept alive by the state
+        self._last, self.count = points[-1].copy(), self.count + n
+        return points * 2.0 ** -_SOBOL_BITS
+
+
 def _integrate_qmc(f, k, seed, first_batch, abs_tol, rel_tol, max_evals):
     """Doubling Sobol loop, error 3 standard errors across randomizations;
     also runs the MVN CDF at k >= 4."""
-    from scipy.stats import qmc  # about 0.5 s, so paid by Sobol's users only
-
-    engines = [
-        qmc.Sobol(d=k, scramble=True,
-                  seed=np.random.default_rng(np.random.SeedSequence((seed, rep))))
-        for rep in range(_QMC_RANDOMIZATIONS)
-    ]
+    engines = [_Sobol(k, (seed, rep)) for rep in range(_QMC_RANDOMIZATIONS)]
     sums = np.zeros(_QMC_RANDOMIZATIONS)
     est, counts, n_next = None, 0, first_batch
     while not _converged(est, abs_tol, rel_tol,

@@ -323,8 +323,8 @@ def mvn_cdf(corr: np.ndarray, x, abs_tol: float = _ABS_TOL) -> Estimate:
     """P(Z <= x) for Z ~ N(0, corr), k >= 2; abs_tol binds from k = 4 on.
     ``corr`` must pass ``_check_corr``, where +-1 is a valid limit at
     k = 2, and be positive definite from k = 3, else CorrelationNotPD."""
-    if not abs_tol > 0:  # NaN fails too
-        raise ValueError("abs_tol must be positive")
+    if not 0 < abs_tol < np.inf:  # NaN fails too
+        raise ValueError("abs_tol must be positive and finite")
     corr = _check_corr(corr)
     x = np.asarray(x, dtype=float).ravel()
     if np.isnan(x).any():

@@ -7,10 +7,11 @@ from hypothesis import given, strategies as st
 from copulameasures import (CopulaModel as C, Estimate, IntegrationConfig,
                             MixtureCopula, b_k, cce, ccigf, cckl, fcce,
                             integrate_unit_cube, xlog_ratio, xlogx)
-from copulameasures.cubature import (_QMC_FIRST_BATCH, _QMC_SEED, _grid_axis,
-                                     _integrate_qmc)
+from copulameasures.cubature import (_QMC_FIRST_BATCH, _QMC_SEED, _Sobol,
+                                     _grid_axis, _integrate_qmc)
 from copulameasures.errors import (DimensionUnsupported, NonFiniteIntegrand,
                                    ToleranceNotReached)
+from copulameasures.mvnorm import _INTERNAL_QMC_SEED
 
 
 def test_constant_is_exact():
@@ -291,6 +292,51 @@ def test_sobol_budget_below_the_first_round_carries_no_estimate():
         integrate_unit_cube(lambda p: p.prod(axis=1), 5,
                             IntegrationConfig(max_evals=10_000))
     assert exc.value.estimate is None
+
+
+class TestSobolStream:
+    """The numpy Sobol stream against scipy's ``qmc.Sobol``, whose points
+    every Sobol pin and golden report was recorded with."""
+
+    # the draws of _integrate_qmc: the measures' from their first batch,
+    # the MVN CDF's from 2048 points
+    DRAWS = [(1024, 1024, 2048, 4096), (2048, 2048, 4096)]
+    STREAMS = [(_QMC_SEED, 0), (_QMC_SEED, 15), (_INTERNAL_QMC_SEED, 15),
+               (12345, 7)]
+
+    @pytest.mark.parametrize("draws", DRAWS)
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_bits_of_scipy(self, d, draws):
+        from scipy.stats import qmc
+        for entropy in self.STREAMS:
+            ours = _Sobol(d, entropy)
+            ref = qmc.Sobol(d, scramble=True, seed=np.random.default_rng(
+                np.random.SeedSequence(entropy)))
+            for n in draws:
+                got, want = ours.random(n), ref.random(n)
+                assert got.shape == want.shape == (n, d)
+                assert got.tobytes() == want.tobytes(), (entropy, n)
+
+    def test_first_points_pinned(self):
+        # seed 0, rep 0, d = 3, as 30-bit integers: a later scipy must not
+        # silently redefine the reference above
+        want = np.array([[440180019, 1035216202, 920899910],
+                         [841105081, 186593514, 304032759],
+                         [764874433, 628882517, 684669873],
+                         [92908875, 332458485, 204718336]]) * 2.0 ** -30
+        eng = _Sobol(3, (0, 0))
+        assert eng.random(1).tobytes() == want[:1].tobytes()
+        assert eng.random(3).tobytes() == want[1:].tobytes()
+
+    def test_stops_at_2_to_the_30_points(self):
+        eng = _Sobol(2, (0, 0))
+        eng.count = (1 << 30) - 2  # as if all but two had been drawn
+        assert eng.random(2).shape == (2, 2)
+        with pytest.raises(ValueError, match="at most 2\\*\\*30 points"):
+            eng.random(1)
+        eng.count = (1 << 30) - 3
+        with pytest.raises(ValueError):
+            eng.random(4)
 
 
 @pytest.mark.parametrize("field", ["abs_tol", "rel_tol", "max_evals"])

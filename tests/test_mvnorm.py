@@ -94,6 +94,15 @@ def test_point_longer_than_correlation_is_a_dimension_mismatch():
             mvn_cdf(np.eye(2), [0.0, 0.0], abs_tol=abs_tol)
 
 
+def test_infinite_abs_tol_rejected():
+    """An infinite tolerance would return the first Sobol step's estimate
+    at k = 4, where the default one raises ToleranceNotReached."""
+    corr = np.full((4, 4), 0.5) + 0.5 * np.eye(4)
+    for k in (2, 4):
+        with pytest.raises(ValueError, match="finite"):
+            mvn_cdf(corr[:k, :k], [0.1, 0.2, 0.3, 0.4][:k], abs_tol=np.inf)
+
+
 def test_measure_failure_carries_no_cdf_estimate():
     # one k=4 CDF value misses 1e-8 within its budget; that value is not
     # an estimate of the measure, so none rides on the error
